@@ -80,8 +80,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     try:
-        entry = diagnose_checkpoint(args.checkpoint,
-                                    residence_cell_size=args.cell_size)
+        entry = diagnose_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
         return _fail(f"cannot read checkpoint: {exc}", EXIT_IO)
     except ValueError as exc:
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagnose", help="recompute diagnostics from a checkpoint")
     p_diag.add_argument("checkpoint")
-    p_diag.add_argument("--cell-size", type=float, default=0.02)
     p_diag.set_defaults(func=_cmd_diagnose)
     return parser
 

@@ -6,6 +6,8 @@ states, velocities v_{i+1} = (x_{i+1} - x_i)/eps_i, step sizes, enlargement
 radii, noise draws and the algorithmic clock t_i = sum_{j<i} eps_j.
 A hard guard radius makes the boundedness event observable: runs that
 leave the ball are truncated and marked escaped instead of projected.
+Every engine (the generic recursion, heavy ball, fictitious play) is a step
+function x_i -> x_{i+1} fed to the one loop that does this recording.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import games as games_mod
 from .geometry import Polytope
 from .maps import (MaxOfSmoothFunction, SetValuedMap, _select_from, clarke_map,
-                   clarke_subdifferential, negate, uniform_ball)
+                   clarke_subdifferential, enlargement_sample, negate)
 
 DEFAULT_SELECTION_RULE = "random_hull"
 
@@ -210,11 +212,7 @@ def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseMode
     eps_i = schedule.step(i)
     if eps_i <= 0.0:
         raise ValueError("step size must be positive")
-    if delta_i == 0.0:
-        y = _select_from(H.evaluate(x), rule, rng)
-    else:
-        z = x + delta_i * uniform_ball(rng, H.dimension)
-        y = _select_from(H.evaluate(z), rule, rng) + delta_i * uniform_ball(rng, H.dimension)
+    y = enlargement_sample(H, x, delta_i, rng, rule)
     if eta is None:
         eta = noise.sample(1, H.dimension, rng)[0]
     else:
@@ -224,16 +222,50 @@ def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseMode
     return x_next, v, eta
 
 
-def _finish(states, velocities, eps, deltas, noises, m, status, escape_index,
-            escape_norm, seed_val):
-    used = eps[:m]
+def _start(x0, n_steps: int, guard_radius: float) -> np.ndarray:
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    x0 = np.asarray(x0, dtype=float).copy()
+    if guard_radius <= np.linalg.norm(x0):
+        raise ValueError("guard radius must exceed the norm of the initial state")
+    return x0
+
+
+def _iterate(x0: np.ndarray, advance, eps: np.ndarray, deltas: np.ndarray,
+             noises: np.ndarray, guard_radius: float, seed_val) -> Trajectory:
+    """The one recursion loop: x_{i+1} = advance(i, x_i) for ``len(eps)``
+    steps or until a state leaves the guard ball.
+
+    Records v_{i+1} = (x_{i+1} - x_i)/eps_i and the clock; ``deltas`` and
+    ``noises`` are the per-step records of the run, truncated with it.
+    """
+    n_steps = eps.shape[0]
+    states = np.empty((n_steps + 1, x0.shape[0]))
+    velocities = np.empty((n_steps, x0.shape[0]))
+    states[0] = x0
+    bound = guard_radius * guard_radius
+    status, escape_index, escape_norm = "completed", None, None
+    m = n_steps
+    x = x0
+    for i in range(n_steps):
+        x_next = advance(i, x)
+        velocities[i] = (x_next - x) / eps[i]
+        states[i + 1] = x_next
+        sq = float(x_next @ x_next)
+        if not math.isfinite(sq) or sq > bound:
+            status, escape_index, m = "escaped", i + 1, i + 1
+            escape_norm = math.sqrt(sq) if math.isfinite(sq) else math.inf
+            break
+        x = x_next
+    if m < n_steps:  # release the unused tail of an escaped run
+        states, velocities = states[:m + 1].copy(), velocities[:m].copy()
+        eps, deltas, noises = eps[:m].copy(), deltas[:m].copy(), noises[:m].copy()
     clock = np.empty(m + 1)
     clock[0] = 0.0
-    np.cumsum(used, out=clock[1:])
-    return Trajectory(states=states[:m + 1].copy(), velocities=velocities[:m].copy(),
-                      steps=used.copy(), deltas=deltas[:m].copy(), noises=noises[:m].copy(),
-                      clock=clock, status=status, escape_index=escape_index,
-                      escape_norm=escape_norm, seed=seed_val)
+    np.cumsum(eps, out=clock[1:])
+    return Trajectory(states=states, velocities=velocities, steps=eps, deltas=deltas,
+                      noises=noises, clock=clock, status=status,
+                      escape_index=escape_index, escape_norm=escape_norm, seed=seed_val)
 
 
 def run_sa(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
@@ -244,46 +276,17 @@ def run_sa(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
     ``delta_schedule=None`` means delta_i = 0 throughout.  Equal seeds give
     bit-identical trajectories.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    x0 = np.asarray(x0, dtype=float).copy()
-    n = x0.shape[0]
-    if guard_radius <= np.linalg.norm(x0):
-        raise ValueError("guard radius must exceed ||x0||")
+    x0 = _start(x0, n_steps, guard_radius)
     rng, seed_val = _as_rng(seed)
-
     eps = schedule.values(n_steps)
     deltas = delta_schedule.values(n_steps) if delta_schedule is not None else np.zeros(n_steps)
-    noises = noise.sample(n_steps, n, rng)
-    states = np.empty((n_steps + 1, n))
-    velocities = np.empty((n_steps, n))
-    states[0] = x0
+    noises = noise.sample(n_steps, x0.shape[0], rng)
 
-    evaluate = H.evaluate
-    x = x0
-    status, escape_index, escape_norm = "completed", None, None
-    m = n_steps
-    for i in range(n_steps):
-        d = deltas[i]
-        if d == 0.0:
-            y = _select_from(evaluate(x), rule, rng)
-        else:
-            z = x + d * uniform_ball(rng, n)
-            y = _select_from(evaluate(z), rule, rng) + d * uniform_ball(rng, n)
-        e = eps[i]
-        x_next = x + e * (y + noises[i])
-        velocities[i] = (x_next - x) / e
-        states[i + 1] = x_next
-        sq = float(x_next @ x_next)
-        if not math.isfinite(sq) or sq > guard_radius * guard_radius:
-            status = "escaped"
-            escape_index = i + 1
-            escape_norm = math.sqrt(sq) if math.isfinite(sq) else math.inf
-            m = i + 1
-            break
-        x = x_next
-    return _finish(states, velocities, eps, deltas, noises, m, status,
-                   escape_index, escape_norm, seed_val)
+    def advance(i, x):
+        y = enlargement_sample(H, x, deltas[i], rng, rule)
+        return x + eps[i] * (y + noises[i])
+
+    return _iterate(x0, advance, eps, deltas, noises, guard_radius, seed_val)
 
 
 def run_sgd(f: MaxOfSmoothFunction, schedule: StepSchedule, noise: NoiseModel,
@@ -310,16 +313,11 @@ def run_shb(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
     x_i = (q_i, p_i), the recorded step size is beta_i, and the recorded
     noise is (0, eta_{i+1}).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    q = np.asarray(q0, dtype=float).copy()
-    m_dim = q.shape[0]
-    p = np.zeros(m_dim) if p0 is None else np.asarray(p0, dtype=float).copy()
-    x0 = np.concatenate([q, p])
-    if guard_radius <= np.linalg.norm(x0):
-        raise ValueError("guard radius must exceed ||(q0, p0)||")
+    q0 = np.asarray(q0, dtype=float)
+    m_dim = q0.shape[0]
+    p0 = np.zeros(m_dim) if p0 is None else np.asarray(p0, dtype=float)
+    x0 = _start(np.concatenate([q0, p0]), n_steps, guard_radius)
     rng, seed_val = _as_rng(seed)
-
     alphas = alpha_schedule.values(n_steps)
     betas = beta_schedule.values(n_steps)
     if np.any(betas > 1.0):
@@ -327,29 +325,15 @@ def run_shb(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
     etas = noise.sample(n_steps, m_dim, rng)
     noises = np.zeros((n_steps, 2 * m_dim))
     noises[:, m_dim:] = etas
-    states = np.empty((n_steps + 1, 2 * m_dim))
-    velocities = np.empty((n_steps, 2 * m_dim))
-    states[0] = x0
 
-    status, escape_index, escape_norm = "completed", None, None
-    m = n_steps
-    for i in range(n_steps):
+    def advance(i, x):
+        q, p = x[:m_dim], x[m_dim:]
         g = _select_from(clarke_subdifferential(f, q), rule, rng)
         b = betas[i]
         p = (1.0 - b) * p - b * g + b * etas[i]
-        q = q + alphas[i] * p
-        states[i + 1, :m_dim] = q
-        states[i + 1, m_dim:] = p
-        velocities[i] = (states[i + 1] - states[i]) / b
-        sq = float(states[i + 1] @ states[i + 1])
-        if not math.isfinite(sq) or sq > guard_radius * guard_radius:
-            status = "escaped"
-            escape_index = i + 1
-            escape_norm = math.sqrt(sq) if math.isfinite(sq) else math.inf
-            m = i + 1
-            break
-    return _finish(states, velocities, betas, np.zeros(n_steps), noises, m,
-                   status, escape_index, escape_norm, seed_val)
+        return np.concatenate([q + alphas[i] * p, p])
+
+    return _iterate(x0, advance, betas, np.zeros(n_steps), noises, guard_radius, seed_val)
 
 
 def shb_single_variable_coefficients(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -395,43 +379,28 @@ def run_fictitious_play(game: "games_mod.Game", n_steps: int, seed,
     the stage-0 play.  The recorded state is the concatenated average, the
     step size is 1/(n+2) and the noise is zero.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     rng, seed_val = _as_rng(seed)
     counts = game.action_counts
     dim = int(sum(counts))
     if xi0 is None:
         parts = [np.full(k, 1.0 / k) for k in counts]
     else:
-        parts = [np.asarray(s, dtype=float).copy() for s in xi0]
+        parts = [np.asarray(s, dtype=float) for s in xi0]
     for k, s in zip(counts, parts):
         if s.shape != (k,) or np.any(s < -1e-12) or abs(s.sum() - 1.0) > 1e-9:
             raise ValueError("initial profile must be a point on each action simplex")
+    xi0 = _start(np.concatenate(parts), n_steps, math.inf)
 
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
     eps = 1.0 / (np.arange(n_steps, dtype=float) + 2.0)
-    states = np.empty((n_steps + 1, dim))
-    velocities = np.empty((n_steps, dim))
-    xi = np.concatenate(parts)
-    states[0] = xi
 
-    for n in range(n_steps):
+    def advance(n, xi):
         play = np.zeros(dim)
         for i in range(game.n_players):
-            opponents = [states[n, offsets[j]:offsets[j + 1]]
+            opponents = [xi[offsets[j]:offsets[j + 1]]
                          for j in range(game.n_players) if j != i]
-            a = games_mod.strategy_draw(game, i, opponents, rng)
-            play[offsets[i]:offsets[i + 1]] = a
-        e = eps[n]
-        xi_next = xi + e * (play - xi)
-        velocities[n] = (xi_next - xi) / e
-        states[n + 1] = xi_next
-        xi = xi_next
+            play[offsets[i]:offsets[i + 1]] = games_mod.strategy_draw(game, i, opponents, rng)
+        return xi + eps[n] * (play - xi)
 
-    clock = np.empty(n_steps + 1)
-    clock[0] = 0.0
-    np.cumsum(eps, out=clock[1:])
-    zeros = np.zeros((n_steps, dim))
-    return Trajectory(states=states, velocities=velocities, steps=eps,
-                      deltas=np.zeros(n_steps), noises=zeros, clock=clock,
-                      status="completed", seed=seed_val)
+    return _iterate(xi0, advance, eps, np.zeros(n_steps), np.zeros((n_steps, dim)),
+                    math.inf, seed_val)

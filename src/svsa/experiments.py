@@ -23,12 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from . import games as games_mod
+from .csvio import write_csv
 from .engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
                      run_sa, run_sgd, run_shb)
 from .geometry import min_norm_point
-from .maps import (MaxOfSmoothFunction, SetValuedMap, abs_value, clarke_map,
-                   clarke_subdifferential, half_square_norm, max_of_squares,
-                   negate, singleton_map)
+from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, abs_value,
+                   clarke_map, clarke_subdifferential, half_square_norm,
+                   max_of_squares, negate, singleton_map)
 from .occupation import (OccupationMeasure, TestFunctionBank,
                          UndefinedEstimateError, _cell_residences, accumulate,
                          centroid_membership_gap, circulation, closed_residual,
@@ -123,6 +124,36 @@ def _noise_from_doc(doc: dict | None) -> NoiseModel:
     raise ConfigError([f"noise: unknown kind {kind!r}"])
 
 
+def _start_problems(problem: dict, guard_radius: float) -> list[str]:
+    """The initial state must be given, match the problem's dimension and lie
+    strictly inside the guard ball (fictitious play starts on the simplices)."""
+    kind = problem["kind"]
+    if kind == "fictitious_play":
+        if problem.get("game") is None:
+            return ["problem.game: required for kind 'fictitious_play'"]
+        return []
+    keys = ("q0", "p0") if kind == "shb" else ("x0",)
+    required = (keys[0], "map", "dim") if kind == "custom_map" else (keys[0], "f")
+    missing = [f"problem.{key}: required for kind {kind!r}"
+               for key in required if key not in problem]
+    if missing:
+        return missing
+    dim = problem["dim"] if kind == "custom_map" else named_function(problem["f"]).dimension
+    present = [key for key in keys if key in problem]
+    try:
+        start = [np.asarray(problem[key], dtype=float) for key in present]
+    except (TypeError, ValueError):
+        return [f"problem.{'/'.join(present)}: a list of numbers required"]
+    wrong = [f"problem.{key}: {dim} coordinates required"
+             for key, part in zip(present, start) if part.shape != (dim,)]
+    if wrong:
+        return wrong
+    norm = float(np.linalg.norm(np.concatenate(start)))
+    if not guard_radius > norm:
+        return [f"guard_radius: must exceed the initial state's norm {norm:.6g}"]
+    return []
+
+
 DEFAULT_DIAGNOSTICS = {
     "bank_degree": 3,
     "bank_bumps": 4,
@@ -189,12 +220,19 @@ class ExperimentConfig:
         if delta_doc and delta_doc.get("kind") not in (None, "zero"):
             delta = _schedule_from_doc(delta_doc, "delta")
 
+        rule = doc.get("selection_rule", "random_hull")
+        if rule not in SELECTION_RULES:
+            problems.append(f"selection_rule: one of {', '.join(SELECTION_RULES)}")
+        guard_radius = float(doc.get("guard_radius", 1e3))
+        problems.extend(_start_problems(problem, guard_radius))
+        if problems:
+            raise ConfigError(problems)
+
         diagnostics = dict(DEFAULT_DIAGNOSTICS)
         diagnostics.update(doc.get("diagnostics", {}))
         return cls(name=name, problem=problem, n_steps=n_steps, seeds=list(seeds),
-                   guard_radius=float(doc.get("guard_radius", 1e3)),
-                   checkpoint_base=checkpoint_base, schedule=schedule, noise=noise,
-                   delta=delta, selection_rule=doc.get("selection_rule", "random_hull"),
+                   guard_radius=guard_radius, checkpoint_base=checkpoint_base,
+                   schedule=schedule, noise=noise, delta=delta, selection_rule=rule,
                    strict_bounded=bool(doc.get("strict_bounded", False)),
                    diagnostics=diagnostics, raw=doc)
 
@@ -237,8 +275,6 @@ def validate_config(config: "ExperimentConfig | dict") -> list[str]:
             if alpha.violations():
                 out.extend(f"heavy ball (alpha): {v.split(': ', 1)[1]}"
                            for v in alpha.violations())
-    if kind == "fictitious_play" and config.problem.get("game") is None:
-        out.append("fictitious_play: a game must be declared")
     return out
 
 
@@ -321,10 +357,8 @@ def checkpoint_iterations(n_steps: int, base: int) -> list[int]:
     return its
 
 
-def _checkpoint_diagnostics(measure: OccupationMeasure, config: ExperimentConfig,
-                            iteration: int, circulation_field=None,
-                            dump_cells: bool = True) -> dict:
-    diag = config.diagnostics
+def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: int,
+                            circulation_field=None, problem_map=None) -> dict:
     bank = TestFunctionBank.from_positions(measure.positions,
                                            degree=int(diag["bank_degree"]),
                                            n_bumps=int(diag["bank_bumps"]),
@@ -342,24 +376,22 @@ def _checkpoint_diagnostics(measure: OccupationMeasure, config: ExperimentConfig
         stat = oscillation_statistic(measure, psi)
         entry["oscillation"][psi.name] = {"average": stat.weighted_average.tolist(),
                                           "psi_weight": stat.psi_weight}
-    if dump_cells:
-        cell = float(diag["residence_cell_size"])
-        cells = _cell_residences(measure, cell)
-        listed = sorted((c for c in cells.items() if c[1] >= 1e-3),
-                        key=lambda kv: (-kv[1], kv[0]))[:1000]
-        entry["residence_grid"] = {"cell_size": cell,
-                                   "cells": [{"cell": list(map(int, c)), "mass": m}
-                                             for c, m in listed]}
-    if circulation_field is not None and diag.get("circulation", True):
+    cell = float(diag["residence_cell_size"])
+    cells = _cell_residences(measure, cell)
+    listed = sorted((c for c in cells.items() if c[1] >= 1e-3),
+                    key=lambda kv: (-kv[1], kv[0]))[:1000]
+    entry["residence_grid"] = {"cell_size": cell,
+                               "cells": [{"cell": list(map(int, c)), "mass": m}
+                                         for c, m in listed]}
+    if circulation_field is not None:
         entry["circulation"] = {"min_norm_subgradient":
                                 circulation(measure, circulation_field)}
     probes = diag.get("centroid_probes")
     if probes:
         h = plugin_bandwidth(measure)
         try:
-            H = _problem_map(config)
-            gap = (centroid_membership_gap(measure, H, np.asarray(probes, float), h)
-                   if H is not None else None)
+            gap = (centroid_membership_gap(measure, problem_map, np.asarray(probes, float), h)
+                   if problem_map is not None else None)
         except UndefinedEstimateError:
             gap = None
         entry["centroid"] = {"bandwidth": h, "probes": probes, "gap": gap}
@@ -384,8 +416,7 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
             + ["eps", "delta"] + [f"eta{k}" for k in range(n)])
     data = np.column_stack([np.arange(m), traj.clock[:m], traj.states[:m],
                             traj.velocities, traj.steps, traj.deltas, traj.noises])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", comments="",
-               header=",".join(cols), newline="\r\n")
+    write_csv(path, cols, data)
 
 
 def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
@@ -399,11 +430,12 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
         iterations.append(traj.n_steps)
     measures = [accumulate(traj, upto=i) for i in iterations]
 
-    circulation_field = _circulation_field(config) if config.diagnostics.get("circulation", True) else None
-    checkpoints = [_checkpoint_diagnostics(m, config, i, circulation_field)
+    diag = config.diagnostics
+    circulation_field = _circulation_field(config) if diag.get("circulation", True) else None
+    problem_map = _problem_map(config) if diag.get("centroid_probes") else None
+    checkpoints = [_checkpoint_diagnostics(m, diag, i, circulation_field, problem_map)
                    for m, i in zip(measures, iterations)]
 
-    diag = config.diagnostics
     summary: dict = {
         "experiment": config.name,
         "config_hash": config.config_hash(),
@@ -431,7 +463,8 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
         seed_dir.mkdir(parents=True, exist_ok=True)
         _write_trajectory_csv(traj, seed_dir / "trajectory.csv")
         for m, i in zip(measures, iterations):
-            save_checkpoint(m, seed_dir / f"checkpoint_{i}.csv", iteration=i, seed=seed)
+            save_checkpoint(m, seed_dir / f"checkpoint_{i}.csv", iteration=i, seed=seed,
+                            diagnostics=diag)
         with open(seed_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -498,25 +531,17 @@ def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
                             output_dir=root, files=files)
 
 
-def diagnose_checkpoint(csv_path, bank_degree: int = 3, bank_bumps: int = 4,
-                        bank_seed: int = 7, velocity_moment_order: float = 2.0,
-                        residence_cell_size: float = 0.02) -> dict:
+def diagnose_checkpoint(csv_path) -> dict:
     """Recompute the measure-level diagnostics of a serialized checkpoint.
 
-    Uses the same bank construction as the pipeline (box from the stored
-    samples, fixed bump seed), so values match the original report exactly.
+    Uses the run's diagnostics block from the sidecar (defaults for a sidecar
+    without one) and the same bank construction as the pipeline (box from the
+    stored samples, fixed bump seed), so values match the original report
+    exactly.  Circulation and centroid probes need the problem, so they are
+    left out.
     """
     measure, meta = load_checkpoint(csv_path)
-    stub = ExperimentConfig(name="diagnose", problem={"kind": "custom_map"},
-                            n_steps=1, seeds=[0],
-                            diagnostics={**DEFAULT_DIAGNOSTICS,
-                                         "bank_degree": bank_degree,
-                                         "bank_bumps": bank_bumps,
-                                         "bank_seed": bank_seed,
-                                         "velocity_moment_order": velocity_moment_order,
-                                         "residence_cell_size": residence_cell_size,
-                                         "circulation": False,
-                                         "centroid_probes": None})
-    entry = _checkpoint_diagnostics(measure, stub, meta["iteration"])
+    diag = {**DEFAULT_DIAGNOSTICS, **meta.get("diagnostics", {}), "centroid_probes": None}
+    entry = _checkpoint_diagnostics(measure, diag, meta["iteration"])
     entry["sidecar"] = meta
     return entry

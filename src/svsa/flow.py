@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .csvio import write_csv
 from .geometry import distance_to_hull
 from .maps import SELECTION_RULES, SetValuedMap, _select_from
 
@@ -38,12 +39,8 @@ class Curve:
         return self.points.shape[0]
 
     def save_csv(self, path) -> None:
-        import csv
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s"] + [f"x{k}" for k in range(self.dimension)])
-            for t, p in zip(self.times, self.points):
-                writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in p])
+        write_csv(path, ["s"] + [f"x{k}" for k in range(self.dimension)],
+                  np.column_stack([self.times, self.points]))
 
 
 def euler_di(H: SetValuedMap, x0, dt: float, T: float, rule: str = "min_norm",

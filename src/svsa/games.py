@@ -95,11 +95,6 @@ def strategy_draw(game: Game, i: int, opponents: Sequence,
     return out
 
 
-def split_profile(game: Game, xi: np.ndarray) -> list[np.ndarray]:
-    offsets = np.concatenate([[0], np.cumsum(game.action_counts)]).astype(int)
-    return [xi[offsets[i]:offsets[i + 1]] for i in range(game.n_players)]
-
-
 def game_map(game: Game) -> SetValuedMap:
     """The averaged best-response displacement map on the concatenated profile:
     generators are (b^1 - xi^1, ..., b^m - xi^m) over all combinations of

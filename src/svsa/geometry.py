@@ -21,8 +21,10 @@ class Polytope:
 
     def __init__(self, generators, copy: bool = True):
         try:
-            g = np.array(generators, dtype=float, copy=copy)
+            g = (np.array if copy else np.asarray)(generators, dtype=float)
         except ValueError as exc:
+            if "inhomogeneous" not in str(exc):
+                raise
             raise ValueError(f"generators have mismatched dimensions: {exc}") from exc
         if g.ndim == 1:
             g = g.reshape(1, -1)

@@ -108,22 +108,30 @@ class MaxOfSmoothFunction:
         Raises if the error exceeds ``tol`` at any of the random points.
         """
         lo, hi = box
-        worst = 0.0
-        for _ in range(n_points):
-            x = rng.uniform(lo, hi, self.dimension)
-            for piece in self.pieces:
-                grad = np.asarray(piece.gradient(x), dtype=float)
-                fd = np.empty(self.dimension)
-                for k in range(self.dimension):
-                    e = np.zeros(self.dimension)
-                    e[k] = step
-                    fd[k] = (piece.value(x + e) - piece.value(x - e)) / (2.0 * step)
-                err = float(np.max(np.abs(fd - grad)))
-                worst = max(worst, err)
-                if err > tol:
-                    raise ValueError(f"piece gradient disagrees with finite differences "
-                                     f"({err:.3g} > {tol:.3g}) at {x}")
-        return worst
+        return check_gradients([(f"piece {k}", p.value, p.gradient)
+                                for k, p in enumerate(self.pieces)],
+                               lambda: rng.uniform(lo, hi, self.dimension),
+                               n_points, step, tol)
+
+
+def check_gradients(functions: Sequence[tuple[str, Callable, Callable]],
+                    draw_point: Callable[[], np.ndarray], n_points: int,
+                    step: float, tol: float) -> float:
+    """Worst central finite-difference error of each (name, value, gradient)
+    over ``n_points`` points from ``draw_point``; raises ValueError past ``tol``."""
+    worst = 0.0
+    for _ in range(n_points):
+        x = draw_point()
+        shifts = step * np.eye(x.shape[0])
+        for name, value, gradient in functions:
+            grad = np.asarray(gradient(x), dtype=float)
+            fd = np.array([(value(x + e) - value(x - e)) / (2.0 * step) for e in shifts])
+            err = float(np.max(np.abs(fd - grad)))
+            worst = max(worst, err)
+            if err > tol:
+                raise ValueError(f"gradient of {name} disagrees with finite differences "
+                                 f"({err:.3g} > {tol:.3g}) at {x}")
+    return worst
 
 
 def clarke_subdifferential(f: MaxOfSmoothFunction, x) -> Polytope:

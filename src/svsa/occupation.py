@@ -9,7 +9,6 @@ count bounded for very long runs.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -19,9 +18,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .csvio import write_csv
 from .engine import Trajectory
 from .geometry import distance_to_hull
-from .maps import SetValuedMap
+from .maps import SetValuedMap, check_gradients
 
 DEFAULT_MAX_SAMPLES = 1_000_000
 
@@ -308,24 +308,21 @@ def checkpoint_sidecar_path(csv_path) -> Path:
 
 
 def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
-                    seed: int | None) -> tuple[Path, Path]:
+                    seed: int | None, diagnostics: dict | None = None) -> tuple[Path, Path]:
     """Write the sample table as CSV (header row, 17 significant digits) plus
-    a JSON sidecar with dimension, total weight, iteration and seed."""
+    a JSON sidecar with dimension, total weight, iteration and seed, and the
+    run's diagnostics block when one is given."""
     csv_path = Path(csv_path)
     n = measure.dimension
     header = ["j"] + [f"x{k}" for k in range(n)] + [f"v{k}" for k in range(n)] + ["weight"]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(measure.n_samples):
-            row = [str(j)]
-            row += [f"{val:.17g}" for val in measure.positions[j]]
-            row += [f"{val:.17g}" for val in measure.velocities[j]]
-            row.append(f"{measure.weights[j]:.17g}")
-            writer.writerow(row)
+    write_csv(csv_path, header, np.column_stack([np.arange(measure.n_samples),
+                                                 measure.positions, measure.velocities,
+                                                 measure.weights]))
     sidecar = checkpoint_sidecar_path(csv_path)
     meta = {"dimension": n, "total_weight": measure.total_weight,
             "iteration": int(iteration), "seed": seed}
+    if diagnostics is not None:
+        meta["diagnostics"] = diagnostics
     with open(sidecar, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -491,19 +488,6 @@ class TestFunctionBank:
     def validate_gradients(self, rng: np.random.Generator, n_points: int = 10,
                            step: float = 1e-6, tol: float = 1e-4) -> float:
         """Worst central-difference error over random box points; raises past tol."""
-        worst = 0.0
-        n = self.lower.shape[0]
-        for _ in range(n_points):
-            x = rng.uniform(self.lower, self.upper)
-            for g in self.functions:
-                grad = np.asarray(g.gradient(x), dtype=float)
-                fd = np.empty(n)
-                for k in range(n):
-                    e = np.zeros(n)
-                    e[k] = step
-                    fd[k] = (g.value(x + e) - g.value(x - e)) / (2.0 * step)
-                err = float(np.max(np.abs(fd - grad)))
-                worst = max(worst, err)
-                if err > tol:
-                    raise ValueError(f"gradient of {g.name} off by {err:.3g} at {x}")
-        return worst
+        return check_gradients([(g.name, g.value, g.gradient) for g in self.functions],
+                               lambda: rng.uniform(self.lower, self.upper),
+                               n_points, step, tol)

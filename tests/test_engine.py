@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from svsa.engine import (NoiseModel, StepSchedule, run_fictitious_play, run_sa,
-                         run_sgd, run_shb, sa_step,
+from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
+                         run_sa, run_sgd, run_shb, sa_step,
                          shb_single_variable_coefficients)
 from svsa.games import Game, generalized_rps, matching_pennies
-from svsa.maps import abs_value, clarke_map, enlargement_slack, half_square_norm, negate, singleton_map
+from svsa.maps import (abs_value, clarke_map, enlargement_slack, half_square_norm,
+                       max_of_squares, negate, singleton_map)
 
 
 def attract_origin(dim=1):
@@ -272,3 +275,123 @@ def test_shb_coefficient_formula():
     assert np.isnan(a[0])
     assert a[1] == 0.4 * (1 - 0.25) / 0.5
     np.testing.assert_array_equal(b, alphas * betas)
+
+
+# Frozen reference ---------------------------------------------------------------
+
+def _digest(a) -> str:
+    a = np.ascontiguousarray(a)
+    head = f"{a.dtype.str}{a.shape}".encode()
+    return hashlib.sha256(head + a.tobytes()).hexdigest()[:16]
+
+
+def _sa_step_run():
+    # A chain of single steps with delta > 0, laid out like a Trajectory.
+    H = negate(clarke_map(abs_value()))
+    sched, noise = StepSchedule.power(0.5, 0.6), NoiseModel.gaussian(0.3)
+    delta = StepSchedule.power(0.2, 0.5)
+    rng = np.random.default_rng(17)
+    x, states, velocities, noises = np.array([0.5]), [[0.5]], [], []
+    for i in range(200):
+        x, v, eta = sa_step(x, i, H, sched, noise, delta.step(i), rng)
+        states.append(x)
+        velocities.append(v)
+        noises.append(eta)
+    return Trajectory(states=np.array(states), velocities=np.array(velocities),
+                      steps=sched.values(200), deltas=delta.values(200),
+                      noises=np.array(noises), clock=np.zeros(201))
+
+
+FROZEN_RUNS = {
+    "sgd_abs": lambda: run_sgd(abs_value(), StepSchedule.power(0.5, 0.6),
+                               NoiseModel.gaussian(0.5), 400, 100.0, 1, [1.0]),
+    "sgd_maxsq3_random_vertex": lambda: run_sgd(
+        # Without noise the three coordinates tie again every third step.
+        max_of_squares(3), StepSchedule.constant(0.1), NoiseModel.none(), 300, 100.0,
+        2, [1.0, -1.0, 1.0], rule="random_vertex"),
+    "sa_sign_descent_delta": lambda: run_sa(
+        [0.8], negate(clarke_map(abs_value())), StepSchedule.power(0.5, 0.6),
+        NoiseModel.student_t(4.0, 0.2), StepSchedule.power(0.2, 0.5), 400, 100.0, 3),
+    "sa_doubling_escape": lambda: run_sa(
+        [1.0], singleton_map(1, lambda x: x.copy()), StepSchedule.constant(1.0),
+        NoiseModel.none(), None, 50, 1e3, 4),
+    "shb_quad2": lambda: run_shb(half_square_norm(2), StepSchedule.power(0.5, 0.6),
+                                 StepSchedule.power(0.5, 0.6), NoiseModel.gaussian(0.5),
+                                 400, 100.0, 5, [1.0, 1.0]),
+    "fp_rps": lambda: run_fictitious_play(generalized_rps(1.0, 2.0), 400, 6),
+    "sa_step_chain": _sa_step_run,
+}
+
+FROZEN_DIGESTS = {
+    'fp_rps': {
+        'states': 'fe6025c1d89c7102',
+        'velocities': '3c467142c4cf7d41',
+        'steps': '2370a1ee875e3242',
+        'deltas': 'b9385a015d471e8d',
+        'noises': '2799d97a199390ee',
+        'clock': '9c1b15cd34033f96'},
+    'sa_doubling_escape': {
+        'states': '5170330dce08a334',
+        'velocities': 'd4d3fd5a56cfbb58',
+        'steps': '49d8012aa9ceb152',
+        'deltas': 'f68e3badbabb7df4',
+        'noises': 'bab72b52d553fdd7',
+        'clock': '1581790993b76525'},
+    'sa_sign_descent_delta': {
+        'states': 'b65d7904da640404',
+        'velocities': 'ebcd282993e20831',
+        'steps': '46131acdc356a6a8',
+        'deltas': 'a928f6e2e8bba452',
+        'noises': '83b2e8a74bb472b4',
+        'clock': '46b7e1aead74d394'},
+    'sa_step_chain': {
+        'states': '96af95481743ba53',
+        'velocities': 'c98bda1e129c290c',
+        'steps': 'a47f0cb06d40ff46',
+        'deltas': '3a1011108c0ea8b5',
+        'noises': '11d35c66dec3c428',
+        'clock': '4683ac2709594f41'},
+    'sgd_abs': {
+        'states': '156aa657068b5a7e',
+        'velocities': '44dbeacbfc3e12b1',
+        'steps': '46131acdc356a6a8',
+        'deltas': 'b9385a015d471e8d',
+        'noises': 'e190e7c324880770',
+        'clock': '46b7e1aead74d394'},
+    'sgd_maxsq3_random_vertex': {
+        'states': '36c3e7e57e63dbb9',
+        'velocities': 'b91ba9f2dbb19504',
+        'steps': 'c9708d2dd2c6aded',
+        'deltas': '4df56be7c6874637',
+        'noises': '3afa42acf5d5863d',
+        'clock': '00f730acbea34a2f'},
+    'shb_quad2': {
+        'states': '4dd77794e162efb9',
+        'velocities': '3fdbabc7d9249683',
+        'steps': '46131acdc356a6a8',
+        'deltas': 'b9385a015d471e8d',
+        'noises': '859c25c9f2951545',
+        'clock': '46b7e1aead74d394'},
+}
+
+FROZEN_FIELDS = {
+    'fp_rps': ('completed', None, None, 6),
+    'sa_doubling_escape': ('escaped', 10, 1024.0, 4),
+    'sa_sign_descent_delta': ('completed', None, None, 3),
+    'sa_step_chain': ('completed', None, None, None),
+    'sgd_abs': ('completed', None, None, 1),
+    'sgd_maxsq3_random_vertex': ('completed', None, None, 2),
+    'shb_quad2': ('completed', None, None, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RUNS))
+def test_engines_match_frozen_reference(name):
+    # Every recorded array and escape field of a few hundred steps is pinned
+    # bit for bit; any change to the recursion or its random draws shows here.
+    traj = FROZEN_RUNS[name]()
+    arrays = {key: _digest(getattr(traj, key)) for key in
+              ("states", "velocities", "steps", "deltas", "noises", "clock")}
+    fields = (traj.status, traj.escape_index, traj.escape_norm, traj.seed)
+    assert arrays == FROZEN_DIGESTS[name]
+    assert fields == FROZEN_FIELDS[name]

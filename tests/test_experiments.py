@@ -164,13 +164,13 @@ class TestRunExperiment:
 
 
 class TestDiagnose:
-    def test_round_trip_matches_report(self, tmp_path):
-        doc = sgd_doc(n_steps=2000, seeds=(1,), base=1000)
+    def _assert_round_trip(self, tmp_path, doc):
         report = run_experiment(doc, out_dir=tmp_path)
         summary = report.seed_summaries[0]
         entry = summary["checkpoints"][0]
         recomputed = diagnose_checkpoint(
             tmp_path / "sgd_abs_small" / "1" / "checkpoint_1000.csv")
+        assert recomputed["closed_residuals"].keys() == entry["closed_residuals"].keys()
         for name, value in entry["closed_residuals"].items():
             assert abs(recomputed["closed_residuals"][name] - value) <= 1e-12
         for name, stat in entry["oscillation"].items():
@@ -182,6 +182,14 @@ class TestDiagnose:
                    - entry["velocity_moment"]["value"]) <= 1e-12
         assert recomputed["residence_grid"] == entry["residence_grid"]
         assert recomputed["sidecar"]["seed"] == 1
+
+    def test_round_trip_matches_report(self, tmp_path):
+        self._assert_round_trip(tmp_path, sgd_doc(n_steps=2000, seeds=(1,), base=1000))
+
+    def test_round_trip_uses_the_run_diagnostics_block(self, tmp_path):
+        doc = sgd_doc(n_steps=2000, seeds=(1,), base=1000)
+        doc["diagnostics"] = {"bank_degree": 2, "bank_bumps": 1, "residence_cell_size": 0.05}
+        self._assert_round_trip(tmp_path, doc)
 
 
 class TestCli:
@@ -217,6 +225,24 @@ class TestCli:
         assert main(["diagnose", str(checkpoint)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["iteration"] == 1000
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["problem"].pop("x0"), "problem.x0"),
+        (lambda doc: doc.update(selection_rule="nearest"), "selection_rule"),
+        (lambda doc: doc.update(guard_radius=1.0), "guard_radius"),
+        (lambda doc: doc["problem"].update(x0=[1.0, 0.0]), "problem.x0"),
+        (lambda doc: doc.update(problem={"kind": "fictitious_play"}), "problem.game"),
+    ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game"])
+    def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
+        doc = sgd_doc(n_steps=1000, base=500)
+        edit(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
 
     def test_strict_escape_is_code_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

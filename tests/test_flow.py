@@ -105,6 +105,14 @@ def test_curve_csv_export(tmp_path):
     np.testing.assert_array_equal(data[:, 1:], curve.points)
 
 
+def test_curve_csv_bytes_are_pinned(tmp_path):
+    curve = Curve(times=np.array([0.0, 0.1]), points=np.array([[1.0, -0.0], [0.9, 1e-300]]),
+                  dt=0.1, rule="min_norm")
+    curve.save_csv(tmp_path / "curve.csv")
+    assert (tmp_path / "curve.csv").read_bytes() == (
+        b"s,x0,x1\r\n0,1,-0\r\n0.10000000000000001,0.90000000000000002,1e-300\r\n")
+
+
 class TestRecurrence:
     def test_stable_zero_is_recurrent(self):
         H = singleton_map(1, lambda x: np.zeros(1))

@@ -71,8 +71,9 @@ class TestDistanceToHull:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             distance_to_hull([1.0, 2.0], Polytope([[1.0], [2.0]]))
-        with pytest.raises(ValueError):
-            Polytope([[1.0, 2.0], [1.0]])
+        for copy in (True, False):
+            with pytest.raises(ValueError, match="mismatched dimensions"):
+                Polytope([[1.0, 2.0], [1.0]], copy=copy)
 
     def test_projection_is_feasible_and_attains_distance(self):
         rng = np.random.default_rng(3)
@@ -115,3 +116,17 @@ def test_contains_matches_distance():
     poly = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert contains([0.2, 0.2], poly)
     assert not contains([1.0, 1.0], poly)
+
+
+class TestPolytopeConstruction:
+    @pytest.mark.parametrize("generators", [np.array([[1, 2]]), [[1, 2], [3, 4]],
+                                            [[1.0, 2.0]]])
+    def test_no_copy_converts_int_and_list_input(self, generators):
+        poly = Polytope(generators, copy=False)
+        assert poly.generators.dtype == float
+        np.testing.assert_array_equal(poly.generators, np.atleast_2d(generators))
+
+    def test_no_copy_shares_float_input(self):
+        G = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.shares_memory(Polytope(G, copy=False).generators, G)
+        assert not np.shares_memory(Polytope(G).generators, G)

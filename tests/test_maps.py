@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svsa.geometry import Polytope, distance_to_hull, support_value
-from svsa.maps import (MaxOfSmoothFunction, SetValuedMap, abs_value,
+from svsa.maps import (MaxOfSmoothFunction, SetValuedMap, SmoothPiece, abs_value,
                        check_linear_growth, clarke_map, clarke_subdifferential,
                        enlargement_sample, enlargement_slack, half_square_norm,
                        max_of_squares, negate, selection, singleton_map,
@@ -33,6 +33,11 @@ class TestClarkeSubdifferential:
         for f in (abs_value(), half_square_norm(3), max_of_squares(2)):
             worst = f.validate_gradients(rng, n_points=20, step=1e-6, tol=1e-4)
             assert worst <= 1e-4
+
+    def test_wrong_gradient_raises(self):
+        f = MaxOfSmoothFunction([SmoothPiece(lambda x: float(x @ x), lambda x: x.copy())], 2)
+        with pytest.raises(ValueError, match="finite differences"):
+            f.validate_gradients(np.random.default_rng(0), n_points=3)
 
     def test_support_matches_directional_derivative_when_smooth(self):
         # With one active piece, the support value in direction d equals the

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -336,12 +338,29 @@ class TestCheckpointIO:
         assert raw.startswith(b"j,x0,v0,weight\r\n")
         assert b"\r\n" in raw
 
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # 17 significant digits, signed zero, a subnormal and a large exponent.
+        mu = OccupationMeasure.from_arrays([[0.1, -0.0], [1.2e17, 5e-324]],
+                                           [[-1 / 3, 2.0], [0.0, 1e-5]], [0.25, 0.75])
+        csv_path, _ = save_checkpoint(mu, tmp_path / "c.csv", iteration=2, seed=None)
+        assert csv_path.read_bytes() == (
+            b"j,x0,x1,v0,v1,weight\r\n"
+            b"0,0.10000000000000001,-0,-0.33333333333333331,2,0.25\r\n"
+            b"1,1.2e+17,4.9406564584124654e-324,0,1.0000000000000001e-05,0.75\r\n")
+
 
 class TestBank:
     def test_gradients_match_finite_differences(self):
         bank = TestFunctionBank.from_box([-1.0, 0.0], [2.0, 1.0])
         worst = bank.validate_gradients(np.random.default_rng(1))
         assert worst <= 1e-4
+
+    def test_wrong_gradient_raises(self):
+        bank = TestFunctionBank.from_box([-1.0], [1.0], degree=2, n_bumps=0)
+        bad = dataclasses.replace(bank.functions[0], gradient=lambda X: 2.0 * np.ones_like(X))
+        with pytest.raises(ValueError, match="finite differences"):
+            dataclasses.replace(bank, functions=(bad,)).validate_gradients(
+                np.random.default_rng(0), n_points=3)
 
     def test_bank_contains_monomials_and_bumps_and_weights(self):
         bank = TestFunctionBank.from_box([-1.0], [1.0], degree=3, n_bumps=2)
