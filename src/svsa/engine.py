@@ -20,8 +20,9 @@ import numpy as np
 
 from . import games as games_mod
 from .geometry import Polytope
-from .maps import (MaxOfSmoothFunction, SetValuedMap, _select_from, clarke_map,
-                   clarke_subdifferential, enlargement_sample, negate)
+from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, clarke_subdifferential,
+                   enlargement_sample, select_subgradient)
+from .maps import _select_from  # noqa: F401  (bench/tracing.py wraps it at this name)
 
 DEFAULT_SELECTION_RULE = "random_hull"
 
@@ -105,6 +106,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform_ball", "student_t", "none"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not all(v >= 0.0 for v in (self.sigma, self.radius, self.scale, self.df)) or (
+                self.kind == "student_t" and self.df == 0.0):
+            raise ValueError("noise scales must be non-negative and a student-t df positive")
 
     @classmethod
     def gaussian(cls, sigma: float, moment_order: float = 2.0) -> "NoiseModel":
@@ -222,9 +226,11 @@ def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseMode
     return x_next, v, eta
 
 
-def _start(x0, n_steps: int, guard_radius: float) -> np.ndarray:
+def _start(x0, n_steps: int, guard_radius: float, rule: str = DEFAULT_SELECTION_RULE) -> np.ndarray:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if rule not in SELECTION_RULES:
+        raise ValueError(f"unknown selection rule {rule!r}; expected one of {SELECTION_RULES}")
     x0 = np.asarray(x0, dtype=float).copy()
     if guard_radius <= np.linalg.norm(x0):
         raise ValueError("guard radius must exceed the norm of the initial state")
@@ -236,12 +242,11 @@ def _iterate(x0: np.ndarray, advance, eps: np.ndarray, deltas: np.ndarray,
     """The one recursion loop: x_{i+1} = advance(i, x_i) for ``len(eps)``
     steps or until a state leaves the guard ball.
 
-    Records v_{i+1} = (x_{i+1} - x_i)/eps_i and the clock; ``deltas`` and
-    ``noises`` are the per-step records of the run, truncated with it.
+    Records v_{i+1} = (x_{i+1} - x_i)/eps_i in one pass after it, and the clock;
+    ``deltas`` and ``noises`` are the per-step records of the run, truncated with it.
     """
     n_steps = eps.shape[0]
     states = np.empty((n_steps + 1, x0.shape[0]))
-    velocities = np.empty((n_steps, x0.shape[0]))
     states[0] = x0
     bound = guard_radius * guard_radius
     status, escape_index, escape_norm = "completed", None, None
@@ -249,7 +254,6 @@ def _iterate(x0: np.ndarray, advance, eps: np.ndarray, deltas: np.ndarray,
     x = x0
     for i in range(n_steps):
         x_next = advance(i, x)
-        velocities[i] = (x_next - x) / eps[i]
         states[i + 1] = x_next
         sq = float(x_next @ x_next)
         if not math.isfinite(sq) or sq > bound:
@@ -258,11 +262,10 @@ def _iterate(x0: np.ndarray, advance, eps: np.ndarray, deltas: np.ndarray,
             break
         x = x_next
     if m < n_steps:  # release the unused tail of an escaped run
-        states, velocities = states[:m + 1].copy(), velocities[:m].copy()
-        eps, deltas, noises = eps[:m].copy(), deltas[:m].copy(), noises[:m].copy()
-    clock = np.empty(m + 1)
-    clock[0] = 0.0
-    np.cumsum(eps, out=clock[1:])
+        states, eps = states[:m + 1].copy(), eps[:m].copy()
+        deltas, noises = deltas[:m].copy(), noises[:m].copy()
+    velocities = np.diff(states, axis=0) / eps[:, None]
+    clock = np.concatenate([[0.0], np.cumsum(eps)])
     return Trajectory(states=states, velocities=velocities, steps=eps, deltas=deltas,
                       noises=noises, clock=clock, status=status,
                       escape_index=escape_index, escape_norm=escape_norm, seed=seed_val)
@@ -276,7 +279,7 @@ def run_sa(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
     ``delta_schedule=None`` means delta_i = 0 throughout.  Equal seeds give
     bit-identical trajectories.
     """
-    x0 = _start(x0, n_steps, guard_radius)
+    x0 = _start(x0, n_steps, guard_radius, rule)
     rng, seed_val = _as_rng(seed)
     eps = schedule.values(n_steps)
     deltas = delta_schedule.values(n_steps) if delta_schedule is not None else np.zeros(n_steps)
@@ -293,9 +296,16 @@ def run_sgd(f: MaxOfSmoothFunction, schedule: StepSchedule, noise: NoiseModel,
             n_steps: int, guard_radius: float, seed, x0,
             rule: str = DEFAULT_SELECTION_RULE) -> Trajectory:
     """Stochastic subgradient descent: the recursion driven by -subdiff(f),
-    with zero enlargement."""
-    H = negate(clarke_map(f))
-    return run_sa(x0, H, schedule, noise, None, n_steps, guard_radius, seed, rule)
+    with zero enlargement; bit for bit ``run_sa`` on ``negate(clarke_map(f))``."""
+    x0 = _start(x0, n_steps, guard_radius, rule)
+    rng, seed_val = _as_rng(seed)
+    eps = schedule.values(n_steps)
+    noises = noise.sample(n_steps, x0.shape[0], rng)
+
+    def advance(i, x):
+        return x + eps[i] * (select_subgradient(f, x, rule, rng, -1.0) + noises[i])
+
+    return _iterate(x0, advance, eps, np.zeros(n_steps), noises, guard_radius, seed_val)
 
 
 # Stochastic heavy ball ------------------------------------------------------
@@ -316,7 +326,7 @@ def run_shb(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
     q0 = np.asarray(q0, dtype=float)
     m_dim = q0.shape[0]
     p0 = np.zeros(m_dim) if p0 is None else np.asarray(p0, dtype=float)
-    x0 = _start(np.concatenate([q0, p0]), n_steps, guard_radius)
+    x0 = _start(np.concatenate([q0, p0]), n_steps, guard_radius, rule)
     rng, seed_val = _as_rng(seed)
     alphas = alpha_schedule.values(n_steps)
     betas = beta_schedule.values(n_steps)
@@ -328,7 +338,7 @@ def run_shb(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
 
     def advance(i, x):
         q, p = x[:m_dim], x[m_dim:]
-        g = _select_from(clarke_subdifferential(f, q), rule, rng)
+        g = select_subgradient(f, q, rule, rng)
         b = betas[i]
         p = (1.0 - b) * p - b * g + b * etas[i]
         return np.concatenate([q + alphas[i] * p, p])

@@ -26,10 +26,11 @@ from . import games as games_mod
 from .csvio import write_csv
 from .engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
                      run_sa, run_sgd, run_shb)
-from .geometry import min_norm_point
+from .geometry import min_norm_point  # noqa: F401  (bench/tracing.py wraps it at this name)
 from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, abs_value,
-                   clarke_map, clarke_subdifferential, half_square_norm,
-                   max_of_squares, negate, singleton_map)
+                   clarke_map, half_square_norm, max_of_squares, negate,
+                   select_subgradient, singleton_map)
+from .maps import clarke_subdifferential  # noqa: F401  (likewise)
 from .occupation import (OccupationMeasure, TestFunctionBank,
                          UndefinedEstimateError, _cell_residences, accumulate,
                          centroid_membership_gap, circulation, closed_residual,
@@ -51,10 +52,11 @@ class ConfigError(ValueError):
 def named_function(name: str) -> MaxOfSmoothFunction:
     if name == "abs":
         return abs_value()
-    if name.startswith("quad"):
-        return half_square_norm(int(name[4:] or 1))
-    if name.startswith("maxsq"):
-        return max_of_squares(int(name[5:] or 1))
+    for prefix, build in (("quad", half_square_norm), ("maxsq", max_of_squares)):
+        if isinstance(name, str) and name.startswith(prefix):
+            digits = name[len(prefix):] or "1"
+            if digits.isdecimal() and int(digits) >= 1:
+                return build(int(digits))
     raise ConfigError([f"unknown objective function {name!r}"])
 
 
@@ -105,23 +107,19 @@ def _schedule_from_doc(doc: dict, label: str) -> StepSchedule:
     raise ConfigError([f"{label}: unknown schedule kind {doc.get('kind')!r}"])
 
 
+_NOISE_FIELDS = {"gaussian": ("sigma",), "uniform_ball": ("radius",), "student_t": ("df", "scale")}
+
+
 def _noise_from_doc(doc: dict | None) -> NoiseModel:
-    if doc is None:
+    if doc is None or doc.get("kind") == "none":
         return NoiseModel.none()
-    q = float(doc.get("moment_order", 2.0))
-    kind = doc.get("kind")
+    if doc.get("kind") not in _NOISE_FIELDS:
+        raise ConfigError([f"noise: unknown kind {doc.get('kind')!r}"])
     try:
-        if kind == "gaussian":
-            return NoiseModel.gaussian(float(doc["sigma"]), q)
-        if kind == "uniform_ball":
-            return NoiseModel.uniform_ball_noise(float(doc["radius"]), q)
-        if kind == "student_t":
-            return NoiseModel.student_t(float(doc["df"]), float(doc["scale"]), q)
-        if kind == "none":
-            return NoiseModel.none()
+        return NoiseModel(doc["kind"], moment_order=float(doc.get("moment_order", 2.0)),
+                          **{k: float(doc[k]) for k in _NOISE_FIELDS[doc["kind"]]})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"noise: malformed model ({exc})"]) from exc
-    raise ConfigError([f"noise: unknown kind {kind!r}"])
 
 
 def _start_problems(problem: dict, guard_radius: float) -> list[str]:
@@ -219,17 +217,21 @@ class ExperimentConfig:
         delta = None
         if delta_doc and delta_doc.get("kind") not in (None, "zero"):
             delta = _schedule_from_doc(delta_doc, "delta")
+            if kind != "custom_map":
+                problems.append(f"delta: only custom_map runs are enlarged, not {kind!r}")
 
         rule = doc.get("selection_rule", "random_hull")
         if rule not in SELECTION_RULES:
             problems.append(f"selection_rule: one of {', '.join(SELECTION_RULES)}")
         guard_radius = float(doc.get("guard_radius", 1e3))
         problems.extend(_start_problems(problem, guard_radius))
+        diagnostics = doc.get("diagnostics", {})
+        problems.extend(f"diagnostics.{key}: unknown key"
+                        for key in sorted(set(diagnostics) - set(DEFAULT_DIAGNOSTICS)))
         if problems:
             raise ConfigError(problems)
 
-        diagnostics = dict(DEFAULT_DIAGNOSTICS)
-        diagnostics.update(doc.get("diagnostics", {}))
+        diagnostics = {**DEFAULT_DIAGNOSTICS, **diagnostics}
         return cls(name=name, problem=problem, n_steps=n_steps, seeds=list(seeds),
                    guard_radius=guard_radius, checkpoint_base=checkpoint_base,
                    schedule=schedule, noise=noise, delta=delta, selection_rule=rule,
@@ -334,14 +336,10 @@ def _circulation_field(config: ExperimentConfig):
 
     def fieldfn(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
-        out = np.empty((points.shape[0], f.dimension))
+        out = np.zeros_like(points)  # heavy-ball states carry (q, p); p's part stays 0
         for r, x in enumerate(points[:, :f.dimension]):
-            out[r] = min_norm_point(clarke_subdifferential(f, x))
-        if points.shape[1] == f.dimension:
-            return out
-        padded = np.zeros_like(points)  # heavy-ball states carry (q, p)
-        padded[:, :f.dimension] = out
-        return padded
+            out[r, :f.dimension] = select_subgradient(f, x, "min_norm", None)
+        return out
 
     return fieldfn
 

@@ -134,14 +134,26 @@ def check_gradients(functions: Sequence[tuple[str, Callable, Callable]],
     return worst
 
 
-def clarke_subdifferential(f: MaxOfSmoothFunction, x) -> Polytope:
-    """Hull generators of the generalized gradient: active-piece gradients."""
+def active_gradients(f: MaxOfSmoothFunction, x) -> list[np.ndarray]:
+    """Gradients of the pieces within ``f.activity_tol`` of the max at x (one off the kinks)."""
     x = np.asarray(x, dtype=float)
     values = [p.value(x) for p in f.pieces]
     cutoff = max(values) - f.activity_tol
-    grads = [np.asarray(p.gradient(x), dtype=float)
-             for p, v in zip(f.pieces, values) if v >= cutoff]
-    return Polytope(grads)
+    return [np.asarray(p.gradient(x), dtype=float)
+            for p, v in zip(f.pieces, values) if v >= cutoff]
+
+
+def clarke_subdifferential(f: MaxOfSmoothFunction, x) -> Polytope:
+    """The generalized gradient of f at x as a polytope."""
+    return Polytope(active_gradients(f, x))
+
+
+def select_subgradient(f: MaxOfSmoothFunction, x, rule: str, rng, sign: float = 1.0) -> np.ndarray:
+    """``selection(sign * subdiff(f), x, rule, rng)`` bit for bit and draw for draw."""
+    G = active_gradients(f, x)
+    if len(G) == 1:  # off the kink set: no polytope, no draw
+        return sign * G[0]
+    return _select_from(Polytope(sign * np.array(G), copy=False), rule, rng)
 
 
 def clarke_map(f: MaxOfSmoothFunction, growth_bound: float | None = None) -> SetValuedMap:

@@ -7,8 +7,9 @@ from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_pl
                          run_sa, run_sgd, run_shb, sa_step,
                          shb_single_variable_coefficients)
 from svsa.games import Game, generalized_rps, matching_pennies
-from svsa.maps import (abs_value, clarke_map, enlargement_slack, half_square_norm,
-                       max_of_squares, negate, singleton_map)
+from svsa.maps import (MaxOfSmoothFunction, SetValuedMap, SmoothPiece, abs_value,
+                       clarke_map, enlargement_slack, half_square_norm, max_of_squares,
+                       negate, singleton_map)
 
 
 def attract_origin(dim=1):
@@ -64,6 +65,15 @@ class TestNoiseModel:
 
     def test_none_noise_is_zero(self):
         assert not NoiseModel.none().sample(5, 2, np.random.default_rng(0)).any()
+
+    @pytest.mark.parametrize("make", [
+        lambda: NoiseModel.gaussian(-1.0), lambda: NoiseModel.uniform_ball_noise(-0.5),
+        lambda: NoiseModel.student_t(4.0, -1.0), lambda: NoiseModel.student_t(0.0, 1.0),
+        lambda: NoiseModel.gaussian(float("nan")),
+    ], ids=["sigma", "radius", "scale", "df", "nan_sigma"])
+    def test_invalid_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_violations(self):
         assert NoiseModel.student_t(2.0, 1.0, moment_order=2.0).violations()
@@ -268,6 +278,28 @@ class TestFictitiousPlay:
             run_fictitious_play(matching_pennies(), 5, 0, xi0=[[0.9, 0.0], [1.0, 0.0]])
 
 
+def _never_evaluated(x):
+    pytest.fail("the map was evaluated before the rule was checked")
+
+
+_UNEVALUATED = MaxOfSmoothFunction((SmoothPiece(_never_evaluated, _never_evaluated),), 1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda rule: run_sgd(_UNEVALUATED, StepSchedule.constant(0.1), NoiseModel.none(),
+                         5, 10.0, 0, [1.0], rule=rule),
+    lambda rule: run_shb(_UNEVALUATED, StepSchedule.constant(0.1), StepSchedule.constant(0.1),
+                         NoiseModel.none(), 5, 10.0, 0, [1.0], rule=rule),
+    lambda rule: run_sa([1.0], SetValuedMap(1, _never_evaluated), StepSchedule.constant(0.1),
+                        NoiseModel.none(), None, 5, 10.0, 0, rule=rule),
+], ids=["sgd", "shb", "sa"])
+def test_unknown_rule_rejected_before_the_first_step(run):
+    # A single active piece never reaches the selection rule, so the engines
+    # check it at entry.
+    with pytest.raises(ValueError, match="unknown selection rule"):
+        run("nope")
+
+
 def test_shb_coefficient_formula():
     alphas = np.array([0.5, 0.4, 0.3])
     betas = np.array([0.5, 0.25, 0.2])
@@ -309,6 +341,13 @@ FROZEN_RUNS = {
         # Without noise the three coordinates tie again every third step.
         max_of_squares(3), StepSchedule.constant(0.1), NoiseModel.none(), 300, 100.0,
         2, [1.0, -1.0, 1.0], rule="random_vertex"),
+    # The same tie pattern through the min-norm and random-hull kink branches.
+    "sgd_maxsq3_min_norm": lambda: run_sgd(
+        max_of_squares(3), StepSchedule.constant(0.1), NoiseModel.none(), 300, 100.0,
+        2, [1.0, -1.0, 1.0], rule="min_norm"),
+    "sgd_maxsq3_random_hull": lambda: run_sgd(
+        max_of_squares(3), StepSchedule.constant(0.1), NoiseModel.none(), 300, 100.0,
+        2, [1.0, -1.0, 1.0], rule="random_hull"),
     "sa_sign_descent_delta": lambda: run_sa(
         [0.8], negate(clarke_map(abs_value())), StepSchedule.power(0.5, 0.6),
         NoiseModel.student_t(4.0, 0.2), StepSchedule.power(0.2, 0.5), 400, 100.0, 3),
@@ -318,6 +357,10 @@ FROZEN_RUNS = {
     "shb_quad2": lambda: run_shb(half_square_norm(2), StepSchedule.power(0.5, 0.6),
                                  StepSchedule.power(0.5, 0.6), NoiseModel.gaussian(0.5),
                                  400, 100.0, 5, [1.0, 1.0]),
+    # Heavy ball from a tie: 225 of the 300 steps select at a kink.
+    "shb_maxsq2": lambda: run_shb(max_of_squares(2), StepSchedule.constant(0.2),
+                                  StepSchedule.constant(0.2), NoiseModel.none(), 300,
+                                  100.0, 9, [1.0, -1.0]),
     "fp_rps": lambda: run_fictitious_play(generalized_rps(1.0, 2.0), 400, 6),
     "sa_step_chain": _sa_step_run,
 }
@@ -358,6 +401,20 @@ FROZEN_DIGESTS = {
         'deltas': 'b9385a015d471e8d',
         'noises': 'e190e7c324880770',
         'clock': '46b7e1aead74d394'},
+    'sgd_maxsq3_min_norm': {
+        'states': '680b863a76b96d12',
+        'velocities': 'a1e7aa9f77359ee9',
+        'steps': 'c9708d2dd2c6aded',
+        'deltas': '4df56be7c6874637',
+        'noises': '3afa42acf5d5863d',
+        'clock': '00f730acbea34a2f'},
+    'sgd_maxsq3_random_hull': {
+        'states': '77fc66bcdf0dac36',
+        'velocities': 'd2d3972e47c9f353',
+        'steps': 'c9708d2dd2c6aded',
+        'deltas': '4df56be7c6874637',
+        'noises': '3afa42acf5d5863d',
+        'clock': '00f730acbea34a2f'},
     'sgd_maxsq3_random_vertex': {
         'states': '36c3e7e57e63dbb9',
         'velocities': 'b91ba9f2dbb19504',
@@ -365,6 +422,13 @@ FROZEN_DIGESTS = {
         'deltas': '4df56be7c6874637',
         'noises': '3afa42acf5d5863d',
         'clock': '00f730acbea34a2f'},
+    'shb_maxsq2': {
+        'states': 'ddaf816274257334',
+        'velocities': '23c50231cf012b60',
+        'steps': 'ee7cb61422774364',
+        'deltas': '4df56be7c6874637',
+        'noises': 'aaff5e6a54d4e487',
+        'clock': '9d583cc34e40f459'},
     'shb_quad2': {
         'states': '4dd77794e162efb9',
         'velocities': '3fdbabc7d9249683',
@@ -380,7 +444,10 @@ FROZEN_FIELDS = {
     'sa_sign_descent_delta': ('completed', None, None, 3),
     'sa_step_chain': ('completed', None, None, None),
     'sgd_abs': ('completed', None, None, 1),
+    'sgd_maxsq3_min_norm': ('completed', None, None, 2),
+    'sgd_maxsq3_random_hull': ('completed', None, None, 2),
     'sgd_maxsq3_random_vertex': ('completed', None, None, 2),
+    'shb_maxsq2': ('completed', None, None, 9),
     'shb_quad2': ('completed', None, None, 5),
 }
 

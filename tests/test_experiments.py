@@ -56,8 +56,10 @@ class TestConfig:
         assert named_function("quad3").dimension == 3
         assert named_function("maxsq2").dimension == 2
         assert named_map("attract_origin", 2).dimension == 2
-        with pytest.raises(ConfigError):
-            named_function("mystery")
+        assert named_function("maxsq").dimension == 1
+        for bad in ("mystery", "quadx", "maxsq0", "quad-1", "quad²", 7, None):
+            with pytest.raises(ConfigError):
+                named_function(bad)
         with pytest.raises(ConfigError):
             named_map("mystery", 1)
 
@@ -232,17 +234,28 @@ class TestCli:
         (lambda doc: doc.update(guard_radius=1.0), "guard_radius"),
         (lambda doc: doc["problem"].update(x0=[1.0, 0.0]), "problem.x0"),
         (lambda doc: doc.update(problem={"kind": "fictitious_play"}), "problem.game"),
-    ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game"])
+        (lambda doc: doc["problem"].update(f="quadx"), "unknown objective function 'quadx'"),
+        (lambda doc: doc["problem"].update(f="maxsq0"), "unknown objective function 'maxsq0'"),
+        (lambda doc: doc["problem"].update(f=7), "unknown objective function 7"),
+        (lambda doc: doc["noise"].update(sigma=-1), "noise: malformed model"),
+        (lambda doc: doc["noise"].update(moment_order="two"), "noise: malformed model"),
+        (lambda doc: doc.update(diagnostics={"bank_degre": 2}), "diagnostics.bank_degre"),
+        (lambda doc: doc.update(delta={"kind": "constant", "a": 0.1}), "delta"),
+    ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game",
+            "objective_suffix", "objective_dimension_0", "objective_not_a_string",
+            "negative_sigma", "moment_order_not_a_number", "unknown_diagnostics_key",
+            "delta_on_sgd"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
         doc = sgd_doc(n_steps=1000, base=500)
         edit(doc)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        with pytest.raises(SystemExit) as exc:
-            main(["run", str(cfg), "--out", str(tmp_path / "out")])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert f"config error: {message}" in err and "Traceback" not in err
+        for argv in (["run", str(cfg), "--out", str(tmp_path / "out")], ["validate", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert f"config error: {message}" in err and "Traceback" not in err
 
     def test_strict_escape_is_code_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

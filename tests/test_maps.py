@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svsa.geometry import Polytope, distance_to_hull, support_value
-from svsa.maps import (MaxOfSmoothFunction, SetValuedMap, SmoothPiece, abs_value,
-                       check_linear_growth, clarke_map, clarke_subdifferential,
-                       enlargement_sample, enlargement_slack, half_square_norm,
-                       max_of_squares, negate, selection, singleton_map,
-                       uniform_ball)
+from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
+                       _select_from, abs_value, check_linear_growth, clarke_map,
+                       clarke_subdifferential, enlargement_sample, enlargement_slack,
+                       half_square_norm, max_of_squares, negate, select_subgradient,
+                       selection, singleton_map, uniform_ball)
 
 
 def attract_origin(dim=1):
@@ -87,6 +88,46 @@ class TestSelection:
         H = SetValuedMap(1, lambda x: Polytope([[-1.0], [1.0]]))
         with pytest.raises(ValueError, match="needs an rng"):
             selection(H, [0.0], "random_hull", None)
+
+
+OBJECTIVES = {"abs": abs_value(), "quad2": half_square_norm(2),
+              "maxsq2": max_of_squares(2), "maxsq3": max_of_squares(3)}
+
+
+@st.composite
+def objective_points(draw):
+    # A point, then some coordinates overwritten by +-another coordinate so
+    # that exact ties |x_j| = |x_k| (kinks of max_of_squares) come up often.
+    name = draw(st.sampled_from(sorted(OBJECTIVES)))
+    n = OBJECTIVES[name].dimension
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
+    x = draw(st.lists(coordinate, min_size=n, max_size=n))
+    for j, k, flip in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              st.booleans()), max_size=n)):
+        x[j] = -x[k] if flip else x[k]
+    return name, np.array(x)
+
+
+class TestSelectSubgradient:
+    @settings(max_examples=300, deadline=None)
+    @given(objective_points(), st.sampled_from(SELECTION_RULES), st.sampled_from([1.0, -1.0]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_selection_from_the_map_bit_for_bit(self, case, rule, sign, seed):
+        name, x = case
+        f = OBJECTIVES[name]
+        H = clarke_map(f) if sign == 1.0 else negate(clarke_map(f))
+        rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = select_subgradient(f, x, rule, rng_fast, sign)
+        ref = _select_from(H.evaluate(x), rule, rng_ref)
+        assert fast.dtype == ref.dtype and fast.shape == ref.shape
+        assert fast.tobytes() == ref.tobytes()
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_kink_goes_through_the_rule(self):
+        rng = np.random.default_rng(0)
+        assert select_subgradient(abs_value(), [0.0], "min_norm", None)[0] == 0.0
+        with pytest.raises(ValueError, match="unknown selection rule"):
+            select_subgradient(abs_value(), [0.0], "nope", rng)
 
 
 class TestEnlargement:
