@@ -26,7 +26,7 @@ EXIT_IO = 3
 def _load_config(path: str) -> ExperimentConfig:
     try:
         return ExperimentConfig.from_path(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise SystemExit(_fail(f"cannot read config: {exc}", EXIT_IO))
     except ConfigError as exc:
         for problem in exc.problems:
@@ -46,14 +46,12 @@ def _cmd_run(args) -> int:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
-            return _fail(f"--seeds expects comma-separated integers, got {args.seeds!r}",
-                         EXIT_CONFIG)
+            seeds = []
+        if not seeds or min(seeds) < 0:
+            return _fail(f"--seeds expects comma-separated non-negative integers, "
+                         f"got {args.seeds!r}", EXIT_CONFIG)
     try:
         report = run_experiment(config, out_dir=args.out, seeds=seeds, jobs=args.jobs)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         return _fail(f"i/o failure: {exc}", EXIT_IO)
     for summary in report.seed_summaries:
@@ -81,7 +79,7 @@ def _cmd_validate(args) -> int:
 def _cmd_diagnose(args) -> int:
     try:
         entry = diagnose_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(f"cannot read checkpoint: {exc}", EXIT_IO)
     except ValueError as exc:
         return _fail(f"bad checkpoint: {exc}", EXIT_CONFIG)

@@ -390,18 +390,10 @@ def run_fictitious_play(game: "games_mod.Game", n_steps: int, seed,
     step size is 1/(n+2) and the noise is zero.
     """
     rng, seed_val = _as_rng(seed)
-    counts = game.action_counts
-    dim = int(sum(counts))
-    if xi0 is None:
-        parts = [np.full(k, 1.0 / k) for k in counts]
-    else:
-        parts = [np.asarray(s, dtype=float) for s in xi0]
-    for k, s in zip(counts, parts):
-        if s.shape != (k,) or np.any(s < -1e-12) or abs(s.sum() - 1.0) > 1e-9:
-            raise ValueError("initial profile must be a point on each action simplex")
-    xi0 = _start(np.concatenate(parts), n_steps, math.inf)
+    dim = game.profile_dimension
+    xi0 = _start(np.concatenate(games_mod.initial_profile(game, xi0)), n_steps, math.inf)
 
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+    offsets = np.concatenate([[0], np.cumsum(game.action_counts)]).astype(int)
     eps = 1.0 / (np.arange(n_steps, dtype=float) + 2.0)
 
     def advance(n, xi):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,16 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+# What building a value from a malformed document raises (OverflowError: a JSON
+# integer too large for a float).
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _is_number(v) -> bool:
+    """A JSON number that converts to a finite float."""
+    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 # Named ingredients ------------------------------------------------------------
 
 def named_function(name: str) -> MaxOfSmoothFunction:
@@ -75,14 +86,18 @@ def named_map(name: str, dimension: int) -> SetValuedMap:
 def _game_from_doc(doc) -> games_mod.Game:
     if isinstance(doc, str):
         doc = {"name": doc}
-    if "payoff_tensors" in doc:
-        return games_mod.game_from_json(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError(["problem.game: a builtin name or a JSON object required"])
     name = doc.get("name")
-    builders = games_mod.builtin_games()
-    if name not in builders:
+    build = games_mod.builtin_games().get(name) if isinstance(name, str) else None
+    if build is None and "payoff_tensors" not in doc:
         raise ConfigError([f"unknown game {name!r}"])
-    kwargs = {k: v for k, v in doc.items() if k != "name"}
-    return builders[name](**kwargs)
+    try:
+        if "payoff_tensors" in doc:
+            return games_mod.game_from_json(doc)
+        return build(**{k: v for k, v in doc.items() if k != "name"})
+    except _MALFORMED as exc:
+        raise ConfigError([f"problem.game: {exc}"]) from exc
 
 
 _KNOWN_EQUILIBRIA = {
@@ -102,7 +117,7 @@ def _schedule_from_doc(doc: dict, label: str) -> StepSchedule:
             return StepSchedule.logarithmic(float(doc["a"]))
         if kind == "constant":
             return StepSchedule.constant(float(doc["a"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise ConfigError([f"{label}: malformed schedule ({exc})"]) from exc
     raise ConfigError([f"{label}: unknown schedule kind {doc.get('kind')!r}"])
 
@@ -111,45 +126,95 @@ _NOISE_FIELDS = {"gaussian": ("sigma",), "uniform_ball": ("radius",), "student_t
 
 
 def _noise_from_doc(doc: dict | None) -> NoiseModel:
+    if not isinstance(doc, (dict, type(None))):
+        raise ConfigError(["noise: a JSON object required"])
     if doc is None or doc.get("kind") == "none":
         return NoiseModel.none()
-    if doc.get("kind") not in _NOISE_FIELDS:
+    if doc.get("kind") not in tuple(_NOISE_FIELDS):  # a tuple: a list kind is unhashable
         raise ConfigError([f"noise: unknown kind {doc.get('kind')!r}"])
     try:
         return NoiseModel(doc["kind"], moment_order=float(doc.get("moment_order", 2.0)),
                           **{k: float(doc[k]) for k in _NOISE_FIELDS[doc["kind"]]})
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise ConfigError([f"noise: malformed model ({exc})"]) from exc
 
 
-def _start_problems(problem: dict, guard_radius: float) -> list[str]:
-    """The initial state must be given, match the problem's dimension and lie
-    strictly inside the guard ball (fictitious play starts on the simplices)."""
-    kind = problem["kind"]
+@dataclass(frozen=True)
+class Problem:
+    """The problem block, resolved once: the differential inclusion x' in H(x)
+    the run follows and its occupation measure is tested against, and the
+    start.  ``start`` holds x0, (q0, p0), or one simplex point per player."""
+    kind: str
+    start: tuple[np.ndarray, ...]
+    objective: MaxOfSmoothFunction | None = None
+    velocity_map: SetValuedMap | None = None
+    game: games_mod.Game | None = None
+    alpha: StepSchedule | None = None
+    equilibrium: np.ndarray | None = None
+    extras: dict = field(default_factory=dict)
+
+
+def _resolve_problem(doc: dict, beta: StepSchedule | None, guard_radius: float) -> Problem:
+    """The one reading of the ``problem`` block: builds the objective, the
+    velocity map (-subdiff(f) for sgd, the named map, or the game's averaged
+    best-response map), the game, the start and the heavy-ball step ratio."""
+    kind = doc["kind"]
     if kind == "fictitious_play":
-        if problem.get("game") is None:
-            return ["problem.game: required for kind 'fictitious_play'"]
-        return []
+        if doc.get("game") is None:
+            raise ConfigError(["problem.game: required for kind 'fictitious_play'"])
+        game = _game_from_doc(doc["game"])
+        try:
+            start = tuple(games_mod.initial_profile(game, doc.get("xi0")))
+        except _MALFORMED as exc:
+            raise ConfigError([f"problem.xi0: {exc}"]) from exc
+        # none for an inline game that borrows a builtin name but not its action counts
+        known = _KNOWN_EQUILIBRIA.get(game.name.split("(")[0], [])
+        star = (np.concatenate([np.asarray(s, float) for s in known])
+                if [len(s) for s in known] == list(game.action_counts) else None)
+        return Problem(kind, start, velocity_map=games_mod.game_map(game), game=game,
+                       equilibrium=star)
     keys = ("q0", "p0") if kind == "shb" else ("x0",)
     required = (keys[0], "map", "dim") if kind == "custom_map" else (keys[0], "f")
     missing = [f"problem.{key}: required for kind {kind!r}"
-               for key in required if key not in problem]
+               for key in required if key not in doc]
     if missing:
-        return missing
-    dim = problem["dim"] if kind == "custom_map" else named_function(problem["f"]).dimension
-    present = [key for key in keys if key in problem]
+        raise ConfigError(missing)
+    alpha = None
+    if kind == "custom_map":
+        if not isinstance(doc["dim"], int) or doc["dim"] < 1:
+            raise ConfigError(["problem.dim: positive integer required"])
+        f, H = None, named_map(doc["map"], doc["dim"])
+        dim, extras = H.dimension, {"map": doc["map"]}
+    else:
+        f = named_function(doc["f"])
+        H = negate(clarke_map(f)) if kind == "sgd" else None
+        dim, extras = f.dimension, {"objective": doc["f"]}
+    present = [key for key in keys if key in doc]
     try:
-        start = [np.asarray(problem[key], dtype=float) for key in present]
-    except (TypeError, ValueError):
-        return [f"problem.{'/'.join(present)}: a list of numbers required"]
+        start = [np.asarray(doc[key], dtype=float) for key in present]
+    except _MALFORMED:
+        raise ConfigError([f"problem.{'/'.join(present)}: a list of numbers required"]) from None
     wrong = [f"problem.{key}: {dim} coordinates required"
              for key, part in zip(present, start) if part.shape != (dim,)]
     if wrong:
-        return wrong
+        raise ConfigError(wrong)
     norm = float(np.linalg.norm(np.concatenate(start)))
     if not guard_radius > norm:
-        return [f"guard_radius: must exceed the initial state's norm {norm:.6g}"]
-    return []
+        raise ConfigError([f"guard_radius: must exceed the initial state's norm {norm:.6g}"])
+    if kind == "shb":
+        c = doc.get("c", 1.0)
+        if not _is_number(c) or not c * beta.a > 0.0:
+            raise ConfigError(["problem.c: a positive number required"])
+        c = float(c)
+        if beta.step(0) > 1.0:
+            raise ConfigError(["schedule: heavy-ball beta steps must not exceed 1"])
+        alpha_doc = doc.get("alpha_schedule")
+        alpha = (_schedule_from_doc(alpha_doc, "alpha_schedule") if alpha_doc is not None
+                 else StepSchedule(beta.kind, c * beta.a, beta.rho))
+        if "p0" not in doc:
+            start.append(np.zeros(dim))
+        extras["momentum_ratio"] = c
+    return Problem(kind, tuple(start), objective=f, velocity_map=H, alpha=alpha, extras=extras)
 
 
 DEFAULT_DIAGNOSTICS = {
@@ -164,10 +229,41 @@ DEFAULT_DIAGNOSTICS = {
 }
 
 
+_COUNT = (lambda v: isinstance(v, int) and v >= 0, "a non-negative integer")
+_POSITIVE = (lambda v: _is_number(v) and v > 0.0, "a positive number")
+_DIAGNOSTIC_VALUES = {
+    "bank_degree": _COUNT, "bank_bumps": _COUNT, "bank_seed": _COUNT,
+    "velocity_moment_order": (lambda v: _is_number(v) and v > 1.0, "a number above 1"),
+    "residence_cell_size": _POSITIVE, "essential_threshold": _POSITIVE,
+    "circulation": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _diagnostics_from_doc(block, dimension: int) -> dict:
+    """A diagnostics block (of a config or of a checkpoint sidecar) checked
+    key by key and merged over the defaults."""
+    if not isinstance(block, dict):
+        raise ConfigError(["diagnostics: a JSON object required"])
+    problems = [f"diagnostics.{key}: unknown key"
+                for key in sorted(set(block) - set(DEFAULT_DIAGNOSTICS))]
+    problems.extend(f"diagnostics.{key}: {wanted} required"
+                    for key, (ok, wanted) in _DIAGNOSTIC_VALUES.items()
+                    if key in block and not ok(block[key]))
+    probes = block.get("centroid_probes")
+    if probes is not None and not (isinstance(probes, list) and all(
+            isinstance(p, list) and len(p) == dimension and all(map(_is_number, p))
+            for p in probes)):
+        problems.append(f"diagnostics.centroid_probes: a list of points with "
+                        f"{dimension} coordinates required")
+    if problems:
+        raise ConfigError(problems)
+    return {**DEFAULT_DIAGNOSTICS, **block}
+
+
 @dataclass
 class ExperimentConfig:
     name: str
-    problem: dict
+    problem: Problem
     n_steps: int
     seeds: list[int]
     guard_radius: float = 1e3
@@ -186,8 +282,8 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ConfigError(["experiment document must be a JSON object"])
         name = doc.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("name: required non-empty string")
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
+            problems.append("name: required non-empty string usable as a directory name")
         problem = doc.get("problem")
         if not isinstance(problem, dict) or problem.get("kind") not in (
                 "sgd", "shb", "fictitious_play", "custom_map"):
@@ -196,8 +292,9 @@ class ExperimentConfig:
         if not isinstance(n_steps, int) or n_steps < 1:
             problems.append("n_steps: positive integer required")
         seeds = doc.get("seeds")
-        if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-            problems.append("seeds: non-empty list of integers required")
+        if not isinstance(seeds, list) or not seeds or not all(
+                isinstance(s, int) and s >= 0 for s in seeds):
+            problems.append("seeds: non-empty list of non-negative integers required")
         checkpoint_base = doc.get("checkpoint_base", 1000)
         if not isinstance(checkpoint_base, int) or checkpoint_base < 1:
             problems.append("checkpoint_base: positive integer required")
@@ -215,6 +312,8 @@ class ExperimentConfig:
         noise = _noise_from_doc(doc.get("noise"))
         delta_doc = doc.get("delta")
         delta = None
+        if not isinstance(delta_doc, (dict, type(None))):
+            raise ConfigError(["delta: a JSON object required"])
         if delta_doc and delta_doc.get("kind") not in (None, "zero"):
             delta = _schedule_from_doc(delta_doc, "delta")
             if kind != "custom_map":
@@ -223,19 +322,23 @@ class ExperimentConfig:
         rule = doc.get("selection_rule", "random_hull")
         if rule not in SELECTION_RULES:
             problems.append(f"selection_rule: one of {', '.join(SELECTION_RULES)}")
-        guard_radius = float(doc.get("guard_radius", 1e3))
-        problems.extend(_start_problems(problem, guard_radius))
-        diagnostics = doc.get("diagnostics", {})
-        problems.extend(f"diagnostics.{key}: unknown key"
-                        for key in sorted(set(diagnostics) - set(DEFAULT_DIAGNOSTICS)))
+        guard_radius = doc.get("guard_radius", 1e3)
+        if not _is_number(guard_radius):
+            problems.append("guard_radius: a number required")
+        strict_bounded = doc.get("strict_bounded", False)
+        if not isinstance(strict_bounded, bool):
+            problems.append("strict_bounded: true or false required")
         if problems:
             raise ConfigError(problems)
 
-        diagnostics = {**DEFAULT_DIAGNOSTICS, **diagnostics}
-        return cls(name=name, problem=problem, n_steps=n_steps, seeds=list(seeds),
+        guard_radius = float(guard_radius)
+        resolved = _resolve_problem(problem, schedule, guard_radius)
+        diagnostics = _diagnostics_from_doc(doc.get("diagnostics", {}),
+                                            sum(part.shape[0] for part in resolved.start))
+        return cls(name=name, problem=resolved, n_steps=n_steps, seeds=list(seeds),
                    guard_radius=guard_radius, checkpoint_base=checkpoint_base,
                    schedule=schedule, noise=noise, delta=delta, selection_rule=rule,
-                   strict_bounded=bool(doc.get("strict_bounded", False)),
+                   strict_bounded=strict_bounded,
                    diagnostics=diagnostics, raw=doc)
 
     @classmethod
@@ -243,7 +346,7 @@ class ExperimentConfig:
         with open(path) as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also a file that is not UTF-8
                 raise ConfigError([f"unparseable JSON: {exc}"]) from exc
         return cls.from_doc(doc)
 
@@ -258,81 +361,43 @@ def validate_config(config: "ExperimentConfig | dict") -> list[str]:
     if isinstance(config, dict):
         config = ExperimentConfig.from_doc(config)
     out: list[str] = []
-    kind = config.problem["kind"]
     if config.schedule is not None:
         out.extend(config.schedule.violations())
     out.extend(config.noise.violations())
-    if kind == "shb":
-        beta = config.schedule
-        alpha_doc = config.problem.get("alpha_schedule")
-        alpha = _schedule_from_doc(alpha_doc, "alpha_schedule") if alpha_doc else None
-        if alpha is not None and beta is not None:
-            if alpha.kind != beta.kind:
-                out.append("heavy ball: alpha and beta schedules of different kinds have "
-                           "no positive limit ratio")
-            elif alpha.kind == "power" and alpha.rho != beta.rho:
-                direction = "0" if alpha.rho > beta.rho else "infinity"
-                out.append(f"heavy ball: alpha_i/beta_i tends to {direction}; "
-                           "a positive finite limit ratio is required")
-            if alpha.violations():
-                out.extend(f"heavy ball (alpha): {v.split(': ', 1)[1]}"
-                           for v in alpha.violations())
+    alpha, beta = config.problem.alpha, config.schedule
+    if alpha is not None:
+        if alpha.kind != beta.kind:
+            out.append("heavy ball: alpha and beta schedules of different kinds have "
+                       "no positive limit ratio")
+        elif alpha.kind == "power" and alpha.rho != beta.rho:
+            direction = "0" if alpha.rho > beta.rho else "infinity"
+            out.append(f"heavy ball: alpha_i/beta_i tends to {direction}; "
+                       "a positive finite limit ratio is required")
+        out.extend(f"heavy ball (alpha): {v.split(': ', 1)[1]}" for v in alpha.violations())
     return out
 
 
 # Running -------------------------------------------------------------------------
 
-def _build_run(config: ExperimentConfig, seed: int) -> tuple[Trajectory, dict]:
-    """Execute the configured problem for one seed; returns the trajectory and
-    problem-specific extras for the summary."""
+def _build_run(config: ExperimentConfig, seed: int) -> Trajectory:
+    """Execute the configured problem for one seed."""
     prob = config.problem
-    kind = prob["kind"]
-    extras: dict = {}
-    if kind == "sgd":
-        f = named_function(prob["f"])
-        traj = run_sgd(f, config.schedule, config.noise, config.n_steps,
-                       config.guard_radius, seed, np.asarray(prob["x0"], dtype=float),
+    if prob.kind == "sgd":
+        return run_sgd(prob.objective, config.schedule, config.noise, config.n_steps,
+                       config.guard_radius, seed, prob.start[0], rule=config.selection_rule)
+    if prob.kind == "shb":
+        return run_shb(prob.objective, prob.alpha, config.schedule, config.noise,
+                       config.n_steps, config.guard_radius, seed, *prob.start,
                        rule=config.selection_rule)
-        extras["objective"] = prob["f"]
-    elif kind == "shb":
-        f = named_function(prob["f"])
-        c = float(prob.get("c", 1.0))
-        beta = config.schedule
-        alpha_doc = prob.get("alpha_schedule")
-        if alpha_doc:
-            alpha = _schedule_from_doc(alpha_doc, "alpha_schedule")
-        else:
-            alpha = StepSchedule(beta.kind, c * beta.a, beta.rho)
-        q0 = np.asarray(prob["q0"], dtype=float)
-        p0 = np.asarray(prob["p0"], dtype=float) if "p0" in prob else None
-        traj = run_shb(f, alpha, beta, config.noise, config.n_steps,
-                       config.guard_radius, seed, q0, p0, rule=config.selection_rule)
-        extras["objective"] = prob["f"]
-        extras["momentum_ratio"] = c
-    elif kind == "fictitious_play":
-        game = _game_from_doc(prob["game"])
-        xi0 = prob.get("xi0")
-        traj = run_fictitious_play(game, config.n_steps, seed, xi0=xi0)
-        base = prob["game"] if isinstance(prob["game"], str) else prob["game"].get("name", "")
-        key = base.split("(")[0]
-        if key in _KNOWN_EQUILIBRIA:
-            star = np.concatenate([np.asarray(s, float) for s in _KNOWN_EQUILIBRIA[key]])
-            extras["nash_gap_inf"] = float(np.abs(traj.states[-1] - star).max())
-    else:
-        H = named_map(prob["map"], int(prob["dim"]))
-        traj = run_sa(np.asarray(prob["x0"], dtype=float), H, config.schedule,
-                      config.noise, config.delta, config.n_steps, config.guard_radius,
-                      seed, rule=config.selection_rule)
-        extras["map"] = prob["map"]
-    return traj, extras
+    if prob.kind == "fictitious_play":
+        return run_fictitious_play(prob.game, config.n_steps, seed, xi0=prob.start)
+    return run_sa(prob.start[0], prob.velocity_map, config.schedule, config.noise,
+                  config.delta, config.n_steps, config.guard_radius, seed,
+                  rule=config.selection_rule)
 
 
-def _circulation_field(config: ExperimentConfig):
-    """Min-norm subgradient selection of the objective, where one is declared."""
-    prob = config.problem
-    if prob["kind"] not in ("sgd", "shb"):
-        return None
-    f = named_function(prob["f"])
+def _circulation_field(f: MaxOfSmoothFunction):
+    """Min-norm subgradient selection of the objective."""
 
     def fieldfn(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
@@ -396,17 +461,6 @@ def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: i
     return entry
 
 
-def _problem_map(config: ExperimentConfig) -> SetValuedMap | None:
-    prob = config.problem
-    if prob["kind"] == "sgd":
-        return negate(clarke_map(named_function(prob["f"])))
-    if prob["kind"] == "custom_map":
-        return named_map(prob["map"], int(prob["dim"]))
-    if prob["kind"] == "fictitious_play":
-        return games_mod.game_map(_game_from_doc(prob["game"]))
-    return None
-
-
 def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     n = traj.dimension
     m = traj.n_steps
@@ -421,7 +475,8 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
     """Run one seed of an experiment document; writes per-seed artifacts when
     ``out_dir`` is given and returns the summary dictionary."""
     config = ExperimentConfig.from_doc(doc)
-    traj, extras = _build_run(config, seed)
+    prob = config.problem
+    traj = _build_run(config, seed)
     iterations = [i for i in checkpoint_iterations(config.n_steps, config.checkpoint_base)
                   if i <= traj.n_steps]
     if not iterations or iterations[-1] != traj.n_steps:
@@ -429,9 +484,9 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
     measures = [accumulate(traj, upto=i) for i in iterations]
 
     diag = config.diagnostics
-    circulation_field = _circulation_field(config) if diag.get("circulation", True) else None
-    problem_map = _problem_map(config) if diag.get("centroid_probes") else None
-    checkpoints = [_checkpoint_diagnostics(m, diag, i, circulation_field, problem_map)
+    circulation_field = (_circulation_field(prob.objective)
+                         if diag["circulation"] and prob.objective is not None else None)
+    checkpoints = [_checkpoint_diagnostics(m, diag, i, circulation_field, prob.velocity_map)
                    for m, i in zip(measures, iterations)]
 
     summary: dict = {
@@ -446,7 +501,9 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
         "final_state": traj.states[-1].tolist(),
         "checkpoints": checkpoints,
     }
-    summary.update(extras)
+    summary.update(prob.extras)
+    if prob.equilibrium is not None:
+        summary["nash_gap_inf"] = float(np.abs(traj.states[-1] - prob.equilibrium).max())
     if len(measures) >= 2:
         centers = essential_accumulation_estimate(
             measures, float(diag["residence_cell_size"]), float(diag["essential_threshold"]))
@@ -533,13 +590,16 @@ def diagnose_checkpoint(csv_path) -> dict:
     """Recompute the measure-level diagnostics of a serialized checkpoint.
 
     Uses the run's diagnostics block from the sidecar (defaults for a sidecar
-    without one) and the same bank construction as the pipeline (box from the
-    stored samples, fixed bump seed), so values match the original report
-    exactly.  Circulation and centroid probes need the problem, so they are
-    left out.
+    without one), checked by the same rules as a config's, and the same bank
+    construction as the pipeline (box from the stored samples, fixed bump
+    seed), so values match the original report exactly.  Circulation and
+    centroid probes need the problem, so they are left out.
     """
     measure, meta = load_checkpoint(csv_path)
-    diag = {**DEFAULT_DIAGNOSTICS, **meta.get("diagnostics", {}), "centroid_probes": None}
+    if not isinstance(meta.get("iteration"), int):
+        raise ValueError("checkpoint sidecar: an integer iteration required")
+    diag = {**_diagnostics_from_doc(meta.get("diagnostics", {}), measure.dimension),
+            "centroid_probes": None}
     entry = _checkpoint_diagnostics(measure, diag, meta["iteration"])
     entry["sidecar"] = meta
     return entry

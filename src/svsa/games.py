@@ -37,6 +37,8 @@ class Game:
         shape = payoffs[0].shape
         if len(shape) != m or any(u.shape != shape for u in payoffs):
             raise ValueError("each payoff tensor must have one axis per player, all equal shapes")
+        if 0 in shape:
+            raise ValueError("every player needs at least one action")
 
     @property
     def n_players(self) -> int:
@@ -69,6 +71,19 @@ class Game:
         own = np.asarray(profile[i], dtype=float)
         opponents = [profile[j] for j in range(self.n_players) if j != i]
         return float(own @ self.pure_action_payoffs(i, opponents))
+
+
+def initial_profile(game: Game, xi0: Sequence | None = None) -> list[np.ndarray]:
+    """The stage-0 profile of fictitious play: uniform play, or ``xi0``
+    checked to hold one point of each player's action simplex."""
+    if xi0 is None:
+        return [np.full(k, 1.0 / k) for k in game.action_counts]
+    parts = [np.asarray(s, dtype=float) for s in xi0]
+    if len(parts) != game.n_players or not all(  # written so that NaN fails
+            s.shape == (k,) and np.all(s >= -1e-12) and abs(s.sum() - 1.0) <= 1e-9
+            for k, s in zip(game.action_counts, parts)):
+        raise ValueError("initial profile must be a point on each action simplex")
+    return parts
 
 
 def best_response_indices(game: Game, i: int, opponents: Sequence) -> np.ndarray:

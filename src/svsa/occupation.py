@@ -334,7 +334,9 @@ def load_checkpoint(csv_path) -> tuple[OccupationMeasure, dict]:
     sidecar = checkpoint_sidecar_path(csv_path)
     with open(sidecar) as fh:
         meta = json.load(fh)
-    n = int(meta["dimension"])
+    if not isinstance(meta, dict) or not isinstance(meta.get("dimension"), int):
+        raise ValueError(f"{sidecar.name}: a JSON object with an integer dimension required")
+    n = meta["dimension"]
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2 * n + 2:
         raise ValueError(f"checkpoint has {data.shape[1]} columns, expected {2 * n + 2}")

@@ -276,6 +276,8 @@ class TestFictitiousPlay:
     def test_invalid_initial_profile_rejected(self):
         with pytest.raises(ValueError):
             run_fictitious_play(matching_pennies(), 5, 0, xi0=[[0.9, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError):
+            run_fictitious_play(matching_pennies(), 5, 0, xi0=[[1.0, 0.0]])
 
 
 def _never_evaluated(x):

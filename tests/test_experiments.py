@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svsa.cli import main
 from svsa.experiments import (ConfigError, ExperimentConfig, checkpoint_iterations,
@@ -22,6 +25,10 @@ def sgd_doc(n_steps=4000, seeds=(1, 2), base=1000):
         "seeds": list(seeds),
         "checkpoint_base": base,
     }
+
+
+SHB_PROBLEM = {"kind": "shb", "f": "quad1", "q0": [1.0]}
+FP_PROBLEM = {"kind": "fictitious_play", "game": "matching_pennies"}
 
 
 def escape_doc():
@@ -207,16 +214,18 @@ class TestCli:
 
     def test_unparseable_config_is_code_1(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
-        broken.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", str(broken)])
-        assert exc.value.code == 1
-        assert "config error" in capsys.readouterr().err
+        for content in (b"{not json", b'{"name": "\xff"}'):
+            broken.write_bytes(content)
+            with pytest.raises(SystemExit) as exc:
+                main(["validate", str(broken)])
+            assert exc.value.code == 1
+            assert "config error" in capsys.readouterr().err
 
     def test_missing_config_is_code_3(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", str(tmp_path / "nope.json")])
-        assert exc.value.code == 3
+        for path in (tmp_path / "nope.json", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", str(path)])
+            assert exc.value.code == 3
 
     def test_run_and_diagnose(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -241,10 +250,49 @@ class TestCli:
         (lambda doc: doc["noise"].update(moment_order="two"), "noise: malformed model"),
         (lambda doc: doc.update(diagnostics={"bank_degre": 2}), "diagnostics.bank_degre"),
         (lambda doc: doc.update(delta={"kind": "constant", "a": 0.1}), "delta"),
+        (lambda doc: doc.update(guard_radius="big"), "guard_radius: a number required"),
+        (lambda doc: doc.update(noise="gaussian"), "noise: a JSON object required"),
+        (lambda doc: doc.update(delta="power"), "delta: a JSON object required"),
+        (lambda doc: doc.update(diagnostics=7), "diagnostics: a JSON object required"),
+        (lambda doc: doc.update(problem=SHB_PROBLEM | {"c": "x"}), "problem.c"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": {"name": "generalized_rps",
+                                                                 "zzz": 1}}), "problem.game"),
+        (lambda doc: doc.update(problem=SHB_PROBLEM, schedule={"kind": "constant", "a": 1.5}),
+         "schedule: heavy-ball beta steps must not exceed 1"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"xi0": [[1, 0]]}), "problem.xi0"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": "mystery"}),
+         "unknown game 'mystery'"),
+        (lambda doc: doc.update(problem={"kind": "custom_map", "map": "mystery", "dim": 1,
+                                         "x0": [1.0]}), "unknown custom map 'mystery'"),
+        (lambda doc: doc.update(problem={"kind": "custom_map", "map": "sign_descent", "dim": 2,
+                                         "x0": [1.0, 0.0]}), "sign_descent is one-dimensional"),
+        (lambda doc: doc.update(diagnostics={"residence_cell_size": -1}),
+         "diagnostics.residence_cell_size: a positive number required"),
+        (lambda doc: doc.update(diagnostics={"essential_threshold": 0}),
+         "diagnostics.essential_threshold: a positive number required"),
+        (lambda doc: doc.update(diagnostics={"velocity_moment_order": 1}),
+         "diagnostics.velocity_moment_order: a number above 1 required"),
+        (lambda doc: doc.update(diagnostics={"bank_bumps": 1.5}),
+         "diagnostics.bank_bumps: a non-negative integer required"),
+        (lambda doc: doc.update(diagnostics={"bank_degree": -1}),
+         "diagnostics.bank_degree: a non-negative integer required"),
+        (lambda doc: doc.update(diagnostics={"circulation": "yes"}),
+         "diagnostics.circulation: true or false required"),
+        (lambda doc: doc.update(diagnostics={"centroid_probes": [[1, 2]]}),
+         "diagnostics.centroid_probes: a list of points with 1 coordinates required"),
+        (lambda doc: doc.update(seeds=[-1]), "seeds"),
+        (lambda doc: doc.update(name="a/b"), "name"),
+        (lambda doc: doc.update(strict_bounded="yes"), "strict_bounded"),
     ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game",
             "objective_suffix", "objective_dimension_0", "objective_not_a_string",
             "negative_sigma", "moment_order_not_a_number", "unknown_diagnostics_key",
-            "delta_on_sgd"])
+            "delta_on_sgd", "guard_radius_not_a_number", "noise_not_an_object",
+            "delta_not_an_object", "diagnostics_not_an_object", "momentum_ratio_not_a_number",
+            "unknown_game_argument", "heavy_ball_beta_above_1", "profile_missing_a_player",
+            "unknown_game", "unknown_custom_map", "sign_descent_in_2d",
+            "negative_cell_size", "zero_threshold", "moment_order_1", "fractional_bumps",
+            "negative_degree", "circulation_not_a_bool", "probe_of_wrong_dimension",
+            "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
         doc = sgd_doc(n_steps=1000, base=500)
         edit(doc)
@@ -256,6 +304,35 @@ class TestCli:
             assert exc.value.code == 1
             err = capsys.readouterr().err
             assert f"config error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_seeds_override_is_code_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(sgd_doc(n_steps=1000, base=500)))
+        for seeds in (",", "-1"):
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--seeds", seeds]) == 1
+            assert "--seeds expects" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("iteration"),
+        lambda meta: meta.pop("dimension"),
+        lambda meta: meta.update(diagnostics="x"),
+        lambda meta: meta["diagnostics"].update(residence_cell_size=-1),
+    ], ids=["no_iteration", "no_dimension", "diagnostics_not_an_object", "negative_cell_size"])
+    def test_bad_sidecar_is_reported(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(sgd_doc(n_steps=1000, seeds=(1,), base=500)))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        checkpoint = tmp_path / "out" / "sgd_abs_small" / "1" / "checkpoint_500.csv"
+        sidecar = checkpoint.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["diagnose", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad checkpoint:") and "Traceback" not in err
 
     def test_strict_escape_is_code_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -275,3 +352,103 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "svsa.cli", "validate", str(cfg)],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+# Property: from_doc is the one gate ------------------------------------------------
+
+FUZZ_BASES = {
+    "sgd": {
+        "name": "fuzz_sgd",
+        "problem": {"kind": "sgd", "f": "maxsq2", "x0": [1.0, -0.5]},
+        "schedule": {"kind": "power", "a": 0.5, "rho": 0.6},
+        "noise": {"kind": "gaussian", "sigma": 0.3, "moment_order": 2.0},
+        "n_steps": 60, "guard_radius": 50.0, "seeds": [1], "checkpoint_base": 20,
+        "selection_rule": "random_hull",
+        "diagnostics": {"bank_degree": 2, "centroid_probes": [[0.0, 0.0]]},
+    },
+    "shb": {
+        "name": "fuzz_shb",
+        "problem": {"kind": "shb", "f": "quad1", "c": 1.5, "q0": [1.0], "p0": [0.2],
+                    "alpha_schedule": {"kind": "power", "a": 0.4, "rho": 0.6}},
+        "schedule": {"kind": "power", "a": 0.5, "rho": 0.6},
+        "noise": {"kind": "student_t", "df": 4.0, "scale": 0.2},
+        "n_steps": 60, "seeds": [2], "checkpoint_base": 20,
+    },
+    "fictitious_play": {
+        "name": "fuzz_fp",
+        "problem": {"kind": "fictitious_play",
+                    "game": {"name": "generalized_rps", "a": 1.0, "b": 2.0},
+                    "xi0": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        "n_steps": 60, "seeds": [3], "checkpoint_base": 20,
+        "diagnostics": {"centroid_probes": [[1 / 3] * 6], "circulation": False},
+    },
+    "custom_map": {
+        "name": "fuzz_map",
+        "problem": {"kind": "custom_map", "map": "sign_descent", "dim": 1, "x0": [0.7]},
+        "schedule": {"kind": "logarithmic", "a": 0.3},
+        "delta": {"kind": "power", "a": 0.2, "rho": 0.3},
+        "noise": {"kind": "uniform_ball", "radius": 0.1},
+        "n_steps": 60, "seeds": [4], "checkpoint_base": 20, "strict_bounded": False,
+        "diagnostics": {"residence_cell_size": 0.05, "essential_threshold": 0.1,
+                        "velocity_moment_order": 3, "bank_bumps": 2, "bank_seed": 5,
+                        "centroid_probes": [[0.0], [0.5]]},
+    },
+}
+
+# Fields that size the work of a run, bounded so each example stays small: the
+# bank holds up to (degree + 1)^dimension monomials.
+WORK_CAPS = {"n_steps": 200, "bank_degree": 4, "bank_bumps": 20}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8)
+# Most fields hold numbers; drawing more of them gets more documents past from_doc.
+FIELD_VALUES = JSON_VALUES | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _field_paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@st.composite
+def fuzzed_docs(draw):
+    doc = json.loads(json.dumps(FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]))
+    path = draw(st.sampled_from(list(_field_paths(doc))))
+    value = draw(FIELD_VALUES)
+    cap = WORK_CAPS.get(path[-1])
+    if cap is not None and isinstance(value, int) and value > cap:
+        value = cap
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestFuzzedConfigs:
+    def test_bases_run(self):
+        for doc in FUZZ_BASES.values():
+            assert run_experiment(doc).seed_summaries
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_docs())
+    def test_config_error_or_a_completed_run(self, doc):
+        try:
+            ExperimentConfig.from_doc(doc)
+        except ConfigError:
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+                cfg.write_text(json.dumps(doc))
+                with pytest.raises(SystemExit) as exc:
+                    main(["run", str(cfg), "--out", str(out)])
+                assert exc.value.code == 1 and not out.exists()
+            return
+        report = run_experiment(doc, out_dir=None)
+        assert {s["status"] for s in report.seed_summaries} <= {"completed", "escaped"}
