@@ -245,6 +245,8 @@ def _iterate(x0: np.ndarray, advance, eps: np.ndarray, deltas: np.ndarray,
     Records v_{i+1} = (x_{i+1} - x_i)/eps_i in one pass after it, and the clock;
     ``deltas`` and ``noises`` are the per-step records of the run, truncated with it.
     """
+    if not np.all(eps > 0.0):
+        raise ValueError("step sizes must be positive")
     n_steps = eps.shape[0]
     states = np.empty((n_steps + 1, x0.shape[0]))
     states[0] = x0

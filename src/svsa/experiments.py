@@ -333,6 +333,13 @@ class ExperimentConfig:
 
         guard_radius = float(guard_radius)
         resolved = _resolve_problem(problem, schedule, guard_radius)
+        with np.errstate(over="ignore"):  # (i + 1)^rho may overflow to inf
+            stalled = [f"{label}: the step size reaches 0 within n_steps"
+                       for label, steps in (("schedule", schedule),
+                                            ("alpha_schedule", resolved.alpha))
+                       if steps is not None and not steps.values(n_steps).min() > 0.0]
+        if stalled:
+            raise ConfigError(stalled)
         diagnostics = _diagnostics_from_doc(doc.get("diagnostics", {}),
                                             sum(part.shape[0] for part in resolved.start))
         return cls(name=name, problem=resolved, n_steps=n_steps, seeds=list(seeds),
@@ -396,17 +403,12 @@ def _build_run(config: ExperimentConfig, seed: int) -> Trajectory:
                   rule=config.selection_rule)
 
 
-def _circulation_field(f: MaxOfSmoothFunction):
-    """Min-norm subgradient selection of the objective."""
-
-    def fieldfn(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        out = np.zeros_like(points)  # heavy-ball states carry (q, p); p's part stays 0
-        for r, x in enumerate(points[:, :f.dimension]):
-            out[r, :f.dimension] = select_subgradient(f, x, "min_norm", None)
-        return out
-
-    return fieldfn
+def _circulation_field(f: MaxOfSmoothFunction, points: np.ndarray) -> np.ndarray:
+    """Min-norm subgradient selection of the objective at each of the (M, n) points."""
+    out = np.zeros_like(points)  # heavy-ball states carry (q, p); p's part stays 0
+    for r, x in enumerate(points[:, :f.dimension]):
+        out[r, :f.dimension] = select_subgradient(f, x, "min_norm", None)
+    return out
 
 
 def checkpoint_iterations(n_steps: int, base: int) -> list[int]:
@@ -421,7 +423,8 @@ def checkpoint_iterations(n_steps: int, base: int) -> list[int]:
 
 
 def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: int,
-                            circulation_field=None, problem_map=None) -> dict:
+                            field_values=None, problem_map=None) -> dict:
+    """``field_values``: the circulation field at the measure's positions."""
     bank = TestFunctionBank.from_positions(measure.positions,
                                            degree=int(diag["bank_degree"]),
                                            n_bumps=int(diag["bank_bumps"]),
@@ -446,9 +449,9 @@ def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: i
     entry["residence_grid"] = {"cell_size": cell,
                                "cells": [{"cell": list(map(int, c)), "mass": m}
                                          for c, m in listed]}
-    if circulation_field is not None:
+    if field_values is not None:
         entry["circulation"] = {"min_norm_subgradient":
-                                circulation(measure, circulation_field)}
+                                circulation(measure, lambda _: field_values)}
     probes = diag.get("centroid_probes")
     if probes:
         h = plugin_bandwidth(measure)
@@ -483,11 +486,17 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
         iterations.append(traj.n_steps)
     measures = [accumulate(traj, upto=i) for i in iterations]
 
+    # Checkpoints are prefixes of the run, so the field is evaluated once on its
+    # states; a thinned checkpoint is not a prefix and gets its own evaluation.
     diag = config.diagnostics
-    circulation_field = (_circulation_field(prob.objective)
-                         if diag["circulation"] and prob.objective is not None else None)
-    checkpoints = [_checkpoint_diagnostics(m, diag, i, circulation_field, prob.velocity_map)
-                   for m, i in zip(measures, iterations)]
+    f = prob.objective if diag["circulation"] else None
+    run_field = _circulation_field(f, traj.states[:traj.n_steps]) if f is not None else None
+    checkpoints = []
+    for m, i in zip(measures, iterations):
+        values = None
+        if f is not None:
+            values = run_field[:i] if m.n_samples == i else _circulation_field(f, m.positions)
+        checkpoints.append(_checkpoint_diagnostics(m, diag, i, values, prob.velocity_map))
 
     summary: dict = {
         "experiment": config.name,

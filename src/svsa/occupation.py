@@ -1,15 +1,15 @@
 """Weighted occupation measures on (position, velocity) pairs and the
 measure-level diagnostics built on them.
 
-A measure stores samples (x_j, v_{j+1}) with weights eps_j; every query
-normalizes by the total weight, so the measure has unit mass.  Two stores
-merge by concatenation, and a weight-proportional thinning keeps the sample
-count bounded for very long runs.
+A measure holds samples (x_j, v_{j+1}) with weights eps_j; every query
+normalizes by the total weight, so the measure has unit mass.  The measure of
+a trajectory prefix is a view of the run, two measures merge by
+concatenation, and a weight-proportional thinning at construction keeps the
+sample count bounded for very long runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -34,86 +34,63 @@ class UndefinedEstimateError(RuntimeError):
 
 
 class OccupationMeasure:
-    """Sample store realizing the step-weighted empirical measure."""
+    """The step-weighted empirical measure of samples (x_j, v_{j+1}) with
+    weights eps_j, built once by ``from_arrays`` and never changed after."""
 
-    __slots__ = ("dimension", "max_samples", "thin_seed", "_thin_events",
-                 "positions", "velocities", "weights", "_total")
+    __slots__ = ("max_samples", "positions", "velocities", "weights", "total_weight")
 
-    def __init__(self, dimension: int, max_samples: int = DEFAULT_MAX_SAMPLES,
-                 thin_seed: int = 0):
-        self.dimension = int(dimension)
-        self.max_samples = int(max_samples)
-        self.thin_seed = int(thin_seed)
-        self._thin_events = 0
-        self.positions = np.empty((0, self.dimension))
-        self.velocities = np.empty((0, self.dimension))
-        self.weights = np.empty(0)
-        self._total = 0.0
+    def __init__(self, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray,
+                 max_samples: int):
+        self.positions, self.velocities, self.weights = positions, velocities, weights
+        self.max_samples = max_samples
+        self.total_weight = float(weights.sum())
 
     @classmethod
     def from_arrays(cls, positions, velocities, weights,
-                    max_samples: int = DEFAULT_MAX_SAMPLES,
-                    thin_seed: int = 0) -> "OccupationMeasure":
-        positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        measure = cls(positions.shape[1], max_samples=max_samples, thin_seed=thin_seed)
-        measure.extend(positions, velocities, weights)
-        return measure
+                    max_samples: int = DEFAULT_MAX_SAMPLES) -> "OccupationMeasure":
+        """Measure of the given samples.  C-contiguous float64 arrays are kept as
+        given, so the measure of a trajectory prefix is a view of the run.  Past
+        ``max_samples`` the samples are thinned once, weight-proportionally,
+        to ``max_samples`` equal weights of the same total."""
+        x = np.ascontiguousarray(np.atleast_2d(positions), dtype=float)
+        v = np.ascontiguousarray(np.atleast_2d(velocities), dtype=float)
+        w = np.ascontiguousarray(np.atleast_1d(weights), dtype=float)
+        if x.shape != v.shape or w.shape != x.shape[:1]:
+            raise ValueError("positions, velocities and weights do not line up")
+        if np.any(w < 0.0):
+            raise ValueError("weights must be non-negative")
+        if w.shape[0] > max_samples:
+            total = float(w.sum())
+            idx = np.random.default_rng([0, 0]).choice(w.shape[0], size=max_samples,
+                                                       replace=True, p=w / total)
+            idx.sort()
+            x, v, w = x[idx], v[idx], np.full(max_samples, total / max_samples)
+        return cls(x, v, w, max_samples)
+
+    @property
+    def dimension(self) -> int:
+        return self.positions.shape[1]
 
     @property
     def n_samples(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def total_weight(self) -> float:
-        return self._total
-
-    def extend(self, positions, velocities, weights) -> None:
-        """Append samples; thins weight-proportionally past ``max_samples``."""
-        x = np.atleast_2d(np.asarray(positions, dtype=float))
-        v = np.atleast_2d(np.asarray(velocities, dtype=float))
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if x.shape != v.shape or x.shape[0] != w.shape[0] or x.shape[1] != self.dimension:
-            raise ValueError("positions, velocities and weights do not line up")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
-        self.positions = np.concatenate([self.positions, x])
-        self.velocities = np.concatenate([self.velocities, v])
-        self.weights = np.concatenate([self.weights, w])
-        self._total += float(w.sum())
-        if self.n_samples > self.max_samples:
-            self._thin()
-
-    def _thin(self) -> None:
-        # Weight-proportional resampling down to max_samples, with the
-        # retained samples carrying equal merged weights of the same mass.
-        rng = np.random.default_rng([self.thin_seed, self._thin_events])
-        self._thin_events += 1
-        total = float(self.weights.sum())
-        idx = rng.choice(self.n_samples, size=self.max_samples, replace=True,
-                         p=self.weights / total)
-        idx.sort()
-        self.positions = self.positions[idx]
-        self.velocities = self.velocities[idx]
-        self.weights = np.full(self.max_samples, total / self.max_samples)
-        self._total = float(self.weights.sum())
-
     def merge(self, other: "OccupationMeasure") -> "OccupationMeasure":
-        """Concatenation of the two stores (associative, commutative in law)."""
+        """Measure of the concatenated samples (associative, commutative in law)."""
         if other.dimension != self.dimension:
             raise ValueError("cannot merge measures of different dimensions")
-        out = OccupationMeasure(self.dimension,
-                                max_samples=max(self.max_samples, other.max_samples),
-                                thin_seed=self.thin_seed)
-        out.extend(np.concatenate([self.positions, other.positions]),
-                   np.concatenate([self.velocities, other.velocities]),
-                   np.concatenate([self.weights, other.weights]))
-        return out
+        return OccupationMeasure.from_arrays(
+            np.concatenate([self.positions, other.positions]),
+            np.concatenate([self.velocities, other.velocities]),
+            np.concatenate([self.weights, other.weights]),
+            max_samples=max(self.max_samples, other.max_samples))
 
 
 def accumulate(trajectory: Trajectory, upto: int | None = None,
                max_samples: int = DEFAULT_MAX_SAMPLES) -> OccupationMeasure:
     """Occupation measure of a trajectory prefix: samples (x_j, v_{j+1}, eps_j)
-    for j < upto (defaults to the full run)."""
+    for j < upto (defaults to the full run), a view of the run's arrays unless
+    it is thinned."""
     m = trajectory.n_steps if upto is None else min(int(upto), trajectory.n_steps)
     if m < 1:
         raise ValueError("trajectory must contain at least one step")
@@ -174,9 +151,12 @@ def essential_accumulation_estimate(checkpoints: Sequence[OccupationMeasure],
         raise ValueError("no checkpoints given")
     if len(checkpoints) < 2:
         raise ValueError("need at least two checkpoints at increasing iteration counts")
-    counts = [cp.n_samples for cp in checkpoints]
-    if any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError("checkpoints must have strictly increasing sample counts")
+    # A thinned checkpoint holds max_samples samples, so past that only the
+    # total weight grows.
+    if any(b.n_samples <= a.n_samples and b.total_weight <= a.total_weight
+           for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("each checkpoint must hold more samples or more total weight "
+                         "than the one before")
     if threshold <= 0.0 or cell_size <= 0.0:
         raise ValueError("cell_size and threshold must be positive")
 
@@ -340,6 +320,7 @@ def load_checkpoint(csv_path) -> tuple[OccupationMeasure, dict]:
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2 * n + 2:
         raise ValueError(f"checkpoint has {data.shape[1]} columns, expected {2 * n + 2}")
+    # the column slices are not contiguous, so from_arrays copies them
     measure = OccupationMeasure.from_arrays(data[:, 1:n + 1], data[:, n + 1:2 * n + 1],
                                             data[:, 2 * n + 1])
     return measure, meta
@@ -442,6 +423,17 @@ def bump_on_ball(center, radius: float) -> WeightFunction:
     return WeightFunction("ball_bump", value)
 
 
+def _exponents(n: int, degree: int):
+    """Exponent tuples of length n and total degree at most ``degree``, in
+    lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for a in range(degree + 1):
+        for rest in _exponents(n - 1, degree - a):
+            yield (a,) + rest
+
+
 @dataclass(frozen=True)
 class TestFunctionBank:
     """Smooth observables g (monomials over a box plus seeded radial bumps)
@@ -461,10 +453,8 @@ class TestFunctionBank:
         center = 0.5 * (lower + upper)
         half = np.maximum(0.5 * (upper - lower), 1e-9)
 
-        functions: list[SmoothTestFunction] = []
-        for alpha in itertools.product(range(degree + 1), repeat=n):
-            if 0 < sum(alpha) <= degree:
-                functions.append(_monomial(center, half, np.array(alpha)))
+        functions = [_monomial(center, half, np.array(alpha))
+                     for alpha in _exponents(n, degree) if any(alpha)]
         rng = np.random.default_rng(seed)
         width = 0.25 * float(np.linalg.norm(half))
         for tag in range(n_bumps):

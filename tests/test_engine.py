@@ -302,6 +302,21 @@ def test_unknown_rule_rejected_before_the_first_step(run):
         run("nope")
 
 
+@pytest.mark.parametrize("run", [
+    lambda steps: run_sgd(_UNEVALUATED, steps, NoiseModel.none(), 40, 10.0, 0, [1.0]),
+    lambda steps: run_shb(_UNEVALUATED, StepSchedule.constant(0.1), steps,
+                          NoiseModel.none(), 40, 10.0, 0, [1.0]),
+    lambda steps: run_sa([1.0], SetValuedMap(1, _never_evaluated), steps,
+                         NoiseModel.none(), None, 40, 10.0, 0),
+], ids=["sgd", "shb", "sa"])
+def test_underflowing_steps_rejected_before_the_first_step(run):
+    # a / (i + 1)^rho is 0 in floating point from i = 1 on; a zero step would
+    # record the velocity 0/0.
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="step sizes must be positive"):
+            run(StepSchedule.power(0.5, 1e300))
+
+
 def test_shb_coefficient_formula():
     alphas = np.array([0.5, 0.4, 0.3])
     betas = np.array([0.5, 0.25, 0.2])

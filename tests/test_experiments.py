@@ -1,4 +1,6 @@
+import functools
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -8,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import svsa.experiments as experiments
 from svsa.cli import main
 from svsa.experiments import (ConfigError, ExperimentConfig, checkpoint_iterations,
                               diagnose_checkpoint, named_function, named_map,
                               run_experiment, validate_config)
+from svsa.maps import select_subgradient
+from svsa.occupation import accumulate, circulation
 
 
 def sgd_doc(n_steps=4000, seeds=(1, 2), base=1000):
@@ -172,6 +177,37 @@ class TestRunExperiment:
         assert np.abs(centers).max() <= 0.2
 
 
+class TestThinnedCheckpoints:
+    def test_run_past_max_samples(self, monkeypatch, tmp_path):
+        # Checkpoints 1000 and 2000 hold 700 thinned samples each: they are
+        # not prefixes of the run, so their circulation uses their own samples.
+        monkeypatch.setattr(experiments, "accumulate",
+                            functools.partial(accumulate, max_samples=700))
+        doc = {"name": "shb_thinned",
+               "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, 0.5]},
+               "schedule": {"kind": "power", "a": 0.5, "rho": 0.6},
+               "noise": {"kind": "gaussian", "sigma": 0.3},
+               "n_steps": 2000, "seeds": [1], "checkpoint_base": 250}
+        summary = run_experiment(doc, out_dir=tmp_path).seed_summaries[0]
+        assert summary["status"] == "completed" and "essential_cells" in summary
+
+        config = ExperimentConfig.from_doc(doc)
+        traj = experiments._build_run(config, 1)
+        f = config.problem.objective
+
+        def field(X):
+            out = np.zeros_like(X)
+            out[:, :2] = [select_subgradient(f, q, "min_norm", None) for q in X[:, :2]]
+            return out
+
+        for entry in summary["checkpoints"]:
+            m = accumulate(traj, upto=entry["iteration"], max_samples=700)
+            assert entry["n_samples"] == m.n_samples == min(entry["iteration"], 700)
+            assert entry["circulation"]["min_norm_subgradient"] == circulation(m, field)
+        recomputed = diagnose_checkpoint(tmp_path / "shb_thinned" / "1" / "checkpoint_2000.csv")
+        assert recomputed["closed_residuals"] == summary["checkpoints"][-1]["closed_residuals"]
+
+
 class TestDiagnose:
     def _assert_round_trip(self, tmp_path, doc):
         report = run_experiment(doc, out_dir=tmp_path)
@@ -283,6 +319,11 @@ class TestCli:
         (lambda doc: doc.update(seeds=[-1]), "seeds"),
         (lambda doc: doc.update(name="a/b"), "name"),
         (lambda doc: doc.update(strict_bounded="yes"), "strict_bounded"),
+        (lambda doc: doc["schedule"].update(rho=1e300),
+         "schedule: the step size reaches 0 within n_steps"),
+        (lambda doc: doc.update(problem=SHB_PROBLEM | {"alpha_schedule": {
+            "kind": "power", "a": 0.5, "rho": 1e300}}),
+         "alpha_schedule: the step size reaches 0 within n_steps"),
     ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game",
             "objective_suffix", "objective_dimension_0", "objective_not_a_string",
             "negative_sigma", "moment_order_not_a_number", "unknown_diagnostics_key",
@@ -292,7 +333,8 @@ class TestCli:
             "unknown_game", "unknown_custom_map", "sign_descent_in_2d",
             "negative_cell_size", "zero_threshold", "moment_order_1", "fractional_bumps",
             "negative_degree", "circulation_not_a_bool", "probe_of_wrong_dimension",
-            "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool"])
+            "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool",
+            "step_underflow", "heavy_ball_alpha_underflow"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
         doc = sgd_doc(n_steps=1000, base=500)
         edit(doc)
@@ -349,8 +391,12 @@ class TestCli:
     def test_module_entry_point(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(sgd_doc(n_steps=1000, base=500)))
+        # the package's own directory, also when pytest put it on sys.path
+        package_root = str(Path(experiments.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "svsa.cli", "validate", str(cfg)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
 
 

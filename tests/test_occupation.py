@@ -1,13 +1,18 @@
 import dataclasses
+import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svsa.engine import NoiseModel, StepSchedule, run_sgd
 from svsa.maps import abs_value, clarke_map, negate, singleton_map
 from svsa.occupation import (Ball, Box, OccupationMeasure, SmoothTestFunction,
-                             TestFunctionBank, UndefinedEstimateError,
-                             accumulate, bump_on_ball, centroid_field_estimate,
+                             TestFunctionBank, UndefinedEstimateError, _exponents,
+                             _monomial, accumulate, bump_on_ball, centroid_field_estimate,
                              centroid_membership_gap, circulation,
                              closed_residual, constant_one,
                              essential_accumulation_estimate,
@@ -69,25 +74,28 @@ class TestOccupationMeasure:
 
     def test_total_weight_tracks_sum(self):
         rng = np.random.default_rng(0)
-        mu = OccupationMeasure(2)
+        mu = None
         for _ in range(5):
             m = int(rng.integers(1, 50))
-            mu.extend(rng.normal(size=(m, 2)), rng.normal(size=(m, 2)),
-                      rng.uniform(0.1, 1.0, m))
+            part = OccupationMeasure.from_arrays(rng.normal(size=(m, 2)),
+                                                 rng.normal(size=(m, 2)),
+                                                 rng.uniform(0.1, 1.0, m))
+            mu = part if mu is None else mu.merge(part)
         assert abs(mu.total_weight - mu.weights.sum()) <= 1e-12 * mu.total_weight
 
     def test_thinning_caps_samples_and_preserves_mass(self):
         rng = np.random.default_rng(1)
-        mu = OccupationMeasure(1, max_samples=100)
-        mu.extend(rng.normal(size=(400, 1)), rng.normal(size=(400, 1)),
-                  rng.uniform(0.1, 1.0, 400))
+        mu = OccupationMeasure.from_arrays(rng.normal(size=(400, 1)), rng.normal(size=(400, 1)),
+                                           rng.uniform(0.1, 1.0, 400), max_samples=100)
         assert mu.n_samples == 100
         assert abs(mu.total_weight - mu.weights.sum()) <= 1e-12 * mu.total_weight
 
     def test_shape_mismatch_rejected(self):
-        mu = OccupationMeasure(2)
+        mu = OccupationMeasure.from_arrays(np.zeros((1, 2)), np.zeros((1, 2)), [1.0])
         with pytest.raises(ValueError):
-            mu.extend([[1.0]], [[1.0]], [1.0])
+            mu.merge(OccupationMeasure.from_arrays([[1.0]], [[1.0]], [1.0]))
+        with pytest.raises(ValueError):
+            OccupationMeasure.from_arrays([[1.0, 0.0]], [[1.0]], [1.0])
 
 
 class TestResidence:
@@ -142,6 +150,18 @@ class TestEssentialAccumulation:
             essential_accumulation_estimate([mu], 0.1, 0.1)
         with pytest.raises(ValueError):
             essential_accumulation_estimate([mu, mu], 0.1, 0.1)
+
+    def test_thinned_checkpoints_grow_by_weight(self):
+        # Past max_samples every checkpoint holds max_samples samples; a
+        # later one still carries more total weight.
+        X = np.zeros((40, 1))
+        early, late = (OccupationMeasure.from_arrays(X[:m], X[:m], np.ones(m), max_samples=10)
+                       for m in (20, 40))
+        assert early.n_samples == late.n_samples == 10
+        cells = essential_accumulation_estimate([early, late], 1.0, 0.5)
+        np.testing.assert_allclose(cells, [[0.5]])
+        with pytest.raises(ValueError, match="more samples or more total weight"):
+            essential_accumulation_estimate([late, early], 1.0, 0.5)
 
 
 class TestResiduals:
@@ -350,6 +370,19 @@ class TestCheckpointIO:
 
 
 class TestBank:
+    @pytest.mark.parametrize("n, degree", [(1, 0), (1, 3), (2, 3), (3, 2), (4, 4), (6, 3)])
+    def test_monomials_keep_the_filtered_product_order(self, n, degree):
+        old = [alpha for alpha in itertools.product(range(degree + 1), repeat=n)
+               if 0 < sum(alpha) <= degree]
+        assert [alpha for alpha in _exponents(n, degree) if any(alpha)] == old
+        bank = TestFunctionBank.from_box(-np.ones(n), np.ones(n), degree=degree, n_bumps=0)
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (5, n))
+        for g, alpha in zip(bank.functions, old, strict=True):
+            reference = _monomial(np.zeros(n), np.ones(n), np.array(alpha))
+            assert g.name == reference.name
+            np.testing.assert_array_equal(g.value(X), reference.value(X))
+            np.testing.assert_array_equal(g.gradient(X), reference.gradient(X))
+
     def test_gradients_match_finite_differences(self):
         bank = TestFunctionBank.from_box([-1.0, 0.0], [2.0, 1.0])
         worst = bank.validate_gradients(np.random.default_rng(1))
@@ -384,3 +417,70 @@ class TestBank:
             diff = np.linalg.norm(gx - gy, axis=1)
             dist = np.linalg.norm(X - Y, axis=1)
             assert np.all(diff <= g.interpolation_constant * dist + 1e-9)
+
+
+# Properties ---------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Bounded so that a sum of a few of them stays finite.
+WEIGHTS = st.floats(min_value=0.0, max_value=1e300)
+
+
+@st.composite
+def samples(draw, n=None, min_rows=1, max_rows=12, weights=WEIGHTS):
+    m = draw(st.integers(min_rows, max_rows))
+    n = draw(st.integers(1, 3)) if n is None else n
+    return (draw(arrays(np.float64, (m, n), elements=FINITE)),
+            draw(arrays(np.float64, (m, n), elements=FINITE)),
+            draw(arrays(np.float64, m, elements=weights)))
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(samples())
+    def test_checkpoint_round_trip_is_bit_exact(self, data):
+        mu = OccupationMeasure.from_arrays(*data)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, _ = save_checkpoint(mu, Path(tmp) / "c.csv", iteration=1, seed=0)
+            loaded, meta = load_checkpoint(csv_path)
+        assert meta["total_weight"] == mu.total_weight
+        for name in ("positions", "velocities", "weights"):
+            got, want = getattr(loaded, name), getattr(mu, name)
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(samples(n), samples(n))))
+    def test_merge_is_concatenation_and_keeps_mass(self, pair):
+        a, b = pair
+        first, second = OccupationMeasure.from_arrays(*a), OccupationMeasure.from_arrays(*b)
+        merged = first.merge(second)
+        for k, name in enumerate(("positions", "velocities", "weights")):
+            np.testing.assert_array_equal(getattr(merged, name),
+                                          np.concatenate([a[k], b[k]]))
+        total = first.total_weight + second.total_weight
+        assert abs(merged.total_weight - total) <= 1e-12 * total
+
+    @settings(max_examples=150, deadline=None)
+    @given(samples(min_rows=2, max_rows=60, weights=st.floats(1e-6, 1e6)),
+           st.integers(1, 59))
+    def test_thinning_caps_samples_and_keeps_weight(self, data, max_samples):
+        x, v, w = data
+        mu = OccupationMeasure.from_arrays(x, v, w, max_samples=max_samples)
+        assert mu.n_samples == min(max_samples, w.shape[0])
+        assert abs(mu.total_weight - w.sum()) <= 1e-12 * w.sum()
+        if w.shape[0] > max_samples:
+            assert np.all(mu.weights == mu.weights[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
+                  elements=st.floats(-1e3, 1e3)),
+           st.floats(1e-3, 1.0), st.data())
+    def test_prefix_measure_is_a_view_of_the_run(self, states, step, data):
+        traj = make_trajectory(states, np.full(states.shape[0] - 1, step))
+        upto = data.draw(st.integers(1, traj.n_steps))
+        mu = accumulate(traj, upto=upto)
+        assert mu.n_samples == upto
+        assert np.shares_memory(mu.positions, traj.states)
+        assert np.shares_memory(mu.velocities, traj.velocities)
+        assert np.shares_memory(mu.weights, traj.steps)
