@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +39,13 @@ class Game:
             raise ValueError("each payoff tensor must have one axis per player, all equal shapes")
         if 0 in shape:
             raise ValueError("every player needs at least one action")
+        # Each player's tensor with its own axis first, built once.  It stays a
+        # view: a contiguous copy could change the bits of the matmuls below.
+        object.__setattr__(self, "_own_axis_first",
+                           tuple(np.moveaxis(u, i, 0) for i, u in enumerate(payoffs)))
+
+    def __reduce__(self):  # unpickling rebuilds the views; it never copies them
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_players(self) -> int:
@@ -61,7 +68,7 @@ class Game:
 
         ``opponents`` lists the other players' mixed strategies in player order.
         """
-        tensor = np.moveaxis(self.payoffs[i], i, 0)
+        tensor = self._own_axis_first[i]
         for strategy in reversed([np.asarray(s, dtype=float) for s in opponents]):
             tensor = tensor @ strategy
         return tensor

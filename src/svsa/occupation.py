@@ -346,35 +346,53 @@ class WeightFunction:
     value: Callable[[np.ndarray], np.ndarray]
 
 
-def _monomial(center: np.ndarray, half: np.ndarray, alpha: np.ndarray) -> SmoothTestFunction:
-    alpha = np.asarray(alpha, dtype=float)
+def _powers(U: np.ndarray, degree: int) -> list:
+    """[None, U, U**2, ..., U**degree], each power one np.power with an (n,)
+    array exponent as in ``U ** alpha`` (numpy's scalar ``** 2.0`` differs)."""
+    return [None, U] + [np.power(U, np.full(U.shape[-1], float(a))) for a in range(2, degree + 1)]
+
+
+def _product(powers: list, alpha, out: np.ndarray) -> np.ndarray:
+    """prod_k u_k ** alpha_k into ``out``, multiplied left to right as np.prod
+    does, without the factors u ** 0 = 1 (x 1.0 is exact)."""
+    out[...] = 1.0
+    for k, a in enumerate(alpha):
+        if a:
+            out *= powers[a][..., k]
+    return out
+
+
+def _monomial_gradient(powers: list, half: np.ndarray, alpha, out: np.ndarray) -> np.ndarray:
+    """Gradient in x of prod_k u_k ** alpha_k, u = (x - center)/half, into
+    ``out``: column k is alpha_k/half_k times the product for alpha - e_k."""
+    column = np.empty(out.shape[:-1])
+    for k, a in enumerate(alpha):
+        lowered = [b - (j == k) for j, b in enumerate(alpha)]
+        out[..., k] = a / half[k] * _product(powers, lowered, column) if a else 0.0
+    return out
+
+
+def _monomial(center: np.ndarray, half: np.ndarray, alpha) -> SmoothTestFunction:
     if len(alpha) == 1:
-        name = f"u^{int(alpha[0])}"
+        name = f"u^{alpha[0]}"
     else:
-        name = "*".join(f"u{k}^{int(a)}" for k, a in enumerate(alpha) if a > 0)
+        name = "*".join(f"u{k}^{a}" for k, a in enumerate(alpha) if a > 0)
 
     def value(X):
-        U = (np.asarray(X, dtype=float) - center) / half
-        return np.prod(U ** alpha, axis=-1)
+        powers = _powers((np.asarray(X, dtype=float) - center) / half, max(alpha))
+        return _product(powers, alpha, np.empty(powers[1].shape[:-1]))[()]  # a scalar at one point
 
     def gradient(X):
-        X = np.asarray(X, dtype=float)
-        U = (X - center) / half
-        out = np.zeros_like(U)
-        for k in range(len(alpha)):
-            if alpha[k] == 0:
-                continue
-            e = alpha.copy()
-            e[k] -= 1.0
-            out[..., k] = alpha[k] / half[k] * np.prod(U ** e, axis=-1)
-        return out
+        powers = _powers((np.asarray(X, dtype=float) - center) / half, max(alpha))
+        return _monomial_gradient(powers, half, alpha, np.empty_like(powers[1]))
 
     # Hessian entries over the box in normalized coordinates |u| <= 1 are
     # bounded by a_i a_j (a_i (a_i - 1) on the diagonal).
-    bound = np.outer(alpha, alpha)
-    np.fill_diagonal(bound, alpha * np.maximum(alpha - 1.0, 0.0))
+    a = np.asarray(alpha, dtype=float)
+    bound = np.outer(a, a)
+    np.fill_diagonal(bound, a * np.maximum(a - 1.0, 0.0))
     lip = float(np.sqrt(np.sum((bound / np.outer(half, half)) ** 2)))
-    grad_sup = float(np.sqrt(np.sum((alpha / half) ** 2)))
+    grad_sup = float(np.sqrt(np.sum((a / half) ** 2)))
     return SmoothTestFunction(name, value, gradient,
                               max(lip, 2.0 * grad_sup))
 
@@ -437,12 +455,16 @@ def _exponents(n: int, degree: int):
 @dataclass(frozen=True)
 class TestFunctionBank:
     """Smooth observables g (monomials over a box plus seeded radial bumps)
-    and bounded continuous localizers psi."""
+    and bounded continuous localizers psi.  The first functions are the
+    monomials prod_k u_k ** a_k of u = (x - center)/half, a row a of ``exponents`` each."""
     __test__ = False  # not a pytest class, despite the name
     functions: tuple[SmoothTestFunction, ...]
     weights: tuple[WeightFunction, ...]
     lower: np.ndarray
     upper: np.ndarray
+    exponents: np.ndarray
+    center: np.ndarray
+    half: np.ndarray
 
     @staticmethod
     def from_box(lower, upper, degree: int = 3, n_bumps: int = 4,
@@ -453,8 +475,9 @@ class TestFunctionBank:
         center = 0.5 * (lower + upper)
         half = np.maximum(0.5 * (upper - lower), 1e-9)
 
-        functions = [_monomial(center, half, np.array(alpha))
-                     for alpha in _exponents(n, degree) if any(alpha)]
+        exponents = np.array([a for a in _exponents(n, degree) if any(a)],
+                             dtype=np.int64).reshape(-1, n)
+        functions = [_monomial(center, half, alpha) for alpha in exponents]
         rng = np.random.default_rng(seed)
         width = 0.25 * float(np.linalg.norm(half))
         for tag in range(n_bumps):
@@ -465,7 +488,8 @@ class TestFunctionBank:
         weights += [coordinate_sigmoid(k, float(center[k]), float(half[k]))
                     for k in range(n)]
         weights.append(bump_on_ball(center, float(np.linalg.norm(half)) + 1e-9))
-        return TestFunctionBank(tuple(functions), tuple(weights), lower, upper)
+        return TestFunctionBank(tuple(functions), tuple(weights), lower, upper,
+                                exponents, center, half)
 
     @staticmethod
     def from_positions(positions, degree: int = 3, n_bumps: int = 4,
@@ -476,6 +500,20 @@ class TestFunctionBank:
         pad = 1e-9 * (1.0 + np.abs(upper - lower))
         return TestFunctionBank.from_box(lower - pad, upper + pad, degree=degree,
                                          n_bumps=n_bumps, seed=seed)
+
+    def closed_residuals(self, measure: OccupationMeasure) -> dict[str, float]:
+        """``closed_residual`` of every function, by name: the monomials' gradients
+        from one power table of the measure's positions, into one reused buffer."""
+        return self._monomial_residuals(measure) | {
+            g.name: closed_residual(measure, g) for g in self.functions[len(self.exponents):]}
+
+    def _monomial_residuals(self, measure: OccupationMeasure) -> dict[str, float]:
+        # The table is freed on return, before the bumps make their own temporaries.
+        U = measure.positions - self.center
+        U /= self.half
+        powers, G = _powers(U, self.exponents.max(initial=1)), np.empty_like(U)
+        return {g.name: circulation(measure, lambda _: _monomial_gradient(powers, self.half, a, G))
+                for g, a in zip(self.functions, self.exponents)}
 
     def validate_gradients(self, rng: np.random.Generator, n_points: int = 10,
                            step: float = 1e-6, tol: float = 1e-4) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from svsa.engine import Trajectory
+from svsa.occupation import SmoothTestFunction
 
 
 def compositions(total: int, parts: int):
@@ -99,3 +100,35 @@ def make_trajectory(states, steps, noises=None, seed=None) -> Trajectory:
     return Trajectory(states=states, velocities=velocities, steps=steps,
                       deltas=np.zeros(m), noises=np.asarray(noises, dtype=float),
                       clock=clock, status="completed", seed=seed)
+
+
+def reference_monomial(center, half, alpha) -> SmoothTestFunction:
+    """The monomial prod_k u_k ** alpha_k of u = (x - center)/half by the plain
+    per-function formula: ``alpha[k]/half[k] * np.prod(U ** e, axis=-1)`` for
+    each gradient column.  The bank's power table must give the same bits."""
+    alpha = np.asarray(alpha, dtype=float)
+    if len(alpha) == 1:
+        name = f"u^{int(alpha[0])}"
+    else:
+        name = "*".join(f"u{k}^{int(a)}" for k, a in enumerate(alpha) if a > 0)
+
+    def value(X):
+        U = (np.asarray(X, dtype=float) - center) / half
+        return np.prod(U ** alpha, axis=-1)
+
+    def gradient(X):
+        U = (np.asarray(X, dtype=float) - center) / half
+        out = np.zeros_like(U)
+        for k in range(len(alpha)):
+            if alpha[k] == 0:
+                continue
+            e = alpha.copy()
+            e[k] -= 1.0
+            out[..., k] = alpha[k] / half[k] * np.prod(U ** e, axis=-1)
+        return out
+
+    bound = np.outer(alpha, alpha)
+    np.fill_diagonal(bound, alpha * np.maximum(alpha - 1.0, 0.0))
+    lip = float(np.sqrt(np.sum((bound / np.outer(half, half)) ** 2)))
+    grad_sup = float(np.sqrt(np.sum((alpha / half) ** 2)))
+    return SmoothTestFunction(name, value, gradient, max(lip, 2.0 * grad_sup))

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
                          run_sa, run_sgd, run_shb, sa_step,
@@ -9,7 +11,7 @@ from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_pl
 from svsa.games import Game, generalized_rps, matching_pennies
 from svsa.maps import (MaxOfSmoothFunction, SetValuedMap, SmoothPiece, abs_value,
                        clarke_map, enlargement_slack, half_square_norm, max_of_squares,
-                       negate, singleton_map)
+                       SELECTION_RULES, negate, singleton_map)
 
 
 def attract_origin(dim=1):
@@ -326,6 +328,46 @@ def test_shb_coefficient_formula():
     np.testing.assert_array_equal(b, alphas * betas)
 
 
+# Property: the recorded velocities ---------------------------------------------
+
+SCHEDULES = st.one_of(
+    st.builds(StepSchedule.power, st.floats(1e-3, 2.0), st.floats(0.1, 1.5)),
+    st.builds(StepSchedule.logarithmic, st.floats(1e-3, 2.0)),
+    st.builds(StepSchedule.constant, st.floats(1e-3, 1.0)))
+NOISES = st.one_of(
+    st.just(NoiseModel.none()),
+    st.builds(NoiseModel.gaussian, st.floats(0.0, 1.0)),
+    st.builds(NoiseModel.student_t, st.floats(1.5, 10.0), st.floats(0.0, 1.0)),
+    st.builds(NoiseModel.uniform_ball_noise, st.floats(0.0, 1.0)))
+
+
+@st.composite
+def affine_runs(draw):
+    """A random affine field x -> A x + b as a singleton map, and a run of it
+    that may leave its guard ball."""
+    n = draw(st.integers(1, 4))
+    A = draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+    b = draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    x0 = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    guard = float(np.linalg.norm(x0)) + draw(st.floats(0.1, 1e3))
+    H = singleton_map(n, lambda x: A @ x + b)
+    traj = run_sa(x0, H, draw(SCHEDULES), draw(NOISES), None, draw(st.integers(1, 60)),
+                  guard, draw(st.integers(0, 2**32 - 1)), rule=draw(st.sampled_from(SELECTION_RULES)))
+    return A, b, traj
+
+
+class TestVelocityIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(affine_runs())
+    def test_velocities_are_difference_quotients_of_the_recursion(self, run):
+        A, b, traj = run
+        x, eps = traj.states, traj.steps
+        assert traj.velocities.shape == (traj.n_steps, x.shape[1])
+        assert traj.velocities.tobytes() == ((x[1:] - x[:-1]) / eps[:, None]).tobytes()
+        for i in range(traj.n_steps):  # each state is one step of x + eps (H(x) + eta)
+            assert x[i + 1].tobytes() == (x[i] + eps[i] * (A @ x[i] + b + traj.noises[i])).tobytes()
+
+
 # Frozen reference ---------------------------------------------------------------
 
 def _digest(a) -> str:
@@ -379,10 +421,19 @@ FROZEN_RUNS = {
                                   StepSchedule.constant(0.2), NoiseModel.none(), 300,
                                   100.0, 9, [1.0, -1.0]),
     "fp_rps": lambda: run_fictitious_play(generalized_rps(1.0, 2.0), 400, 6),
+    "fp_pennies_xi0": lambda: run_fictitious_play(matching_pennies(), 400, 11,
+                                                  xi0=[[0.9, 0.1], [0.3, 0.7]]),
     "sa_step_chain": _sa_step_run,
 }
 
 FROZEN_DIGESTS = {
+    'fp_pennies_xi0': {
+        'states': '532abd8ef12f9258',
+        'velocities': '5e6d3a89b1393cbb',
+        'steps': '2370a1ee875e3242',
+        'deltas': 'b9385a015d471e8d',
+        'noises': 'b5dd8cc19c758d05',
+        'clock': '9c1b15cd34033f96'},
     'fp_rps': {
         'states': 'fe6025c1d89c7102',
         'velocities': '3c467142c4cf7d41',
@@ -456,6 +507,7 @@ FROZEN_DIGESTS = {
 }
 
 FROZEN_FIELDS = {
+    'fp_pennies_xi0': ('completed', None, None, 11),
     'fp_rps': ('completed', None, None, 6),
     'sa_doubling_escape': ('escaped', 10, 1024.0, 4),
     'sa_sign_descent_delta': ('completed', None, None, 3),

@@ -312,6 +312,14 @@ class TestCli:
          "diagnostics.bank_bumps: a non-negative integer required"),
         (lambda doc: doc.update(diagnostics={"bank_degree": -1}),
          "diagnostics.bank_degree: a non-negative integer required"),
+        (lambda doc: doc.update(diagnostics={"bank_degree": 9}),
+         "diagnostics.bank_degree: at most 8, and at most 3002 monomials in 1 dimensions"),
+        (lambda doc: doc.update(problem={"kind": "custom_map", "map": "attract_origin",
+                                         "dim": 7, "x0": [0.5] * 7},
+                                diagnostics={"bank_degree": 7}),
+         "diagnostics.bank_degree: at most 8, and at most 3002 monomials in 7 dimensions"),
+        (lambda doc: doc["problem"].update(f="quad30", x0=[0.1] * 30),
+         "diagnostics.bank_degree: at most 8, and at most 3002 monomials in 30 dimensions"),
         (lambda doc: doc.update(diagnostics={"circulation": "yes"}),
          "diagnostics.circulation: true or false required"),
         (lambda doc: doc.update(diagnostics={"centroid_probes": [[1, 2]]}),
@@ -332,7 +340,8 @@ class TestCli:
             "unknown_game_argument", "heavy_ball_beta_above_1", "profile_missing_a_player",
             "unknown_game", "unknown_custom_map", "sign_descent_in_2d",
             "negative_cell_size", "zero_threshold", "moment_order_1", "fractional_bumps",
-            "negative_degree", "circulation_not_a_bool", "probe_of_wrong_dimension",
+            "negative_degree", "degree_above_8", "bank_above_3002_monomials",
+            "default_degree_in_30_dimensions", "circulation_not_a_bool", "probe_of_wrong_dimension",
             "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool",
             "step_underflow", "heavy_ball_alpha_underflow"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
@@ -441,9 +450,10 @@ FUZZ_BASES = {
     },
 }
 
-# Fields that size the work of a run, bounded so each example stays small: the
-# bank holds up to (degree + 1)^dimension monomials.
-WORK_CAPS = {"n_steps": 200, "bank_degree": 4, "bank_bumps": 20}
+# Fields that size the work of a run, bounded so each example stays small.  The
+# bank holds C(degree + dimension, dimension) - 1 monomials; from_doc bounds its
+# degree, and one past that bound is drawn too.
+WORK_CAPS = {"n_steps": 200, "bank_degree": experiments.MAX_BANK_DEGREE + 1, "bank_bumps": 20}
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6)

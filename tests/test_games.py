@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -91,6 +92,34 @@ class TestStrategyDraw:
             opp = rng.dirichlet(np.ones(3))
             a = strategy_draw(game, 0, [opp], rng)
             assert distance_to_hull(a, best_response(game, 0, [opp])) <= 1e-12
+
+
+class TestPayoffViews:
+    def test_three_player_payoffs_match_the_moved_tensor(self):
+        rng = np.random.default_rng(5)
+        game = Game(tuple(rng.normal(size=(2, 3, 4)) for _ in range(3)))
+        for i in range(3):
+            opponents = [rng.dirichlet(np.ones(k)) for j, k in enumerate((2, 3, 4)) if j != i]
+            want = np.moveaxis(game.payoffs[i], i, 0)
+            for strategy in reversed(opponents):
+                want = want @ strategy
+            assert game.pure_action_payoffs(i, opponents).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: Game(tuple(np.random.default_rng(2).normal(size=(3, 3, 3, 3)))),
+        lambda: generalized_rps(1.0, 2.0), potential_2x2], ids=["3_players", "rps", "potential"])
+    def test_unpickled_game_keeps_the_payoff_bits(self, build):
+        # A contiguous copy of the third player's moved payoff tensor changes
+        # the matmul bits, so unpickling must rebuild the views.
+        game = build()
+        copy = pickle.loads(pickle.dumps(game))
+        assert type(copy) is type(game) and copy.name == game.name
+        rng = np.random.default_rng(3)
+        for i in range(game.n_players):
+            opponents = [rng.dirichlet(np.ones(k))
+                         for j, k in enumerate(game.action_counts) if j != i]
+            assert (copy.pure_action_payoffs(i, opponents).tobytes()
+                    == game.pure_action_payoffs(i, opponents).tobytes())
 
 
 class TestBuiltinGames:

@@ -12,7 +12,7 @@ from svsa.engine import NoiseModel, StepSchedule, run_sgd
 from svsa.maps import abs_value, clarke_map, negate, singleton_map
 from svsa.occupation import (Ball, Box, OccupationMeasure, SmoothTestFunction,
                              TestFunctionBank, UndefinedEstimateError, _exponents,
-                             _monomial, accumulate, bump_on_ball, centroid_field_estimate,
+                             accumulate, bump_on_ball, centroid_field_estimate,
                              centroid_membership_gap, circulation,
                              closed_residual, constant_one,
                              essential_accumulation_estimate,
@@ -21,7 +21,7 @@ from svsa.occupation import (Ball, Box, OccupationMeasure, SmoothTestFunction,
                              plugin_bandwidth, residence_time, save_checkpoint,
                              velocity_moment)
 
-from helpers import make_trajectory
+from helpers import make_trajectory, reference_monomial
 
 
 def linear_g(a):
@@ -378,8 +378,9 @@ class TestBank:
         bank = TestFunctionBank.from_box(-np.ones(n), np.ones(n), degree=degree, n_bumps=0)
         X = np.random.default_rng(3).uniform(-1.0, 1.0, (5, n))
         for g, alpha in zip(bank.functions, old, strict=True):
-            reference = _monomial(np.zeros(n), np.ones(n), np.array(alpha))
+            reference = reference_monomial(np.zeros(n), np.ones(n), alpha)
             assert g.name == reference.name
+            assert g.interpolation_constant == reference.interpolation_constant
             np.testing.assert_array_equal(g.value(X), reference.value(X))
             np.testing.assert_array_equal(g.gradient(X), reference.gradient(X))
 
@@ -484,3 +485,45 @@ class TestProperties:
         assert np.shares_memory(mu.positions, traj.states)
         assert np.shares_memory(mu.velocities, traj.velocities)
         assert np.shares_memory(mu.weights, traj.steps)
+
+
+# Coordinates the power table must get right besides ordinary ones.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-310]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()  # also tells -0.0 from 0.0
+
+
+@st.composite
+def banks_and_measures(draw):
+    n, degree = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    upper = draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
+    lower = (-upper if draw(st.booleans())  # centered at 0, where -0.0 gives u = -0.0
+             else upper - draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3))))
+    bank = TestFunctionBank.from_box(lower, upper, degree=degree, n_bumps=draw(st.integers(0, 2)))
+    m = draw(st.integers(1, 8))
+    positions = np.array([[draw(st.sampled_from([lo, hi, c] + EDGE_VALUES) | st.floats(-2e3, 2e3))
+                           for lo, hi, c in zip(bank.lower, bank.upper, bank.center)]
+                          for _ in range(m)])
+    velocities = draw(arrays(np.float64, (m, n), elements=st.floats(-1e3, 1e3)))
+    weights = draw(arrays(np.float64, m, elements=st.floats(0.0, 1e3))) + np.eye(1, m)[0]
+    return bank, OccupationMeasure.from_arrays(positions, velocities, weights)
+
+
+class TestPowerTable:
+    @settings(max_examples=300, deadline=None)
+    @given(banks_and_measures())
+    def test_table_gives_the_bits_of_the_per_monomial_formula(self, case):
+        bank, mu = case
+        residuals = bank.closed_residuals(mu)
+        assert list(residuals) == [g.name for g in bank.functions]
+        for g, alpha in zip(bank.functions, bank.exponents):
+            reference = reference_monomial(bank.center, bank.half, alpha)
+            for X in (mu.positions, mu.positions[0]):  # a sample table and one point
+                assert _bits(g.value(X)) == _bits(reference.value(X))
+                assert _bits(g.gradient(X)) == _bits(reference.gradient(X))
+            assert (_bits(residuals[g.name]) == _bits(closed_residual(mu, reference))
+                    == _bits(closed_residual(mu, g)))
+        for g in bank.functions[len(bank.exponents):]:
+            assert _bits(residuals[g.name]) == _bits(closed_residual(mu, g))
