@@ -9,9 +9,9 @@ from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_pl
                          run_sa, run_sgd, run_shb, sa_step,
                          shb_single_variable_coefficients)
 from svsa.games import Game, generalized_rps, matching_pennies
-from svsa.maps import (MaxOfSmoothFunction, SetValuedMap, SmoothPiece, abs_value,
-                       clarke_map, enlargement_slack, half_square_norm, max_of_squares,
-                       SELECTION_RULES, negate, singleton_map)
+from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
+                       abs_value, clarke_map, enlargement_slack, half_square_norm,
+                       max_of_squares, negate, singleton_map)
 
 
 def attract_origin(dim=1):
@@ -351,8 +351,8 @@ def affine_runs(draw):
     x0 = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
     guard = float(np.linalg.norm(x0)) + draw(st.floats(0.1, 1e3))
     H = singleton_map(n, lambda x: A @ x + b)
-    traj = run_sa(x0, H, draw(SCHEDULES), draw(NOISES), None, draw(st.integers(1, 60)),
-                  guard, draw(st.integers(0, 2**32 - 1)), rule=draw(st.sampled_from(SELECTION_RULES)))
+    traj = run_sa(x0, H, draw(SCHEDULES), draw(NOISES), None, draw(st.integers(1, 60)), guard,
+                  draw(st.integers(0, 2**32 - 1)), rule=draw(st.sampled_from(SELECTION_RULES)))
     return A, b, traj
 
 
@@ -365,7 +365,8 @@ class TestVelocityIdentity:
         assert traj.velocities.shape == (traj.n_steps, x.shape[1])
         assert traj.velocities.tobytes() == ((x[1:] - x[:-1]) / eps[:, None]).tobytes()
         for i in range(traj.n_steps):  # each state is one step of x + eps (H(x) + eta)
-            assert x[i + 1].tobytes() == (x[i] + eps[i] * (A @ x[i] + b + traj.noises[i])).tobytes()
+            step = x[i] + eps[i] * (A @ x[i] + b + traj.noises[i])
+            assert x[i + 1].tobytes() == step.tobytes()
 
 
 # Frozen reference ---------------------------------------------------------------
