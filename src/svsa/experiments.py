@@ -4,7 +4,9 @@ checkpointing, the diagnostics suite, and CSV/JSON artifacts.
 Output layout, per experiment root:
     manifest.json                      config hash, inventory, bounded fraction
     <seed>/trajectory.csv              j, t, x*, v*, eps, delta, eta*
-    <seed>/checkpoint_<N>.csv/.json    occupation-measure snapshots
+    <seed>/checkpoint_<N>.json         occupation-measure snapshot: a sidecar whose
+                                       samples are the first N trajectory rows
+    <seed>/checkpoint_<N>.csv          the samples of a thinned snapshot only
     <seed>/summary.json                per-checkpoint diagnostics
 
 The pipeline is a pure function of (config, seeds): reruns produce
@@ -34,11 +36,11 @@ from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, abs_value
                    select_subgradient, singleton_map)
 from .maps import clarke_subdifferential  # noqa: F401  (likewise)
 from .occupation import (OccupationMeasure, TestFunctionBank,
-                         UndefinedEstimateError, _cell_residences, accumulate,
+                         UndefinedEstimateError, _cell_residences, _is_count, accumulate,
                          centroid_membership_gap, circulation,
                          essential_accumulation_estimate, load_checkpoint,
                          oscillation_statistic, plugin_bandwidth,
-                         save_checkpoint, velocity_moment)
+                         save_checkpoint, trajectory_columns, velocity_moment)
 from .occupation import closed_residual  # noqa: F401  (likewise)
 
 
@@ -56,8 +58,9 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _is_number(v) -> bool:
-    """A JSON number that converts to a finite float."""
-    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+    """A JSON number (not a boolean) that converts to a finite float."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 # Named ingredients ------------------------------------------------------------
@@ -183,7 +186,7 @@ def _resolve_problem(doc: dict, beta: StepSchedule | None, guard_radius: float) 
         raise ConfigError(missing)
     alpha = None
     if kind == "custom_map":
-        if not isinstance(doc["dim"], int) or doc["dim"] < 1:
+        if not _is_count(doc["dim"], 1):
             raise ConfigError(["problem.dim: positive integer required"])
         f, H = None, named_map(doc["map"], doc["dim"])
         dim, extras = H.dimension, {"map": doc["map"]}
@@ -237,7 +240,7 @@ DEFAULT_DIAGNOSTICS = {
 MAX_BANK_DEGREE = 8
 MAX_BANK_MONOMIALS = math.comb(MAX_BANK_DEGREE + 6, 6) - 1
 
-_COUNT = (lambda v: isinstance(v, int) and v >= 0, "a non-negative integer")
+_COUNT = (_is_count, "a non-negative integer")
 _POSITIVE = (lambda v: _is_number(v) and v > 0.0, "a positive number")
 _DIAGNOSTIC_VALUES = {
     "bank_degree": _COUNT, "bank_bumps": _COUNT, "bank_seed": _COUNT,
@@ -302,16 +305,15 @@ class ExperimentConfig:
                 "sgd", "shb", "fictitious_play", "custom_map"):
             problems.append("problem.kind: one of sgd, shb, fictitious_play, custom_map")
         n_steps = doc.get("n_steps")
-        if not isinstance(n_steps, int) or n_steps < 1:
+        if not _is_count(n_steps, 1):
             problems.append("n_steps: positive integer required")
         seeds = doc.get("seeds")
-        if not isinstance(seeds, list) or not seeds or not all(
-                isinstance(s, int) and s >= 0 for s in seeds):
+        if not isinstance(seeds, list) or not seeds or not all(map(_is_count, seeds)):
             problems.append("seeds: non-empty list of non-negative integers required")
         checkpoint_base = doc.get("checkpoint_base", 1000)
-        if not isinstance(checkpoint_base, int) or checkpoint_base < 1:
+        if not _is_count(checkpoint_base, 1):
             problems.append("checkpoint_base: positive integer required")
-        elif isinstance(n_steps, int) and n_steps >= 1 and n_steps < checkpoint_base:
+        elif _is_count(n_steps, 1) and n_steps < checkpoint_base:
             problems.append("n_steps must be at least checkpoint_base")
         if problems:
             raise ConfigError(problems)
@@ -478,13 +480,10 @@ def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: i
 
 
 def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    n = traj.dimension
     m = traj.n_steps
-    cols = (["j", "t"] + [f"x{k}" for k in range(n)] + [f"v{k}" for k in range(n)]
-            + ["eps", "delta"] + [f"eta{k}" for k in range(n)])
     data = np.column_stack([np.arange(m), traj.clock[:m], traj.states[:m],
                             traj.velocities, traj.steps, traj.deltas, traj.noises])
-    write_csv(path, cols, data)
+    write_csv(path, trajectory_columns(traj.dimension), data)
 
 
 def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
@@ -539,9 +538,11 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
         seed_dir = Path(out_dir)
         seed_dir.mkdir(parents=True, exist_ok=True)
         _write_trajectory_csv(traj, seed_dir / "trajectory.csv")
+        # A prefix checkpoint's samples are rows of trajectory.csv: only its
+        # sidecar is written.
         for m, i in zip(measures, iterations):
             save_checkpoint(m, seed_dir / f"checkpoint_{i}.csv", iteration=i, seed=seed,
-                            diagnostics=diag)
+                            diagnostics=diag, samples=m.n_samples != i)
         with open(seed_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -618,8 +619,6 @@ def diagnose_checkpoint(csv_path) -> dict:
     centroid probes need the problem, so they are left out.
     """
     measure, meta = load_checkpoint(csv_path)
-    if not isinstance(meta.get("iteration"), int):
-        raise ValueError("checkpoint sidecar: an integer iteration required")
     diag = {**_diagnostics_from_doc(meta.get("diagnostics", {}), measure.dimension),
             "centroid_probes": None}
     entry = _checkpoint_diagnostics(measure, diag, meta["iteration"])

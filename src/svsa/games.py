@@ -22,6 +22,12 @@ from .maps import SetValuedMap
 BR_TIE_TOL = 1e-9
 
 
+def _equal(a, b) -> bool:
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return bool(np.array_equal(a, b))
+
+
 @dataclass(frozen=True)
 class Game:
     payoffs: tuple[np.ndarray, ...]
@@ -46,6 +52,12 @@ class Game:
 
     def __reduce__(self):  # unpickling rebuilds the views; it never copies them
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        """Same type and equal fields, payoff arrays compared element by element."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def n_players(self) -> int:
@@ -167,7 +179,7 @@ def generalized_rps(a: float = 1.0, b: float = 2.0) -> Game:
     return Game((m, m.T), name=f"generalized_rps(a={a}, b={b})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # Game's equality covers the potential too
 class PotentialGame(Game):
     potential: np.ndarray = field(default_factory=lambda: np.zeros(0))
 

@@ -130,9 +130,22 @@ def residence_time(measure: OccupationMeasure, region) -> float:
     return float(measure.weights[mask].sum() / measure.total_weight)
 
 
+def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(cells, axis=0, return_inverse=True)`` for an (M, n) integer
+    array, from one row lexsort: the distinct rows in lexicographic order and
+    the index of each input row among them."""
+    order = np.lexsort(cells.T[::-1])  # the last key sorts first: column 0
+    rows = cells[order]
+    starts = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return rows[starts], inverse
+
+
 def _cell_residences(measure: OccupationMeasure, cell_size: float) -> dict[tuple, float]:
     cells = np.floor(measure.positions / cell_size).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+    uniq, inverse = _unique_rows(cells)
     masses = np.bincount(inverse, weights=measure.weights) / measure.total_weight
     return {tuple(row): float(m) for row, m in zip(uniq, masses)}
 
@@ -287,17 +300,28 @@ def checkpoint_sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+def trajectory_columns(n: int) -> list[str]:
+    """Header of a run's trajectory.csv for an n-dimensional state."""
+    return (["j", "t"] + [f"x{k}" for k in range(n)] + [f"v{k}" for k in range(n)]
+            + ["eps", "delta"] + [f"eta{k}" for k in range(n)])
+
+
 def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
-                    seed: int | None, diagnostics: dict | None = None) -> tuple[Path, Path]:
-    """Write the sample table as CSV (header row, 17 significant digits) plus
-    a JSON sidecar with dimension, total weight, iteration and seed, and the
-    run's diagnostics block when one is given."""
+                    seed: int | None, diagnostics: dict | None = None,
+                    samples: bool = True) -> tuple[Path, ...]:
+    """Write a JSON sidecar with dimension, total weight, iteration and seed,
+    and the run's diagnostics block when one is given; return the paths
+    written.  With ``samples`` the sample table goes first to ``csv_path`` as
+    CSV (header row, 17 significant digits).  Without, the measure must be the
+    first ``iteration`` rows of the trajectory.csv beside it, which is where
+    ``load_checkpoint`` then reads them."""
     csv_path = Path(csv_path)
     n = measure.dimension
-    header = ["j"] + [f"x{k}" for k in range(n)] + [f"v{k}" for k in range(n)] + ["weight"]
-    write_csv(csv_path, header, np.column_stack([np.arange(measure.n_samples),
-                                                 measure.positions, measure.velocities,
-                                                 measure.weights]))
+    if samples:
+        header = ["j"] + [f"x{k}" for k in range(n)] + [f"v{k}" for k in range(n)] + ["weight"]
+        write_csv(csv_path, header, np.column_stack([np.arange(measure.n_samples),
+                                                     measure.positions, measure.velocities,
+                                                     measure.weights]))
     sidecar = checkpoint_sidecar_path(csv_path)
     meta = {"dimension": n, "total_weight": measure.total_weight,
             "iteration": int(iteration), "seed": seed}
@@ -306,23 +330,55 @@ def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
     with open(sidecar, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return csv_path, sidecar
+    return (csv_path, sidecar) if samples else (sidecar,)
+
+
+def _is_count(v, least: int = 0) -> bool:
+    """A JSON integer (not a boolean) of at least ``least``."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _trajectory_prefix(path: Path, n: int, rows: int) -> tuple[np.ndarray, ...]:
+    """Positions, velocities and steps of the first ``rows`` rows of a trajectory.csv."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        want = trajectory_columns(n)
+        if header != want:
+            raise ValueError(f"{path.name} has {len(header)} columns, expected "
+                             f"{len(want)} for dimension {n}")
+        data = np.loadtxt(fh, delimiter=",", usecols=range(2, 2 * n + 3), max_rows=rows,
+                          ndmin=2)
+    if data.shape[0] < rows:
+        raise ValueError(f"{path.name} has {data.shape[0]} rows, the checkpoint needs {rows}")
+    return data[:, :n], data[:, n:2 * n], data[:, 2 * n]
 
 
 def load_checkpoint(csv_path) -> tuple[OccupationMeasure, dict]:
+    """The measure and sidecar of a checkpoint: its samples from ``csv_path``
+    when that file exists, else the sidecar's ``iteration`` first rows of the
+    trajectory.csv beside it."""
     csv_path = Path(csv_path)
     sidecar = checkpoint_sidecar_path(csv_path)
     with open(sidecar) as fh:
         meta = json.load(fh)
-    if not isinstance(meta, dict) or not isinstance(meta.get("dimension"), int):
-        raise ValueError(f"{sidecar.name}: a JSON object with an integer dimension required")
+    if not (isinstance(meta, dict) and _is_count(meta.get("dimension"), 1)
+            and _is_count(meta.get("iteration"), 1)):
+        raise ValueError(f"{sidecar.name}: a JSON object with a positive integer dimension "
+                         "and iteration required")
     n = meta["dimension"]
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2 * n + 2:
-        raise ValueError(f"checkpoint has {data.shape[1]} columns, expected {2 * n + 2}")
+    standalone = csv_path.exists()
+    if standalone:
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 2 * n + 2:
+            raise ValueError(f"checkpoint has {data.shape[1]} columns, expected {2 * n + 2}")
+        columns = data[:, 1:n + 1], data[:, n + 1:2 * n + 1], data[:, 2 * n + 1]
+    else:
+        columns = _trajectory_prefix(csv_path.parent / "trajectory.csv", n, meta["iteration"])
     # the column slices are not contiguous, so from_arrays copies them
-    measure = OccupationMeasure.from_arrays(data[:, 1:n + 1], data[:, n + 1:2 * n + 1],
-                                            data[:, 2 * n + 1])
+    measure = OccupationMeasure.from_arrays(*columns)
+    if not standalone and measure.total_weight != meta.get("total_weight"):
+        raise ValueError(f"trajectory.csv rows weigh {measure.total_weight!r}, "
+                         f"{sidecar.name} says {meta.get('total_weight')!r}")
     return measure, meta
 
 

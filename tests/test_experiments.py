@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -16,7 +18,7 @@ from svsa.experiments import (ConfigError, ExperimentConfig, checkpoint_iteratio
                               diagnose_checkpoint, named_function, named_map,
                               run_experiment, validate_config)
 from svsa.maps import select_subgradient
-from svsa.occupation import accumulate, circulation
+from svsa.occupation import accumulate, circulation, save_checkpoint
 
 
 def sgd_doc(n_steps=4000, seeds=(1, 2), base=1000):
@@ -117,8 +119,10 @@ class TestRunExperiment:
         for seed in (1, 2):
             sd = root / str(seed)
             assert (sd / "trajectory.csv").exists()
-            checkpoints = sorted(sd.glob("checkpoint_*.csv"))
+            # Every checkpoint is a prefix of the run: a sidecar, no sample CSV.
+            checkpoints = sorted(sd.glob("checkpoint_*.json"))
             assert len(checkpoints) >= 2
+            assert not list(sd.glob("checkpoint_*.csv"))
             assert (sd / "summary.json").exists()
         assert report.bounded_fraction == 1.0
         assert len(report.seed_summaries) == 2
@@ -127,7 +131,7 @@ class TestRunExperiment:
         run_experiment(sgd_doc(n_steps=2000, base=1000), out_dir=tmp_path / "a")
         run_experiment(sgd_doc(n_steps=2000, base=1000), out_dir=tmp_path / "b")
         for rel in ("sgd_abs_small/1/summary.json", "sgd_abs_small/manifest.json",
-                    "sgd_abs_small/1/checkpoint_1000.csv"):
+                    "sgd_abs_small/1/checkpoint_1000.json", "sgd_abs_small/1/trajectory.csv"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     def test_parallel_seeds_match_serial(self, tmp_path):
@@ -190,6 +194,10 @@ class TestThinnedCheckpoints:
                "n_steps": 2000, "seeds": [1], "checkpoint_base": 250}
         summary = run_experiment(doc, out_dir=tmp_path).seed_summaries[0]
         assert summary["status"] == "completed" and "essential_cells" in summary
+        # Only the thinned checkpoints keep a sample CSV.
+        seed_dir = tmp_path / "shb_thinned" / "1"
+        assert sorted(p.name for p in seed_dir.glob("checkpoint_*.csv")) == [
+            "checkpoint_1000.csv", "checkpoint_2000.csv"]
 
         config = ExperimentConfig.from_doc(doc)
         traj = experiments._build_run(config, 1)
@@ -204,8 +212,10 @@ class TestThinnedCheckpoints:
             m = accumulate(traj, upto=entry["iteration"], max_samples=700)
             assert entry["n_samples"] == m.n_samples == min(entry["iteration"], 700)
             assert entry["circulation"]["min_norm_subgradient"] == circulation(m, field)
-        recomputed = diagnose_checkpoint(tmp_path / "shb_thinned" / "1" / "checkpoint_2000.csv")
-        assert recomputed["closed_residuals"] == summary["checkpoints"][-1]["closed_residuals"]
+        for entry in summary["checkpoints"]:
+            recomputed = diagnose_checkpoint(seed_dir / f"checkpoint_{entry['iteration']}.csv")
+            assert recomputed["n_samples"] == entry["n_samples"]
+            assert recomputed["closed_residuals"] == entry["closed_residuals"]
 
 
 class TestDiagnose:
@@ -235,6 +245,85 @@ class TestDiagnose:
         doc = sgd_doc(n_steps=2000, seeds=(1,), base=1000)
         doc["diagnostics"] = {"bank_degree": 2, "bank_bumps": 1, "residence_cell_size": 0.05}
         self._assert_round_trip(tmp_path, doc)
+
+
+def _diagnose(path) -> tuple[int, str]:
+    """Exit code and standard output of `svsa diagnose path`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["diagnose", str(path)])
+    return code, out.getvalue()
+
+
+def _write_sample_csvs(doc, seed, iterations, directory):
+    """The checkpoint CSVs and sidecars that save_checkpoint writes for a run's
+    prefix measures, as every checkpoint was stored before sidecar-only ones."""
+    config = ExperimentConfig.from_doc(doc)
+    traj = experiments._build_run(config, seed)
+    for i in iterations:
+        save_checkpoint(accumulate(traj, upto=i), Path(directory) / f"checkpoint_{i}.csv",
+                        iteration=i, seed=seed, diagnostics=config.diagnostics)
+
+
+LAYOUT_PROBLEMS = {
+    "sgd": {"problem": {"kind": "sgd", "f": "maxsq2", "x0": [1.0, -0.5]},
+            "schedule": {"kind": "power", "a": 0.5, "rho": 0.6},
+            "noise": {"kind": "gaussian", "sigma": 0.3}, "guard_radius": 50.0},
+    "shb": {"problem": {"kind": "shb", "f": "quad1", "q0": [1.0]},
+            "schedule": {"kind": "power", "a": 0.5, "rho": 0.6},
+            "noise": {"kind": "gaussian", "sigma": 0.3}, "guard_radius": 50.0},
+    "fictitious_play": {"problem": {"kind": "fictitious_play", "game": "generalized_rps"}},
+}
+
+
+class TestCheckpointLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(LAYOUT_PROBLEMS)), st.integers(1, 300), st.data())
+    def test_sidecar_only_checkpoint_diagnoses_like_its_sample_csv(self, kind, n_steps, data):
+        base = data.draw(st.integers(max(1, n_steps // 16), n_steps))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        doc = {"name": "layout", "n_steps": n_steps, "seeds": [seed],
+               "checkpoint_base": base, **LAYOUT_PROBLEMS[kind]}
+        with tempfile.TemporaryDirectory() as tmp:
+            run_experiment(doc, out_dir=Path(tmp) / "runs")
+            seed_dir = Path(tmp) / "runs" / "layout" / str(seed)
+            assert not list(seed_dir.glob("checkpoint_*.csv"))
+            iterations = [int(p.stem.split("_")[1]) for p in seed_dir.glob("checkpoint_*.json")]
+            assert n_steps in iterations
+            _write_sample_csvs(doc, seed, iterations, tmp)
+            for i in iterations:
+                from_rows = _diagnose(seed_dir / f"checkpoint_{i}.csv")
+                assert from_rows[0] == 0
+                assert from_rows == _diagnose(Path(tmp) / f"checkpoint_{i}.csv")
+
+    def test_old_layout_with_sample_csvs_still_diagnoses(self, tmp_path):
+        doc = sgd_doc(n_steps=2000, seeds=(1,), base=500)
+        run_experiment(doc, out_dir=tmp_path)
+        seed_dir = tmp_path / "sgd_abs_small" / "1"
+        iterations = [500, 1000, 2000]
+        new = [_diagnose(seed_dir / f"checkpoint_{i}.csv") for i in iterations]
+        _write_sample_csvs(doc, 1, iterations, seed_dir)
+        (seed_dir / "trajectory.csv").unlink()  # so the sample CSVs are what is read
+        assert [_diagnose(seed_dir / f"checkpoint_{i}.csv") for i in iterations] == new
+        assert all(code == 0 for code, _ in new)
+
+
+def _truncate_trajectory(seed_dir):
+    path = seed_dir / "trajectory.csv"
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:1000]))
+
+
+def _drop_last_trajectory_column(seed_dir):
+    path = seed_dir / "trajectory.csv"
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(b"".join(line.rsplit(b",", 1)[0] + b"\r\n" for line in lines))
+
+
+def _tamper_total_weight(seed_dir):
+    sidecar = seed_dir / "checkpoint_1000.json"
+    meta = json.loads(sidecar.read_text())
+    meta["total_weight"] = float(np.nextafter(meta["total_weight"], np.inf))
+    sidecar.write_text(json.dumps(meta))
 
 
 class TestCli:
@@ -332,6 +421,12 @@ class TestCli:
         (lambda doc: doc.update(problem=SHB_PROBLEM | {"alpha_schedule": {
             "kind": "power", "a": 0.5, "rho": 1e300}}),
          "alpha_schedule: the step size reaches 0 within n_steps"),
+        (lambda doc: doc.update(seeds=[True]), "seeds: non-empty list of non-negative integers"),
+        (lambda doc: doc.update(checkpoint_base=True), "checkpoint_base: positive integer"),
+        (lambda doc: doc.update(n_steps=True), "n_steps: positive integer required"),
+        (lambda doc: doc.update(diagnostics={"bank_degree": True}),
+         "diagnostics.bank_degree: a non-negative integer required"),
+        (lambda doc: doc.update(guard_radius=True), "guard_radius: a number required"),
     ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game",
             "objective_suffix", "objective_dimension_0", "objective_not_a_string",
             "negative_sigma", "moment_order_not_a_number", "unknown_diagnostics_key",
@@ -343,7 +438,9 @@ class TestCli:
             "negative_degree", "degree_above_8", "bank_above_3002_monomials",
             "default_degree_in_30_dimensions", "circulation_not_a_bool", "probe_of_wrong_dimension",
             "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool",
-            "step_underflow", "heavy_ball_alpha_underflow"])
+            "step_underflow", "heavy_ball_alpha_underflow", "seed_is_a_bool",
+            "checkpoint_base_is_a_bool", "n_steps_is_a_bool", "bank_degree_is_a_bool",
+            "guard_radius_is_a_bool"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
         doc = sgd_doc(n_steps=1000, base=500)
         edit(doc)
@@ -384,6 +481,25 @@ class TestCli:
         assert main(["diagnose", str(checkpoint)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bad checkpoint:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, code, message", [
+        (_truncate_trajectory, 1, "bad checkpoint: trajectory.csv has 999 rows"),
+        (_drop_last_trajectory_column, 1, "bad checkpoint: trajectory.csv has 6 columns, expected 7"),
+        (_tamper_total_weight, 1, "bad checkpoint: trajectory.csv rows weigh"),
+        (lambda seed_dir: (seed_dir / "trajectory.csv").unlink(), 3, "cannot read checkpoint"),
+    ], ids=["truncated_trajectory", "trajectory_column_missing", "tampered_total_weight",
+            "missing_trajectory"])
+    def test_bad_trajectory_rows_are_reported(self, tmp_path, capsys, edit, code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(sgd_doc(n_steps=1000, seeds=(1,), base=500)))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        seed_dir = tmp_path / "out" / "sgd_abs_small" / "1"
+        assert main(["diagnose", str(seed_dir / "checkpoint_500.csv")]) == 0
+        edit(seed_dir)
+        capsys.readouterr()
+        assert main(["diagnose", str(seed_dir / "checkpoint_1000.csv")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
 
     def test_strict_escape_is_code_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

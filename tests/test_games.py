@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 
@@ -120,6 +121,27 @@ class TestPayoffViews:
                          for j, k in enumerate(game.action_counts) if j != i]
             assert (copy.pure_action_payoffs(i, opponents).tobytes()
                     == game.pure_action_payoffs(i, opponents).tobytes())
+
+
+class TestEquality:
+    @pytest.mark.parametrize("build", [matching_pennies, generalized_rps, potential_2x2],
+                             ids=["pennies", "rps", "potential"])
+    def test_equal_builds_and_unpickled_copies_are_equal(self, build):
+        game = build()
+        assert game == build() and not game != build()
+        assert game == pickle.loads(pickle.dumps(game))
+
+    def test_any_differing_field_makes_games_unequal(self):
+        rps = generalized_rps(1.0, 2.0)
+        assert rps != generalized_rps(1.0, 3.0)
+        assert rps != Game(rps.payoffs, name="other")
+        assert rps != Game(rps.payoffs, name=rps.name, br_tol=1e-6)
+        assert matching_pennies() != Game(matching_pennies().payoffs[:1] * 2,
+                                          name="matching_pennies")
+        potential = potential_2x2()
+        assert potential != Game(potential.payoffs, name=potential.name)  # another type
+        assert potential != dataclasses.replace(potential, potential=np.eye(2))
+        assert rps != "generalized_rps" and rps != rps.payoffs
 
 
 class TestBuiltinGames:

@@ -12,6 +12,7 @@ from svsa.engine import NoiseModel, StepSchedule, run_sgd
 from svsa.maps import abs_value, clarke_map, negate, singleton_map
 from svsa.occupation import (Ball, Box, OccupationMeasure, SmoothTestFunction,
                              TestFunctionBank, UndefinedEstimateError, _exponents,
+                             _unique_rows,
                              accumulate, bump_on_ball, centroid_field_estimate,
                              centroid_membership_gap, circulation,
                              closed_residual, constant_one,
@@ -472,6 +473,18 @@ class TestProperties:
         assert abs(mu.total_weight - w.sum()) <= 1e-12 * w.sum()
         if w.shape[0] > max_samples:
             assert np.all(mu.weights == mu.weights[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 4)).flatmap(
+        lambda shape: arrays(np.int64, shape, elements=st.integers(-3, 3)
+                             | st.sampled_from([-2**63, 2**63 - 1]))))
+    def test_unique_rows_match_numpy_unique(self, cells):
+        # Few values per entry, so rows repeat; negatives and int64 extremes.
+        rows, inverse = _unique_rows(cells)
+        want_rows, want_inverse = np.unique(cells, axis=0, return_inverse=True)
+        assert rows.dtype == want_rows.dtype and inverse.dtype == want_inverse.dtype
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
