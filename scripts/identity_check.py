@@ -85,7 +85,7 @@ CONFIGS = [
       "n_steps": 2000, "seeds": [1], "checkpoint_base": 250}, 700),
 ]
 WORKLOAD_SEED = 7
-WORKLOADS = ("sgd_abs_seeds", "shb_quad2_pipeline", "fp_rps_pipeline")
+RUN_WORKLOADS = ("sgd_abs_seeds", "shb_quad2_pipeline", "fp_rps_pipeline")
 
 
 def produce(out: Path) -> None:
@@ -97,7 +97,7 @@ def produce(out: Path) -> None:
     import workloads
 
     configs = list(CONFIGS)
-    for name in WORKLOADS:
+    for name in RUN_WORKLOADS:
         configs.append((workloads.WORKLOADS[name](WORKLOAD_SEED, out, False).doc, None))
     runs = out / "runs"
     accumulate = experiments.accumulate
@@ -122,7 +122,7 @@ def compared_files(out: Path) -> dict[str, bytes]:
     files = {}
     for path in sorted(out.rglob("*")):
         rel = str(path.relative_to(out))
-        if not path.is_file() or path.suffix not in (".json", ".csv", ".txt"):
+        if not path.is_file():
             continue
         if path.name == "manifest.json":
             manifest = json.loads(path.read_bytes())
