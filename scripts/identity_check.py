@@ -14,6 +14,8 @@ on the command line.
 It compares byte for byte: every summary.json, trajectory.csv and checkpoint
 sidecar, every checkpoint CSV that both checkouts wrote, manifest.json
 without its ``files`` list, and every diagnose exit code and standard output.
+A sidecar marked ``standalone`` (a thinned checkpoint, whose samples are only
+in its CSV) is compared as the bytes it would have without that key.
 A checkpoint CSV that only one checkout writes is listed, not counted as a
 difference (a prefix checkpoint may be stored as its sidecar alone); any other
 file that only one writes is one.  It prints each difference and exits 1 if
@@ -118,7 +120,8 @@ def produce(out: Path) -> None:
 
 
 def compared_files(out: Path) -> dict[str, bytes]:
-    """Relative path -> the bytes compared; manifest.json without its file list."""
+    """Relative path -> the bytes compared; manifest.json without its file list,
+    a standalone sidecar without its mark."""
     files = {}
     for path in sorted(out.rglob("*")):
         rel = str(path.relative_to(out))
@@ -128,6 +131,10 @@ def compared_files(out: Path) -> dict[str, bytes]:
             manifest = json.loads(path.read_bytes())
             manifest.pop("files", None)
             files[rel] = json.dumps(manifest, sort_keys=True).encode()
+        elif path.match("checkpoint_*.json") and "standalone" in (
+                meta := json.loads(path.read_bytes())):
+            del meta["standalone"]
+            files[rel] = (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()
         else:
             files[rel] = path.read_bytes()
     return files

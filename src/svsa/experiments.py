@@ -537,12 +537,17 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
     if out_dir is not None:
         seed_dir = Path(out_dir)
         seed_dir.mkdir(parents=True, exist_ok=True)
+        # Checkpoint files of an earlier run into this directory would be
+        # diagnosed from their old samples or against this run's trajectory.
+        for stale in seed_dir.glob("checkpoint_*"):
+            if stale.suffix in (".csv", ".json"):
+                stale.unlink()
         _write_trajectory_csv(traj, seed_dir / "trajectory.csv")
         # A prefix checkpoint's samples are rows of trajectory.csv: only its
         # sidecar is written.
         for m, i in zip(measures, iterations):
             save_checkpoint(m, seed_dir / f"checkpoint_{i}.csv", iteration=i, seed=seed,
-                            diagnostics=diag, samples=m.n_samples != i)
+                            diagnostics=diag, prefix=m.n_samples == i)
         with open(seed_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -619,6 +624,8 @@ def diagnose_checkpoint(csv_path) -> dict:
     centroid probes need the problem, so they are left out.
     """
     measure, meta = load_checkpoint(csv_path)
+    if not isinstance(meta.get("iteration"), int):
+        raise ValueError("checkpoint sidecar: an integer iteration required")
     diag = {**_diagnostics_from_doc(meta.get("diagnostics", {}), measure.dimension),
             "centroid_probes": None}
     entry = _checkpoint_diagnostics(measure, diag, meta["iteration"])

@@ -308,16 +308,22 @@ def trajectory_columns(n: int) -> list[str]:
 
 def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
                     seed: int | None, diagnostics: dict | None = None,
-                    samples: bool = True) -> tuple[Path, ...]:
+                    prefix: bool | None = None) -> tuple[Path, ...]:
     """Write a JSON sidecar with dimension, total weight, iteration and seed,
     and the run's diagnostics block when one is given; return the paths
-    written.  With ``samples`` the sample table goes first to ``csv_path`` as
-    CSV (header row, 17 significant digits).  Without, the measure must be the
-    first ``iteration`` rows of the trajectory.csv beside it, which is where
-    ``load_checkpoint`` then reads them."""
+    written.
+
+    By default the sample table goes first to ``csv_path`` as CSV (header
+    row, 17 significant digits).  A run says whether the measure is a
+    ``prefix`` of the trajectory.csv beside ``csv_path``: if so only the
+    sidecar is written, and ``load_checkpoint`` reads the first
+    ``iteration`` rows of the trajectory unless a file is at ``csv_path``.
+    If not (a thinned measure), the CSV is written and the sidecar is marked
+    ``standalone``, so that its samples are never taken from the
+    trajectory."""
     csv_path = Path(csv_path)
     n = measure.dimension
-    if samples:
+    if not prefix:
         header = ["j"] + [f"x{k}" for k in range(n)] + [f"v{k}" for k in range(n)] + ["weight"]
         write_csv(csv_path, header, np.column_stack([np.arange(measure.n_samples),
                                                      measure.positions, measure.velocities,
@@ -325,12 +331,14 @@ def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
     sidecar = checkpoint_sidecar_path(csv_path)
     meta = {"dimension": n, "total_weight": measure.total_weight,
             "iteration": int(iteration), "seed": seed}
+    if prefix is False:
+        meta["standalone"] = True
     if diagnostics is not None:
         meta["diagnostics"] = diagnostics
     with open(sidecar, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return (csv_path, sidecar) if samples else (sidecar,)
+    return (sidecar,) if prefix else (csv_path, sidecar)
 
 
 def _is_count(v, least: int = 0) -> bool:
@@ -355,29 +363,34 @@ def _trajectory_prefix(path: Path, n: int, rows: int) -> tuple[np.ndarray, ...]:
 
 def load_checkpoint(csv_path) -> tuple[OccupationMeasure, dict]:
     """The measure and sidecar of a checkpoint: its samples from ``csv_path``
-    when that file exists, else the sidecar's ``iteration`` first rows of the
-    trajectory.csv beside it."""
+    when that file exists or the sidecar marks it ``standalone``, else the
+    sidecar's ``iteration`` first rows of the trajectory.csv beside it.  The
+    returned sidecar leaves out the ``standalone`` mark, which only says where
+    the samples are."""
     csv_path = Path(csv_path)
     sidecar = checkpoint_sidecar_path(csv_path)
     with open(sidecar) as fh:
         meta = json.load(fh)
-    if not (isinstance(meta, dict) and _is_count(meta.get("dimension"), 1)
-            and _is_count(meta.get("iteration"), 1)):
+    if not (isinstance(meta, dict) and _is_count(meta.get("dimension"), 1)):
         raise ValueError(f"{sidecar.name}: a JSON object with a positive integer dimension "
-                         "and iteration required")
+                         "required")
     n = meta["dimension"]
-    standalone = csv_path.exists()
-    if standalone:
+    if meta.pop("standalone", False) or csv_path.exists():
+        source = csv_path
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != 2 * n + 2:
             raise ValueError(f"checkpoint has {data.shape[1]} columns, expected {2 * n + 2}")
         columns = data[:, 1:n + 1], data[:, n + 1:2 * n + 1], data[:, 2 * n + 1]
     else:
-        columns = _trajectory_prefix(csv_path.parent / "trajectory.csv", n, meta["iteration"])
+        if not _is_count(meta.get("iteration"), 1):
+            raise ValueError(f"{sidecar.name}: a positive integer iteration required to read "
+                             "the trajectory rows")
+        source = csv_path.parent / "trajectory.csv"
+        columns = _trajectory_prefix(source, n, meta["iteration"])
     # the column slices are not contiguous, so from_arrays copies them
     measure = OccupationMeasure.from_arrays(*columns)
-    if not standalone and measure.total_weight != meta.get("total_weight"):
-        raise ValueError(f"trajectory.csv rows weigh {measure.total_weight!r}, "
+    if measure.total_weight != meta.get("total_weight"):
+        raise ValueError(f"{source.name} rows weigh {measure.total_weight!r}, "
                          f"{sidecar.name} says {meta.get('total_weight')!r}")
     return measure, meta
 

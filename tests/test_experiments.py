@@ -217,6 +217,20 @@ class TestThinnedCheckpoints:
             assert recomputed["n_samples"] == entry["n_samples"]
             assert recomputed["closed_residuals"] == entry["closed_residuals"]
 
+        # A thinned sidecar is marked, so its samples never come from the
+        # trajectory: without its CSV it is unreadable, and a total weight
+        # that differs from the CSV's is rejected.
+        sidecar = seed_dir / "checkpoint_1000.json"
+        meta = json.loads(sidecar.read_text())
+        assert meta["standalone"] is True
+        assert "standalone" not in json.loads(_diagnose(seed_dir / "checkpoint_1000.csv")[1])[
+            "sidecar"]
+        _tamper_total_weight(seed_dir)
+        assert _diagnose(seed_dir / "checkpoint_1000.csv")[0] == 1
+        sidecar.write_text(json.dumps(meta))
+        (seed_dir / "checkpoint_1000.csv").unlink()
+        assert _diagnose(seed_dir / "checkpoint_1000.csv")[0] == 3
+
 
 class TestDiagnose:
     def _assert_round_trip(self, tmp_path, doc):
@@ -306,6 +320,30 @@ class TestCheckpointLayout:
         (seed_dir / "trajectory.csv").unlink()  # so the sample CSVs are what is read
         assert [_diagnose(seed_dir / f"checkpoint_{i}.csv") for i in iterations] == new
         assert all(code == 0 for code, _ in new)
+
+
+    def test_rerun_into_the_same_directory_reports_the_new_run(self, monkeypatch, tmp_path):
+        # The first run's checkpoints are thinned to sample CSVs and it runs
+        # longer; the second, edited under the same name, stores sidecars only.
+        first = {"name": "rerun", "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, 0.5]},
+                 "schedule": {"kind": "power", "a": 0.5, "rho": 0.6},
+                 "noise": {"kind": "gaussian", "sigma": 0.3},
+                 "n_steps": 4000, "seeds": [1], "checkpoint_base": 250}
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "accumulate",
+                          functools.partial(accumulate, max_samples=700))
+            run_experiment(first, out_dir=tmp_path)
+        seed_dir = tmp_path / "rerun" / "1"
+        assert (seed_dir / "checkpoint_1000.csv").exists()
+        second = {**first, "noise": {"kind": "gaussian", "sigma": 0.6}, "n_steps": 2000}
+        run_experiment(second, out_dir=tmp_path)
+        summary = json.loads((seed_dir / "summary.json").read_text())
+        assert sorted(p.name for p in seed_dir.glob("checkpoint_*")) == sorted(
+            f"checkpoint_{entry['iteration']}.json" for entry in summary["checkpoints"])
+        for entry in summary["checkpoints"]:
+            recomputed = diagnose_checkpoint(seed_dir / f"checkpoint_{entry['iteration']}.csv")
+            recomputed.pop("sidecar")
+            assert recomputed == {k: entry[k] for k in recomputed}
 
 
 def _truncate_trajectory(seed_dir):

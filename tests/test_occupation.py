@@ -359,6 +359,24 @@ class TestCheckpointIO:
         assert raw.startswith(b"j,x0,v0,weight\r\n")
         assert b"\r\n" in raw
 
+    def test_any_iteration_round_trips(self, tmp_path):
+        mu = OccupationMeasure.from_arrays([[1.0]], [[2.0]], [0.5])
+        csv_path, _ = save_checkpoint(mu, tmp_path / "c.csv", iteration=0, seed=None)
+        loaded, meta = load_checkpoint(csv_path)
+        assert meta["iteration"] == 0
+        np.testing.assert_array_equal(loaded.weights, mu.weights)
+
+    def test_thinned_checkpoint_is_marked_standalone(self, tmp_path):
+        mu = OccupationMeasure.from_arrays([[1.0]], [[2.0]], [0.5])
+        csv_path, sidecar = save_checkpoint(mu, tmp_path / "checkpoint_9.csv", iteration=9,
+                                            seed=None, prefix=False)
+        assert '"standalone": true' in sidecar.read_text()
+        loaded, meta = load_checkpoint(csv_path)
+        assert "standalone" not in meta and loaded.total_weight == 0.5
+        csv_path.unlink()
+        with pytest.raises(FileNotFoundError, match="checkpoint_9.csv"):
+            load_checkpoint(csv_path)  # not read from a trajectory.csv
+
     def test_csv_bytes_are_pinned(self, tmp_path):
         # 17 significant digits, signed zero, a subnormal and a large exponent.
         mu = OccupationMeasure.from_arrays([[0.1, -0.0], [1.2e17, 5e-324]],
