@@ -7,7 +7,9 @@ checkout (this one and ``--baseline``, say the parent commit made with
 ``git archive`` or ``git clone``): small sgd, heavy-ball, fictitious-play and
 custom-map runs, an escaping run, the three run workloads of
 ``bench/workloads.py`` at seed 7, a heavy-ball run whose checkpoints are
-thinned to 700 samples, and fictitious play with centroid probes.  Then it
+thinned to 700 samples, and fictitious play with centroid probes, from the
+uniform start (both players tie at step 0) and on an integer-payoff 3-player
+game that ties often, so the uniform draw over ties is compared.  Then it
 runs ``svsa diagnose`` on every checkpoint, named ``checkpoint_<N>.csv`` as
 on the command line.
 
@@ -85,6 +87,18 @@ CONFIGS = [
       "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, 0.5]},
       "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
       "n_steps": 2000, "seeds": [1], "checkpoint_base": 250}, 700),
+    ({"name": "fp_mp_uniform",
+      "problem": {"kind": "fictitious_play", "game": "matching_pennies"},
+      "n_steps": 2000, "seeds": [1, 2], "checkpoint_base": 500}, None),
+    ({"name": "fp_three_player_ties",
+      "problem": {"kind": "fictitious_play", "game": {
+          "name": "three_player_ties", "players": 3, "action_counts": [2, 3, 2],
+          "payoff_tensors": [[[[1, 0], [0, -1], [1, 0]], [[0, -1], [1, 0], [0, -1]]],
+                             [[[0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]],
+                             [[[1, 0], [1, 0], [0, -1]], [[0, 1], [0, 1], [-1, 0]]]]}},
+      "n_steps": 2000, "seeds": [3], "checkpoint_base": 500,
+      "diagnostics": {"centroid_probes": [[0.5, 0.5, 1 / 3, 1 / 3, 1 / 3, 0.5, 0.5],
+                                          [1.0, 0.0, 0.0, 1.0, 0.0, 0.5, 0.5]]}}, None),
 ]
 WORKLOAD_SEED = 7
 RUN_WORKLOADS = ("sgd_abs_seeds", "shb_quad2_pipeline", "fp_rps_pipeline")

@@ -395,16 +395,19 @@ def run_fictitious_play(game: "games_mod.Game", n_steps: int, seed,
     dim = game.profile_dimension
     xi0 = _start(np.concatenate(games_mod.initial_profile(game, xi0)), n_steps, math.inf)
 
-    offsets = np.concatenate([[0], np.cumsum(game.action_counts)]).astype(int)
+    ends = np.cumsum(game.action_counts).tolist()
+    spans = list(zip([0] + ends, ends))
+    # (player, its first coordinate, its opponents' spans), built once per run
+    players = [(i, a, spans[:i] + spans[i + 1:]) for i, (a, _) in enumerate(spans)]
     eps = 1.0 / (np.arange(n_steps, dtype=float) + 2.0)
+    eps_list = eps.tolist()
 
     def advance(n, xi):
         play = np.zeros(dim)
-        for i in range(game.n_players):
-            opponents = [xi[offsets[j]:offsets[j + 1]]
-                         for j in range(game.n_players) if j != i]
-            play[offsets[i]:offsets[i + 1]] = games_mod.strategy_draw(game, i, opponents, rng)
-        return xi + eps[n] * (play - xi)
+        for i, start, others in players:
+            idx = games_mod.best_response_indices(game, i, [xi[a:b] for a, b in others])
+            play[start + games_mod.draw_best_response(idx, rng)] = 1.0
+        return xi + eps_list[n] * (play - xi)
 
     return _iterate(xi0, advance, eps, np.zeros(n_steps), np.zeros((n_steps, dim)),
                     math.inf, seed_val)

@@ -444,14 +444,16 @@ def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: i
                                            degree=int(diag["bank_degree"]),
                                            n_bumps=int(diag["bank_bumps"]),
                                            seed=int(diag["bank_seed"]))
+    moment = velocity_moment(measure, float(diag["velocity_moment_order"]))
     entry: dict = {
         "iteration": int(iteration),
         "n_samples": measure.n_samples,
         "total_weight": measure.total_weight,
         "closed_residuals": bank.closed_residuals(measure),
         "oscillation": {},
+        # an overflowing moment is null, as an undefined centroid gap is: JSON has no Infinity
         "velocity_moment": {"order": diag["velocity_moment_order"],
-                            "value": velocity_moment(measure, float(diag["velocity_moment_order"]))},
+                            "value": moment if math.isfinite(moment) else None},
     }
     for psi in bank.weights:
         stat = oscillation_statistic(measure, psi)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -26,6 +27,15 @@ def _equal(a, b) -> bool:
     if isinstance(a, tuple):
         return len(a) == len(b) and all(map(_equal, a, b))
     return bool(np.array_equal(a, b))
+
+
+def _hash_key(a):
+    """What ``_equal`` compares, as a hashable value; -0.0 counts as 0.0."""
+    if isinstance(a, tuple):
+        return tuple(map(_hash_key, a))
+    if isinstance(a, np.ndarray):
+        return a.shape, (a + 0.0).tobytes()
+    return a
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,8 @@ class Game:
             raise ValueError("each payoff tensor must have one axis per player, all equal shapes")
         if 0 in shape:
             raise ValueError("every player needs at least one action")
+        if not all(np.isfinite(u).all() for u in payoffs):
+            raise ValueError("payoffs must be finite")
         # Each player's tensor with its own axis first, built once.  It stays a
         # view: a contiguous copy could change the bits of the matmuls below.
         object.__setattr__(self, "_own_axis_first",
@@ -58,6 +70,9 @@ class Game:
         if type(other) is not type(self):
             return NotImplemented
         return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def __hash__(self):
+        return hash((type(self),) + tuple(_hash_key(getattr(self, f.name)) for f in fields(self)))
 
     @property
     def n_players(self) -> int:
@@ -81,8 +96,8 @@ class Game:
         ``opponents`` lists the other players' mixed strategies in player order.
         """
         tensor = self._own_axis_first[i]
-        for strategy in reversed([np.asarray(s, dtype=float) for s in opponents]):
-            tensor = tensor @ strategy
+        for strategy in reversed(opponents):
+            tensor = tensor @ np.asarray(strategy, dtype=float)
         return tensor
 
     def payoff(self, i: int, profile: Sequence) -> float:
@@ -106,8 +121,19 @@ def initial_profile(game: Game, xi0: Sequence | None = None) -> list[np.ndarray]
 
 
 def best_response_indices(game: Game, i: int, opponents: Sequence) -> np.ndarray:
-    u = game.pure_action_payoffs(i, opponents)
-    return np.flatnonzero(u >= u.max() - game.br_tol)
+    """Player i's actions within ``br_tol`` of its best payoff: the max and the
+    tie test of ``np.flatnonzero(u >= u.max() - br_tol)`` on plain floats."""
+    u = game.pure_action_payoffs(i, opponents).tolist()
+    if math.isnan(sum(u)) and any(map(math.isnan, u)):  # max() would skip a NaN
+        raise ValueError(f"player {i} has a NaN payoff")
+    cut = max(u) - game.br_tol
+    return np.array([a for a, x in enumerate(u) if x >= cut], dtype=np.intp)
+
+
+def draw_best_response(idx: np.ndarray, rng: np.random.Generator) -> int:
+    """An entry of ``idx`` uniformly at random.  A unique best response draws
+    nothing: ``rng.integers(1)`` would leave the generator unchanged anyway."""
+    return int(idx[rng.integers(len(idx))] if len(idx) > 1 else idx[0])
 
 
 def best_response(game: Game, i: int, opponents: Sequence) -> Polytope:
@@ -122,10 +148,8 @@ def best_response(game: Game, i: int, opponents: Sequence) -> Polytope:
 def strategy_draw(game: Game, i: int, opponents: Sequence,
                   rng: np.random.Generator) -> np.ndarray:
     """A pure action supported on the best-response set, uniform over ties."""
-    idx = best_response_indices(game, i, opponents)
-    a = idx[int(rng.integers(idx.size))]
     out = np.zeros(game.action_counts[i])
-    out[a] = 1.0
+    out[draw_best_response(best_response_indices(game, i, opponents), rng)] = 1.0
     return out
 
 
@@ -179,9 +203,15 @@ def generalized_rps(a: float = 1.0, b: float = 2.0) -> Game:
     return Game((m, m.T), name=f"generalized_rps(a={a}, b={b})")
 
 
-@dataclass(frozen=True, eq=False)  # Game's equality covers the potential too
+@dataclass(frozen=True, eq=False)  # Game's equality and hash cover the potential too
 class PotentialGame(Game):
     potential: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "potential", np.asarray(self.potential, dtype=float))
+        if not np.isfinite(self.potential).all():
+            raise ValueError("the potential must be finite")
 
     def potential_value(self, profile: Sequence) -> float:
         value = self.potential

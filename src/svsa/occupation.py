@@ -230,7 +230,8 @@ def velocity_moment(measure: OccupationMeasure, q: float) -> float:
     if q <= 1.0:
         raise ValueError("moment order must exceed 1")
     speeds = np.linalg.norm(measure.velocities, axis=1)
-    return float(np.sum(measure.weights * speeds ** q) / measure.total_weight)
+    with np.errstate(over="ignore"):  # a moment too large for a float is inf
+        return float(np.sum(measure.weights * speeds ** q) / measure.total_weight)
 
 
 class OscillationStatistic(NamedTuple):

@@ -132,3 +132,21 @@ def reference_monomial(center, half, alpha) -> SmoothTestFunction:
     lip = float(np.sqrt(np.sum((bound / np.outer(half, half)) ** 2)))
     grad_sup = float(np.sqrt(np.sum((alpha / half) ** 2)))
     return SmoothTestFunction(name, value, gradient, max(lip, 2.0 * grad_sup))
+
+
+def reference_best_response_indices(game, i, opponents) -> np.ndarray:
+    """Player i's best responses by the plain numpy formula, the payoff vector
+    from the moved payoff tensor and the opponents in reversed order."""
+    u = np.moveaxis(game.payoffs[i], i, 0)
+    for strategy in reversed([np.asarray(s, dtype=float) for s in opponents]):
+        u = u @ strategy
+    return np.flatnonzero(u >= u.max() - game.br_tol)
+
+
+def reference_strategy_draw(game, i, opponents, rng: np.random.Generator) -> np.ndarray:
+    """The draw over the reference best responses, always calling
+    ``rng.integers`` (a unique best response draws from a range of one)."""
+    idx = reference_best_response_indices(game, i, opponents)
+    out = np.zeros(game.action_counts[i])
+    out[idx[int(rng.integers(idx.size))]] = 1.0
+    return out

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
                          run_sa, run_sgd, run_shb, sa_step,
                          shb_single_variable_coefficients)
-from svsa.games import Game, generalized_rps, matching_pennies
+from svsa.games import Game, game_from_json, generalized_rps, matching_pennies
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
                        abs_value, clarke_map, enlargement_slack, half_square_norm,
                        max_of_squares, negate, singleton_map)
@@ -394,6 +394,12 @@ def _sa_step_run():
                       noises=np.array(noises), clock=np.zeros(201))
 
 
+THREE_PLAYER_TIES = {
+    "name": "three_player_ties", "players": 3, "action_counts": [2, 3, 2],
+    "payoff_tensors": [[[[1, 0], [0, -1], [1, 0]], [[0, -1], [1, 0], [0, -1]]],
+                       [[[0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]],
+                       [[[1, 0], [1, 0], [0, -1]], [[0, 1], [0, 1], [-1, 0]]]]}
+
 FROZEN_RUNS = {
     "sgd_abs": lambda: run_sgd(abs_value(), StepSchedule.power(0.5, 0.6),
                                NoiseModel.gaussian(0.5), 400, 100.0, 1, [1.0]),
@@ -424,6 +430,8 @@ FROZEN_RUNS = {
     "fp_rps": lambda: run_fictitious_play(generalized_rps(1.0, 2.0), 400, 6),
     "fp_pennies_xi0": lambda: run_fictitious_play(matching_pennies(), 400, 11,
                                                   xi0=[[0.9, 0.1], [0.3, 0.7]]),
+    # Every player ties now and then, up to three ways: the uniform draw over ties.
+    "fp_three_player_ties": lambda: run_fictitious_play(game_from_json(THREE_PLAYER_TIES), 400, 5),
     "sa_step_chain": _sa_step_run,
 }
 
@@ -441,6 +449,13 @@ FROZEN_DIGESTS = {
         'steps': '2370a1ee875e3242',
         'deltas': 'b9385a015d471e8d',
         'noises': '2799d97a199390ee',
+        'clock': '9c1b15cd34033f96'},
+    'fp_three_player_ties': {
+        'states': '9ce8c7b6067bb0db',
+        'velocities': '38cb67540b9f1afe',
+        'steps': '2370a1ee875e3242',
+        'deltas': 'b9385a015d471e8d',
+        'noises': 'd2d8c8068fa9303e',
         'clock': '9c1b15cd34033f96'},
     'sa_doubling_escape': {
         'states': '5170330dce08a334',
@@ -510,6 +525,7 @@ FROZEN_DIGESTS = {
 FROZEN_FIELDS = {
     'fp_pennies_xi0': ('completed', None, None, 11),
     'fp_rps': ('completed', None, None, 6),
+    'fp_three_player_ties': ('completed', None, None, 5),
     'sa_doubling_escape': ('escaped', 10, 1024.0, 4),
     'sa_sign_descent_delta': ('completed', None, None, 3),
     'sa_step_chain': ('completed', None, None, None),

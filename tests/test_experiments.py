@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +37,8 @@ def sgd_doc(n_steps=4000, seeds=(1, 2), base=1000):
 
 SHB_PROBLEM = {"kind": "shb", "f": "quad1", "q0": [1.0]}
 FP_PROBLEM = {"kind": "fictitious_play", "game": "matching_pennies"}
+INLINE_PENNIES = {"players": 2, "action_counts": [2, 2],
+                  "payoff_tensors": [[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]}
 
 
 def escape_doc():
@@ -465,6 +468,15 @@ class TestCli:
         (lambda doc: doc.update(diagnostics={"bank_degree": True}),
          "diagnostics.bank_degree: a non-negative integer required"),
         (lambda doc: doc.update(guard_radius=True), "guard_radius: a number required"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": dict(
+            INLINE_PENNIES, payoff_tensors=[[[float("nan"), -1], [-1, 1]], [[-1, 1], [1, -1]]])}),
+         "problem.game: payoffs must be finite"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": dict(
+            INLINE_PENNIES, payoff_tensors=[[[1, -1], [-1, 1]], [[-1, 1], [1, -math.inf]]])}),
+         "problem.game: payoffs must be finite"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": {"name": "generalized_rps",
+                                                                 "a": math.inf}}),
+         "problem.game: payoffs must be finite"),
     ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game",
             "objective_suffix", "objective_dimension_0", "objective_not_a_string",
             "negative_sigma", "moment_order_not_a_number", "unknown_diagnostics_key",
@@ -478,7 +490,7 @@ class TestCli:
             "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool",
             "step_underflow", "heavy_ball_alpha_underflow", "seed_is_a_bool",
             "checkpoint_base_is_a_bool", "n_steps_is_a_bool", "bank_degree_is_a_bool",
-            "guard_radius_is_a_bool"])
+            "guard_radius_is_a_bool", "nan_payoff", "infinite_payoff", "rps_with_infinite_win"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
         doc = sgd_doc(n_steps=1000, base=500)
         edit(doc)
@@ -491,6 +503,31 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"config error: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_velocity_moment_is_written_as_null(self, tmp_path):
+        # JSON has no Infinity: a moment too large for a float is null, in the
+        # summary and in diagnose, while a finite one stays a number.
+        def strict(text):
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+
+        doc = sgd_doc(n_steps=1000, seeds=(1,), base=500)
+        doc["diagnostics"] = {"velocity_moment_order": 1000}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        seed_dir = tmp_path / "out" / "sgd_abs_small" / "1"
+        summary = strict((seed_dir / "summary.json").read_text())
+        assert [c["velocity_moment"] for c in summary["checkpoints"]] == [
+            {"order": 1000, "value": None}] * 2
+        for n in (500, 1000):
+            code, out = _diagnose(seed_dir / f"checkpoint_{n}.csv")
+            assert code == 0 and strict(out)["velocity_moment"] == {"order": 1000, "value": None}
+        doc["diagnostics"] = {"velocity_moment_order": 3}
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = strict((seed_dir / "summary.json").read_text())
+        assert all(isinstance(c["velocity_moment"]["value"], float)
+                   for c in summary["checkpoints"])
 
     def test_empty_seeds_override_is_code_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

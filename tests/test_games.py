@@ -4,12 +4,31 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svsa.games import (Game, best_response, best_response_indices,
+from helpers import reference_best_response_indices, reference_strategy_draw
+from svsa.games import (Game, PotentialGame, best_response, best_response_indices,
                         builtin_games, game_from_json, game_map, game_to_json,
                         generalized_rps, matching_pennies, potential_2x2,
                         strategy_draw)
 from svsa.geometry import distance_to_hull
+
+
+@st.composite
+def tied_games(draw):
+    """A 2- or 3-player game with small integer payoffs, a player and rational
+    opponent profiles: exact ties are frequent."""
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    size = int(np.prod(counts))
+    payoffs = tuple(np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)),
+                             dtype=float).reshape(counts) for _ in counts)
+    i = draw(st.integers(0, len(counts) - 1))
+    opponents = []
+    for j, k in enumerate(counts):
+        if j != i:
+            w = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), dtype=float)
+            opponents.append(w / w.sum() if w.sum() > 0 else np.full(k, 1.0 / k))
+    return Game(payoffs), i, opponents
 
 
 class TestBestResponse:
@@ -44,6 +63,50 @@ class TestBestResponse:
             opp = rng.dirichlet(np.ones(3))
             np.testing.assert_array_equal(best_response_indices(game, 0, [opp]),
                                           best_response_indices(scaled, 0, [opp]))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_games(), st.integers(0, 2**32 - 1))
+    def test_matches_the_numpy_formula_and_its_draws(self, case, seed):
+        game, i, opponents = case
+        idx = best_response_indices(game, i, opponents)
+        want = reference_best_response_indices(game, i, opponents)
+        assert idx.dtype == want.dtype and np.array_equal(idx, want)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # also from a state with a buffered uint32
+            assert np.array_equal(strategy_draw(game, i, opponents, rng),
+                                  reference_strategy_draw(game, i, opponents, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_range_of_one_draws_nothing(self, seed):
+        # A unique best response skips rng.integers(1); that keeps the random
+        # stream only because numpy leaves the generator untouched for it.
+        rng, buffered = np.random.default_rng(seed), set()
+        for draw in (lambda: None, lambda: rng.integers(3), lambda: rng.integers(2**40),
+                     lambda: rng.random()):
+            draw()
+            state = rng.bit_generator.state
+            buffered.add(state["has_uint32"])
+            assert rng.integers(1) == 0
+            assert rng.bit_generator.state == state
+        assert buffered == {0, 1}  # with and without a buffered uint32
+
+    @pytest.mark.parametrize("action", [0, 1])
+    def test_a_nan_payoff_is_an_error_wherever_it_sits(self, action):
+        # Finite payoffs against weights off the simplex: the first product
+        # overflows to [inf, -inf] and the second makes it NaN.  max() on
+        # floats would skip a NaN that is not first, so it must raise.
+        u = np.zeros((2, 2, 2))
+        u[action] = [[1e308, 1e308], [-1e308, -1e308]]
+        game = Game((u, u, u))
+        opponents = [[0.5, 0.5], [1.0, 1.0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(game.pure_action_payoffs(0, opponents)[action])
+            with pytest.raises(ValueError, match="NaN payoff"):
+                best_response_indices(game, 0, opponents)
+            with pytest.raises(ValueError, match="NaN payoff"):
+                strategy_draw(game, 0, opponents, np.random.default_rng(0))
 
 
 class TestGameMap:
@@ -144,6 +207,26 @@ class TestEquality:
         assert rps != "generalized_rps" and rps != rps.payoffs
 
 
+    @pytest.mark.parametrize("build", [matching_pennies, generalized_rps, potential_2x2],
+                             ids=["pennies", "rps", "potential"])
+    def test_equal_games_hash_equal(self, build):
+        game = build()
+        copy = pickle.loads(pickle.dumps(game))
+        assert hash(game) == hash(build()) == hash(copy)
+        assert {game: "value"}[copy] == "value"
+
+    def test_signed_zeros_hash_equal(self):
+        u = np.array([[0.0, 1.0], [1.0, 0.0]])
+        zero, negative = Game((u, np.zeros((2, 2)))), Game((u, -np.zeros((2, 2))))
+        assert zero == negative and hash(zero) == hash(negative)
+
+    def test_the_potential_is_part_of_the_key(self):
+        potential = potential_2x2()
+        other = dataclasses.replace(potential, potential=np.eye(2))
+        plain = Game(potential.payoffs, name=potential.name)
+        assert len({potential: 0, other: 1, plain: 2}) == 3
+
+
 class TestBuiltinGames:
     def test_matching_pennies_is_zero_sum_with_even_nash(self):
         game = matching_pennies()
@@ -205,3 +288,11 @@ def test_game_validation():
         Game(())
     with pytest.raises(ValueError):
         Game((np.zeros((2, 2)), np.zeros((2, 3))))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="payoffs must be finite"):
+            Game((np.array([[0.0, bad], [1.0, 0.0]]), np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="the potential must be finite"):
+            PotentialGame((np.eye(2), np.eye(2)), potential=[[bad, 0.0], [0.0, 1.0]])
+    for a, b in ((np.inf, 2.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="payoffs must be finite"):
+            generalized_rps(a, b)
