@@ -9,8 +9,12 @@ custom-map runs, an escaping run, the three run workloads of
 ``bench/workloads.py`` at seed 7, a heavy-ball run whose checkpoints are
 thinned to 700 samples, and fictitious play with centroid probes, from the
 uniform start (both players tie at step 0) and on an integer-payoff 3-player
-game that ties often, so the uniform draw over ties is compared.  Then it
-runs ``svsa diagnose`` on every checkpoint, named ``checkpoint_<N>.csv`` as
+game that ties often, so the uniform draw over ties is compared.  Seeds of a
+config are stepped in lockstep, so several configs run a few seeds at once:
+sgd on maxsq3 from a tie with random vertices (kinks on most steps), heavy
+ball on maxsq2, and sgd on |x| where some seeds escape mid-run and the others
+complete (the script fails if that config does not show both statuses).  Then
+it runs ``svsa diagnose`` on every checkpoint, named ``checkpoint_<N>.csv`` as
 on the command line.
 
 It compares byte for byte: every summary.json, trajectory.csv and checkpoint
@@ -49,6 +53,8 @@ def _sgd(name: str, **extra) -> dict:
             "n_steps": 4000, "guard_radius": 100.0, "seeds": [1, 2],
             "checkpoint_base": 1000, **extra}
 
+
+MIXED_STATUSES = "sgd_abs_escapes_mixed"  # seeds 1 and 4 escape, 2 and 3 complete
 
 # (config, max_samples or None): a run with max_samples thins its checkpoints.
 CONFIGS = [
@@ -99,6 +105,17 @@ CONFIGS = [
       "n_steps": 2000, "seeds": [3], "checkpoint_base": 500,
       "diagnostics": {"centroid_probes": [[0.5, 0.5, 1 / 3, 1 / 3, 1 / 3, 0.5, 0.5],
                                           [1.0, 0.0, 0.0, 1.0, 0.0, 0.5, 0.5]]}}, None),
+    ({"name": "sgd_maxsq3_tie_seeds",
+      "problem": {"kind": "sgd", "f": "maxsq3", "x0": [1.0, -1.0, 1.0]},
+      "schedule": {"kind": "constant", "a": 0.1}, "selection_rule": "random_vertex",
+      "n_steps": 600, "seeds": [1, 2, 3, 4], "checkpoint_base": 200}, None),
+    ({"name": "shb_maxsq2_seeds",
+      "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
+      "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
+      "n_steps": 1000, "seeds": [1, 2, 3], "checkpoint_base": 250}, None),
+    (_sgd(MIXED_STATUSES, schedule={"kind": "constant", "a": 0.05},
+          noise={"kind": "gaussian", "sigma": 4.0}, n_steps=3000, guard_radius=2.5,
+          seeds=[1, 2, 3, 4], checkpoint_base=500), None),
 ]
 WORKLOAD_SEED = 7
 RUN_WORKLOADS = ("sgd_abs_seeds", "shb_quad2_pipeline", "fp_rps_pipeline")
@@ -121,9 +138,12 @@ def produce(out: Path) -> None:
         experiments.accumulate = (accumulate if max_samples is None else
                                   functools.partial(accumulate, max_samples=max_samples))
         try:
-            experiments.run_experiment(doc, out_dir=runs)
+            report = experiments.run_experiment(doc, out_dir=runs)
         finally:
             experiments.accumulate = accumulate
+        statuses = {s["status"] for s in report.seed_summaries}
+        if doc["name"] == MIXED_STATUSES and statuses != {"completed", "escaped"}:
+            raise SystemExit(f"{MIXED_STATUSES}: statuses {sorted(statuses)}, not both")
     for sidecar in sorted(runs.rglob("checkpoint_*.json")):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):

@@ -7,24 +7,27 @@ radii, noise draws and the algorithmic clock t_i = sum_{j<i} eps_j.
 A hard guard radius makes the boundedness event observable: runs that
 leave the ball are truncated and marked escaped instead of projected.
 Every engine (the generic recursion, heavy ball, fictitious play) is a step
-function x_i -> x_{i+1} fed to the one loop that does this recording.
+function fed to the one loop that does this recording.  The loop steps the
+seeds of a batch in lockstep, a stack of S states at a time; a single-seed
+run is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import games as games_mod
 from .geometry import Polytope
 from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, clarke_subdifferential,
-                   enlargement_sample, select_subgradient)
+                   enlargement_sample, select_subgradients)
 from .maps import _select_from  # noqa: F401  (bench/tracing.py wraps it at this name)
 
 DEFAULT_SELECTION_RULE = "random_hull"
+_ALL_ROWS = slice(None)  # the index of a stack no seed has left
 
 
 # Step-size schedules -------------------------------------------------------
@@ -109,6 +112,7 @@ class NoiseModel:
         if not all(v >= 0.0 for v in (self.sigma, self.radius, self.scale, self.df)) or (
                 self.kind == "student_t" and self.df == 0.0):
             raise ValueError("noise scales must be non-negative and a student-t df positive")
+        object.__setattr__(self, "sigma", self.sigma + 0.0)  # numpy's normal rejects -0.0
 
     @classmethod
     def gaussian(cls, sigma: float, moment_order: float = 2.0) -> "NoiseModel":
@@ -196,10 +200,21 @@ class Trajectory:
         return float(self.clock[-1])
 
 
-def _as_rng(seed) -> tuple[np.random.Generator, int | None]:
-    if isinstance(seed, np.random.Generator):
-        return seed, None
-    return np.random.default_rng(seed), int(seed)
+def _as_rngs(seeds) -> tuple[list[np.random.Generator], list[int | None]]:
+    """One generator per seed (a Generator is used as given) and the recorded seeds."""
+    rngs = [s if isinstance(s, np.random.Generator) else np.random.default_rng(s) for s in seeds]
+    return rngs, [None if isinstance(s, np.random.Generator) else int(s) for s in seeds]
+
+
+def _noise_stack(noise: NoiseModel, rngs, n_steps: int, dimension: int,
+                 width: int | None = None) -> np.ndarray:
+    """Each seed's noise for the whole run, drawn first from its own generator,
+    in the last ``dimension`` columns of a zero (S, n_steps, width) stack."""
+    out = np.zeros((len(rngs), n_steps, width or dimension))
+    if noise.kind != "none":  # that kind draws nothing
+        for r, rng in enumerate(rngs):
+            out[r, :, out.shape[2] - dimension:] = noise.sample(n_steps, dimension, rng)
+    return out
 
 
 def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
@@ -238,39 +253,86 @@ def _start(x0, n_steps: int, guard_radius: float, rule: str = DEFAULT_SELECTION_
 
 
 def _iterate(x0: np.ndarray, advance, eps: np.ndarray, deltas: np.ndarray,
-             noises: np.ndarray, guard_radius: float, seed_val) -> Trajectory:
-    """The one recursion loop: x_{i+1} = advance(i, x_i) for ``len(eps)``
-    steps or until a state leaves the guard ball.
+             noises: np.ndarray, guard_radius: float, rngs: list,
+             seeds: list) -> Iterator[Trajectory]:
+    """The one recursion loop, for S seeds in lockstep, from x0 for ``len(eps)``
+    steps.  ``X = advance(i, X, rngs, rows)`` maps the (S', n) stack of the
+    seeds still inside the guard ball to their next states; ``rngs`` are their
+    generators and ``rows`` their index into the per-seed records, as in
+    ``noises[rows, i]``.  A seed stops at its first state outside the ball, as
+    its own run would.
 
-    Records v_{i+1} = (x_{i+1} - x_i)/eps_i in one pass after it, and the clock;
-    ``deltas`` and ``noises`` are the per-step records of the run, truncated with it.
+    Returns the S runs one by one, in seed order.  Their states, noises, steps,
+    deltas and clock are views of the stacked records; v_{i+1} =
+    (x_{i+1} - x_i)/eps_i is recorded when a run is reached, so a caller that
+    lets each run go holds the velocities of one run at a time.
     """
     if not np.all(eps > 0.0):
         raise ValueError("step sizes must be positive")
-    n_steps = eps.shape[0]
-    states = np.empty((n_steps + 1, x0.shape[0]))
-    states[0] = x0
+    S, n_steps, n = noises.shape
+    states = np.empty((S, n_steps + 1, n))
+    states[:, 0] = x0
     bound = guard_radius * guard_radius
-    status, escape_index, escape_norm = "completed", None, None
-    m = n_steps
-    x = x0
+    # hypot(*x) <= radius puts x inside the ball with a finite x @ x; any other
+    # stack is decided by float(x @ x) row by row
+    radius = min(0.5 * guard_radius, 1e150)
+    ends, norms = [n_steps] * S, [None] * S
+    live, rows = list(range(S)), _ALL_ROWS
+    X = np.repeat(x0[None], S, axis=0)
+    by_step = states.transpose(1, 0, 2)  # by_step[i] is the (S, n) stack of step i
     for i in range(n_steps):
-        x_next = advance(i, x)
-        states[i + 1] = x_next
-        sq = float(x_next @ x_next)
-        if not math.isfinite(sq) or sq > bound:
-            status, escape_index, m = "escaped", i + 1, i + 1
-            escape_norm = math.sqrt(sq) if math.isfinite(sq) else math.inf
+        X = advance(i, X, rngs, rows)
+        if rows is _ALL_ROWS:
+            by_step[i + 1] = X
+        else:
+            by_step[i + 1, rows] = X
+        if math.hypot(*X.ravel().tolist()) <= radius:  # the stack's norm bounds each row's
+            continue
+        keep = []
+        for j, r in enumerate(live):
+            sq = float(X[j] @ X[j])
+            if math.isfinite(sq) and sq <= bound:
+                keep.append(j)
+            else:
+                ends[r], norms[r] = i + 1, math.sqrt(sq) if math.isfinite(sq) else math.inf
+        if not keep:
             break
-        x = x_next
-    if m < n_steps:  # release the unused tail of an escaped run
-        states, eps = states[:m + 1].copy(), eps[:m].copy()
-        deltas, noises = deltas[:m].copy(), noises[:m].copy()
-    velocities = np.diff(states, axis=0) / eps[:, None]
+        if len(keep) < len(live):
+            live, rngs = [live[j] for j in keep], [rngs[j] for j in keep]
+            rows, X = np.array(live), X[keep]
     clock = np.concatenate([[0.0], np.cumsum(eps)])
-    return Trajectory(states=states, velocities=velocities, steps=eps, deltas=deltas,
-                      noises=noises, clock=clock, status=status,
-                      escape_index=escape_index, escape_norm=escape_norm, seed=seed_val)
+
+    def run(r: int) -> Trajectory:
+        m, norm = ends[r], norms[r]
+        return Trajectory(states=states[r, :m + 1],
+                          velocities=np.diff(states[r, :m + 1], axis=0) / eps[:m, None],
+                          steps=eps[:m], deltas=deltas[:m], noises=noises[r, :m],
+                          clock=clock[:m + 1], status="completed" if norm is None else "escaped",
+                          escape_index=None if norm is None else m, escape_norm=norm,
+                          seed=seeds[r])
+
+    return map(run, range(S))
+
+
+def run_sa_seeds(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
+                 delta_schedule: StepSchedule | None, n_steps: int, guard_radius: float,
+                 seeds: Sequence,
+                 rule: str = DEFAULT_SELECTION_RULE) -> Iterator[Trajectory]:
+    """``run_sa`` for each of ``seeds``, stepped in lockstep (the runs come one
+    by one, as ``_iterate`` returns them); each row selects from H on its own."""
+    x0 = _start(x0, n_steps, guard_radius, rule)
+    rngs, seed_vals = _as_rngs(seeds)
+    eps = schedule.values(n_steps)
+    deltas = delta_schedule.values(n_steps) if delta_schedule is not None else np.zeros(n_steps)
+    noises = _noise_stack(noise, rngs, n_steps, x0.shape[0])
+
+    def advance(i, X, rngs, rows):
+        Y = np.empty(X.shape)
+        for j, rng in enumerate(rngs):
+            Y[j] = enlargement_sample(H, X[j], deltas.item(i), rng, rule)
+        return X + eps.item(i) * (Y + noises[rows, i])
+
+    return _iterate(x0, advance, eps, deltas, noises, guard_radius, rngs, seed_vals)
 
 
 def run_sa(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
@@ -281,17 +343,24 @@ def run_sa(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
     ``delta_schedule=None`` means delta_i = 0 throughout.  Equal seeds give
     bit-identical trajectories.
     """
+    return next(run_sa_seeds(x0, H, schedule, noise, delta_schedule, n_steps, guard_radius,
+                             [seed], rule))
+
+
+def run_sgd_seeds(f: MaxOfSmoothFunction, schedule: StepSchedule, noise: NoiseModel,
+                  n_steps: int, guard_radius: float, seeds: Sequence, x0,
+                  rule: str = DEFAULT_SELECTION_RULE) -> Iterator[Trajectory]:
+    """``run_sgd`` for each of ``seeds``, stepped in lockstep (the runs come one
+    by one): the pieces of f are evaluated once per step on the stack of states."""
     x0 = _start(x0, n_steps, guard_radius, rule)
-    rng, seed_val = _as_rng(seed)
+    rngs, seed_vals = _as_rngs(seeds)
     eps = schedule.values(n_steps)
-    deltas = delta_schedule.values(n_steps) if delta_schedule is not None else np.zeros(n_steps)
-    noises = noise.sample(n_steps, x0.shape[0], rng)
+    noises = _noise_stack(noise, rngs, n_steps, x0.shape[0])
 
-    def advance(i, x):
-        y = enlargement_sample(H, x, deltas[i], rng, rule)
-        return x + eps[i] * (y + noises[i])
+    def advance(i, X, rngs, rows):
+        return X + eps.item(i) * (noises[rows, i] - select_subgradients(f, X, rule, rngs, -1.0))
 
-    return _iterate(x0, advance, eps, deltas, noises, guard_radius, seed_val)
+    return _iterate(x0, advance, eps, np.zeros(n_steps), noises, guard_radius, rngs, seed_vals)
 
 
 def run_sgd(f: MaxOfSmoothFunction, schedule: StepSchedule, noise: NoiseModel,
@@ -299,18 +368,36 @@ def run_sgd(f: MaxOfSmoothFunction, schedule: StepSchedule, noise: NoiseModel,
             rule: str = DEFAULT_SELECTION_RULE) -> Trajectory:
     """Stochastic subgradient descent: the recursion driven by -subdiff(f),
     with zero enlargement; bit for bit ``run_sa`` on ``negate(clarke_map(f))``."""
-    x0 = _start(x0, n_steps, guard_radius, rule)
-    rng, seed_val = _as_rng(seed)
-    eps = schedule.values(n_steps)
-    noises = noise.sample(n_steps, x0.shape[0], rng)
-
-    def advance(i, x):
-        return x + eps[i] * (select_subgradient(f, x, rule, rng, -1.0) + noises[i])
-
-    return _iterate(x0, advance, eps, np.zeros(n_steps), noises, guard_radius, seed_val)
+    return next(run_sgd_seeds(f, schedule, noise, n_steps, guard_radius, [seed], x0, rule))
 
 
 # Stochastic heavy ball ------------------------------------------------------
+
+def run_shb_seeds(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
+                  beta_schedule: StepSchedule, noise: NoiseModel, n_steps: int,
+                  guard_radius: float, seeds: Sequence, q0, p0=None,
+                  rule: str = DEFAULT_SELECTION_RULE) -> Iterator[Trajectory]:
+    """``run_shb`` for each of ``seeds``, stepped in lockstep (the runs come one
+    by one)."""
+    q0 = np.asarray(q0, dtype=float)
+    m_dim = q0.shape[0]
+    p0 = np.zeros(m_dim) if p0 is None else np.asarray(p0, dtype=float)
+    x0 = _start(np.concatenate([q0, p0]), n_steps, guard_radius, rule)
+    rngs, seed_vals = _as_rngs(seeds)
+    alphas = alpha_schedule.values(n_steps)
+    betas = beta_schedule.values(n_steps)
+    if np.any(betas > 1.0):
+        raise ValueError("beta steps must not exceed 1")
+    noises = _noise_stack(noise, rngs, n_steps, m_dim, 2 * m_dim)
+
+    def advance(i, X, rngs, rows):
+        g = select_subgradients(f, X[:, :m_dim], rule, rngs)
+        b = betas.item(i)
+        p = (1.0 - b) * X[:, m_dim:] - b * g + b * noises[rows, i, m_dim:]
+        return np.concatenate([X[:, :m_dim] + alphas.item(i) * p, p], axis=1)
+
+    return _iterate(x0, advance, betas, np.zeros(n_steps), noises, guard_radius, rngs, seed_vals)
+
 
 def run_shb(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
             beta_schedule: StepSchedule, noise: NoiseModel, n_steps: int,
@@ -325,27 +412,8 @@ def run_shb(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
     x_i = (q_i, p_i), the recorded step size is beta_i, and the recorded
     noise is (0, eta_{i+1}).
     """
-    q0 = np.asarray(q0, dtype=float)
-    m_dim = q0.shape[0]
-    p0 = np.zeros(m_dim) if p0 is None else np.asarray(p0, dtype=float)
-    x0 = _start(np.concatenate([q0, p0]), n_steps, guard_radius, rule)
-    rng, seed_val = _as_rng(seed)
-    alphas = alpha_schedule.values(n_steps)
-    betas = beta_schedule.values(n_steps)
-    if np.any(betas > 1.0):
-        raise ValueError("beta steps must not exceed 1")
-    etas = noise.sample(n_steps, m_dim, rng)
-    noises = np.zeros((n_steps, 2 * m_dim))
-    noises[:, m_dim:] = etas
-
-    def advance(i, x):
-        q, p = x[:m_dim], x[m_dim:]
-        g = select_subgradient(f, q, rule, rng)
-        b = betas[i]
-        p = (1.0 - b) * p - b * g + b * etas[i]
-        return np.concatenate([q + alphas[i] * p, p])
-
-    return _iterate(x0, advance, betas, np.zeros(n_steps), noises, guard_radius, seed_val)
+    return next(run_shb_seeds(f, alpha_schedule, beta_schedule, noise, n_steps, guard_radius,
+                              [seed], q0, p0, rule))
 
 
 def shb_single_variable_coefficients(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -381,6 +449,37 @@ def shb_flow_map(f: MaxOfSmoothFunction, c: float) -> SetValuedMap:
 
 # Fictitious play ------------------------------------------------------------
 
+def run_fictitious_play_seeds(game: "games_mod.Game", n_steps: int, seeds: Sequence,
+                              xi0: Sequence | None = None) -> Iterator[Trajectory]:
+    """``run_fictitious_play`` for each of ``seeds``, stepped in lockstep (the
+    runs come one by one); each row draws its best responses on its own."""
+    dim = game.profile_dimension
+    xi0 = _start(np.concatenate(games_mod.initial_profile(game, xi0)), n_steps, math.inf)
+    rngs, seed_vals = _as_rngs(seeds)
+
+    ends = np.cumsum(game.action_counts).tolist()
+    spans = list(zip([0] + ends, ends))
+    # (player, its first coordinate, its opponents' slices), built once per run
+    players = [(i, a, [slice(*span) for span in spans[:i] + spans[i + 1:]])
+               for i, (a, _) in enumerate(spans)]
+    eps = 1.0 / (np.arange(n_steps, dtype=float) + 2.0)
+    eps_list = eps.tolist()
+
+    # looked up once per run, through the module, so a wrapper installed there sees every call
+    best_responses, draw = games_mod.best_response_indices, games_mod.draw_best_response
+
+    def advance(n, X, rngs, rows):
+        play = np.zeros(X.shape)
+        for j, rng in enumerate(rngs):
+            part = X[j].__getitem__
+            for i, start, others in players:
+                play[j, start + draw(best_responses(game, i, list(map(part, others))), rng)] = 1.0
+        return X + eps_list[n] * (play - X)
+
+    return _iterate(xi0, advance, eps, np.zeros(n_steps), np.zeros((len(rngs), n_steps, dim)),
+                    math.inf, rngs, seed_vals)
+
+
 def run_fictitious_play(game: "games_mod.Game", n_steps: int, seed,
                         xi0: Sequence | None = None) -> Trajectory:
     """Simultaneous fictitious play on the running average of past play.
@@ -391,23 +490,4 @@ def run_fictitious_play(game: "games_mod.Game", n_steps: int, seed,
     the stage-0 play.  The recorded state is the concatenated average, the
     step size is 1/(n+2) and the noise is zero.
     """
-    rng, seed_val = _as_rng(seed)
-    dim = game.profile_dimension
-    xi0 = _start(np.concatenate(games_mod.initial_profile(game, xi0)), n_steps, math.inf)
-
-    ends = np.cumsum(game.action_counts).tolist()
-    spans = list(zip([0] + ends, ends))
-    # (player, its first coordinate, its opponents' spans), built once per run
-    players = [(i, a, spans[:i] + spans[i + 1:]) for i, (a, _) in enumerate(spans)]
-    eps = 1.0 / (np.arange(n_steps, dtype=float) + 2.0)
-    eps_list = eps.tolist()
-
-    def advance(n, xi):
-        play = np.zeros(dim)
-        for i, start, others in players:
-            idx = games_mod.best_response_indices(game, i, [xi[a:b] for a, b in others])
-            play[start + games_mod.draw_best_response(idx, rng)] = 1.0
-        return xi + eps_list[n] * (play - xi)
-
-    return _iterate(xi0, advance, eps, np.zeros(n_steps), np.zeros((n_steps, dim)),
-                    math.inf, seed_val)
+    return next(run_fictitious_play_seeds(game, n_steps, [seed], xi0))

@@ -22,18 +22,20 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import games as games_mod
 from .csvio import write_csv
-from .engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
-                     run_sa, run_sgd, run_shb)
+from .engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play_seeds,
+                     run_sa_seeds, run_sgd_seeds, run_shb_seeds)
+from .engine import (run_fictitious_play, run_sa, run_sgd,  # noqa: F401  (likewise)
+                     run_shb)
 from .geometry import min_norm_point  # noqa: F401  (bench/tracing.py wraps it at this name)
 from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, abs_value,
                    clarke_map, half_square_norm, max_of_squares, negate,
-                   select_subgradient, singleton_map)
+                   select_subgradients, singleton_map)
 from .maps import clarke_subdifferential  # noqa: F401  (likewise)
 from .occupation import (OccupationMeasure, TestFunctionBank,
                          UndefinedEstimateError, _cell_residences, _is_count, accumulate,
@@ -401,28 +403,34 @@ def validate_config(config: "ExperimentConfig | dict") -> list[str]:
 
 # Running -------------------------------------------------------------------------
 
-def _build_run(config: ExperimentConfig, seed: int) -> Trajectory:
-    """Execute the configured problem for one seed."""
+def _build_runs(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[Trajectory]:
+    """Execute the configured problem for all ``seeds`` in lockstep; the runs
+    come one by one, in seed order."""
     prob = config.problem
     if prob.kind == "sgd":
-        return run_sgd(prob.objective, config.schedule, config.noise, config.n_steps,
-                       config.guard_radius, seed, prob.start[0], rule=config.selection_rule)
+        return run_sgd_seeds(prob.objective, config.schedule, config.noise, config.n_steps,
+                             config.guard_radius, seeds, prob.start[0],
+                             rule=config.selection_rule)
     if prob.kind == "shb":
-        return run_shb(prob.objective, prob.alpha, config.schedule, config.noise,
-                       config.n_steps, config.guard_radius, seed, *prob.start,
-                       rule=config.selection_rule)
+        return run_shb_seeds(prob.objective, prob.alpha, config.schedule, config.noise,
+                             config.n_steps, config.guard_radius, seeds, *prob.start,
+                             rule=config.selection_rule)
     if prob.kind == "fictitious_play":
-        return run_fictitious_play(prob.game, config.n_steps, seed, xi0=prob.start)
-    return run_sa(prob.start[0], prob.velocity_map, config.schedule, config.noise,
-                  config.delta, config.n_steps, config.guard_radius, seed,
-                  rule=config.selection_rule)
+        return run_fictitious_play_seeds(prob.game, config.n_steps, seeds, xi0=prob.start)
+    return run_sa_seeds(prob.start[0], prob.velocity_map, config.schedule, config.noise,
+                        config.delta, config.n_steps, config.guard_radius, seeds,
+                        rule=config.selection_rule)
+
+
+_FIELD_BLOCK = 4096  # rows of points per stacked evaluation: bounds its temporaries
 
 
 def _circulation_field(f: MaxOfSmoothFunction, points: np.ndarray) -> np.ndarray:
     """Min-norm subgradient selection of the objective at each of the (M, n) points."""
     out = np.zeros_like(points)  # heavy-ball states carry (q, p); p's part stays 0
-    for r, x in enumerate(points[:, :f.dimension]):
-        out[r, :f.dimension] = select_subgradient(f, x, "min_norm", None)
+    for r in range(0, points.shape[0], _FIELD_BLOCK):
+        block = points[r:r + _FIELD_BLOCK, :f.dimension]
+        out[r:r + _FIELD_BLOCK, :f.dimension] = select_subgradients(f, block, "min_norm", None)
     return out
 
 
@@ -437,6 +445,11 @@ def checkpoint_iterations(n_steps: int, base: int) -> list[int]:
     return its
 
 
+def _json_number(value: float) -> float | None:
+    """A non-finite value as null: JSON has no Infinity or NaN."""
+    return value if math.isfinite(value) else None
+
+
 def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: int,
                             field_values=None, problem_map=None) -> dict:
     """``field_values``: the circulation field at the measure's positions."""
@@ -449,11 +462,12 @@ def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: i
         "iteration": int(iteration),
         "n_samples": measure.n_samples,
         "total_weight": measure.total_weight,
-        "closed_residuals": bank.closed_residuals(measure),
+        # an overflowing residual or moment is null, as an undefined centroid gap is
+        "closed_residuals": {name: _json_number(value)
+                             for name, value in bank.closed_residuals(measure).items()},
         "oscillation": {},
-        # an overflowing moment is null, as an undefined centroid gap is: JSON has no Infinity
         "velocity_moment": {"order": diag["velocity_moment_order"],
-                            "value": moment if math.isfinite(moment) else None},
+                            "value": _json_number(moment)},
     }
     for psi in bank.weights:
         stat = oscillation_statistic(measure, psi)
@@ -492,8 +506,13 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
     """Run one seed of an experiment document; writes per-seed artifacts when
     ``out_dir`` is given and returns the summary dictionary."""
     config = ExperimentConfig.from_doc(doc)
+    return _seed_results(config, next(_build_runs(config, [seed])), seed, out_dir)
+
+
+def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
+                  out_dir: str | None) -> dict:
+    """The diagnostics, summary and artifacts of one seed's run."""
     prob = config.problem
-    traj = _build_run(config, seed)
     iterations = [i for i in checkpoint_iterations(config.n_steps, config.checkpoint_base)
                   if i <= traj.n_steps]
     if not iterations or iterations[-1] != traj.n_steps:
@@ -518,7 +537,7 @@ def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
         "seed": seed,
         "status": traj.status,
         "escape": None if traj.status == "completed" else
-                  {"index": traj.escape_index, "norm": traj.escape_norm},
+                  {"index": traj.escape_index, "norm": _json_number(traj.escape_norm)},
         "n_steps": traj.n_steps,
         "elapsed_clock": traj.elapsed,
         "final_state": traj.states[-1].tolist(),
@@ -573,8 +592,9 @@ class ExperimentReport:
 def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
                    seeds: Sequence[int] | None = None, jobs: int = 1) -> ExperimentReport:
     """Run every seed, write artifacts under ``out_dir``/<name>/<seed>/, and
-    assemble the cross-seed report.  Seeds are independent and may run in
-    parallel processes."""
+    assemble the cross-seed report.  With ``jobs=1`` the seeds are simulated
+    in lockstep, then summarized and written one by one in seed order; with
+    more jobs each seed runs on its own in a process pool."""
     if isinstance(config, dict):
         config = ExperimentConfig.from_doc(config)
     seed_list = list(seeds) if seeds is not None else list(config.seeds)
@@ -594,7 +614,8 @@ def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
             futures = [pool.submit(run_seed, config.raw, s, seed_out(s)) for s in seed_list]
             summaries = [f.result() for f in futures]
     else:
-        summaries = [run_seed(config.raw, s, seed_out(s)) for s in seed_list]
+        summaries = [_seed_results(config, traj, s, seed_out(s))
+                     for traj, s in zip(_build_runs(config, seed_list), seed_list)]
 
     bounded = sum(1 for s in summaries if s["status"] == "completed") / len(summaries)
     files: list[str] = []

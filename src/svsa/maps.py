@@ -8,6 +8,7 @@ generators.  Randomized operations take an explicit numpy Generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,8 +71,12 @@ def check_linear_growth(H: SetValuedMap, points) -> float:
 
 @dataclass(frozen=True)
 class SmoothPiece:
-    """One smooth branch f_k of a finite max, with its gradient."""
-    value: Callable[[np.ndarray], float]
+    """One smooth branch f_k of a finite max, with its gradient.
+
+    Both act on the last axis, so one call evaluates a whole stack of points:
+    ``value`` maps (..., n) to (...) and ``gradient`` maps (..., n) to (..., n).
+    """
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
 
 
@@ -98,7 +103,7 @@ class MaxOfSmoothFunction:
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return max(p.value(x) for p in self.pieces)
+        return max(float(p.value(x)) for p in self.pieces)
 
     def validate_gradients(self, rng: np.random.Generator, n_points: int = 20,
                            box: tuple[float, float] = (-2.0, 2.0),
@@ -137,7 +142,7 @@ def check_gradients(functions: Sequence[tuple[str, Callable, Callable]],
 def active_gradients(f: MaxOfSmoothFunction, x) -> list[np.ndarray]:
     """Gradients of the pieces within ``f.activity_tol`` of the max at x (one off the kinks)."""
     x = np.asarray(x, dtype=float)
-    values = [p.value(x) for p in f.pieces]
+    values = [float(p.value(x)) for p in f.pieces]
     cutoff = max(values) - f.activity_tol
     return [np.asarray(p.gradient(x), dtype=float)
             for p, v in zip(f.pieces, values) if v >= cutoff]
@@ -148,12 +153,37 @@ def clarke_subdifferential(f: MaxOfSmoothFunction, x) -> Polytope:
     return Polytope(active_gradients(f, x))
 
 
-def select_subgradient(f: MaxOfSmoothFunction, x, rule: str, rng, sign: float = 1.0) -> np.ndarray:
-    """``selection(sign * subdiff(f), x, rule, rng)`` bit for bit and draw for draw."""
-    G = active_gradients(f, x)
-    if len(G) == 1:  # off the kink set: no polytope, no draw
-        return sign * G[0]
-    return _select_from(Polytope(sign * np.array(G), copy=False), rule, rng)
+def select_subgradients(f: MaxOfSmoothFunction, X: np.ndarray, rule: str,
+                        rngs: Sequence | None, sign: float = 1.0) -> np.ndarray:
+    """For each row x of the (S, n) stack X, the element g of subdiff(f)(x)
+    whose ``sign * g`` is ``selection(sign * subdiff(f), x, rule, rngs[r])``,
+    bit for bit and draw for draw (``rngs`` may be None for ``min_norm``).
+    With sign = -1 a step along ``eta - g`` is one along ``(sign * g) + eta``:
+    IEEE subtraction adds the negation.
+
+    Each piece is evaluated once on the whole stack, and the activity test runs
+    on plain floats, row by row, as ``active_gradients`` does.  A row with one
+    active piece takes its gradient, with no polytope and no draw; a row at a
+    kink selects from its polytope alone.  A single piece is active everywhere,
+    so it needs no activity test.
+    """
+    pieces = f.pieces
+    if len(pieces) == 1:
+        return pieces[0].gradient(X)
+    tol, ks, actives = f.activity_tol, range(len(pieces)), []
+    for row in zip(*[p.value(X).tolist() for p in pieces]):
+        cut = max(row) - tol
+        actives.append([k for k in ks if row[k] >= cut])
+    first = actives[0]
+    if len(first) == 1 and actives.count(first) == len(actives):  # one piece on every row
+        return pieces[first[0]].gradient(X)
+    grads = np.array([p.gradient(X) for p in pieces], dtype=float)
+    G = grads[[a[0] if a else 0 for a in actives], np.arange(X.shape[0])]
+    for r, a in enumerate(actives):
+        if len(a) != 1:  # sign * (sign * y) is y
+            G[r] = sign * _select_from(Polytope(sign * grads[a, r], copy=False), rule,
+                                       None if rngs is None else rngs[r])
+    return G
 
 
 def clarke_map(f: MaxOfSmoothFunction, growth_bound: float | None = None) -> SetValuedMap:
@@ -190,7 +220,7 @@ def _select_from(poly: Polytope, rule: str, rng: np.random.Generator | None) -> 
 def uniform_ball(rng: np.random.Generator, dimension: int) -> np.ndarray:
     """Uniform draw from the closed unit ball."""
     d = rng.normal(size=dimension)
-    norm = np.linalg.norm(d)
+    norm = math.sqrt(d.dot(d))  # np.linalg.norm's formula for a vector
     if norm == 0.0:
         return np.zeros(dimension)
     radius = rng.uniform() ** (1.0 / dimension)
@@ -253,29 +283,46 @@ def enlargement_slack(H: SetValuedMap, x, y, delta: float, z_samples: int = 32,
 
 # Ready-made nonsmooth test functions -------------------------------------
 
+def _constant(shape, c: float) -> np.ndarray:
+    out = np.empty(shape)
+    out.fill(c)
+    return out
+
+
+def _column(x: np.ndarray, k: int):
+    """``x[..., k]``, as a float for one point: the pieces below stay scalar
+    arithmetic at a single point and vectorize on a stack."""
+    return x.T[k].T
+
+
 def abs_value(activity_tol: float = DEFAULT_ACTIVITY_TOL) -> MaxOfSmoothFunction:
     """f(x) = |x| on R, as max(x, -x)."""
     pieces = (
-        SmoothPiece(lambda x: float(x[0]), lambda x: np.array([1.0])),
-        SmoothPiece(lambda x: float(-x[0]), lambda x: np.array([-1.0])),
+        SmoothPiece(lambda x: _column(x, 0), lambda x: _constant(x.shape, 1.0)),
+        SmoothPiece(lambda x: -_column(x, 0), lambda x: _constant(x.shape, -1.0)),
     )
     return MaxOfSmoothFunction(pieces, 1, activity_tol=activity_tol, name="abs")
 
 
 def half_square_norm(dimension: int) -> MaxOfSmoothFunction:
     """f(x) = ||x||^2 / 2, smooth (a single piece)."""
-    piece = SmoothPiece(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+    piece = SmoothPiece(lambda x: 0.5 * np.vecdot(x, x), lambda x: x.copy())
     return MaxOfSmoothFunction((piece,), dimension, name=f"half_square_norm{dimension}")
 
 
 def max_of_squares(dimension: int, activity_tol: float = DEFAULT_ACTIVITY_TOL) -> MaxOfSmoothFunction:
-    """f(x) = max_k x_k^2."""
+    """f(x) = max_k x_k^2 (squared by multiplication: a scalar ``x ** 2`` goes
+    through libm ``pow``, which is not correctly rounded)."""
     def make(k):
+        def value(x, k=k):
+            c = _column(x, k)
+            return c * c
+
         def grad(x, k=k):
-            g = np.zeros(len(x))
-            g[k] = 2.0 * x[k]
+            g = np.zeros(x.shape)
+            g.T[k] = 2.0 * x.T[k]
             return g
-        return SmoothPiece(lambda x, k=k: float(x[k] ** 2), grad)
+        return SmoothPiece(value, grad)
     pieces = tuple(make(k) for k in range(dimension))
     return MaxOfSmoothFunction(pieces, dimension, activity_tol=activity_tol,
                                name=f"max_of_squares{dimension}")

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
-                         run_sa, run_sgd, run_shb, sa_step,
+                         run_fictitious_play_seeds, run_sa, run_sa_seeds, run_sgd,
+                         run_sgd_seeds, run_shb, run_shb_seeds, sa_step,
                          shb_single_variable_coefficients)
 from svsa.games import Game, game_from_json, generalized_rps, matching_pennies
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
@@ -76,6 +77,11 @@ class TestNoiseModel:
     def test_invalid_parameters_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    def test_negative_zero_sigma_draws_zeros(self):
+        # -0.0 passes the non-negativity check, and numpy's normal would reject it.
+        draws = NoiseModel.gaussian(-0.0).sample(3, 2, np.random.default_rng(0))
+        assert draws.tobytes() == np.zeros((3, 2)).tobytes()
 
     def test_violations(self):
         assert NoiseModel.student_t(2.0, 1.0, moment_order=2.0).violations()
@@ -341,32 +347,124 @@ NOISES = st.one_of(
     st.builds(NoiseModel.uniform_ball_noise, st.floats(0.0, 1.0)))
 
 
+SEED_LISTS = st.lists(st.integers(0, 30), min_size=1, max_size=5)  # repeats come up
+
+
 @st.composite
-def affine_runs(draw):
-    """A random affine field x -> A x + b as a singleton map, and a run of it
-    that may leave its guard ball."""
+def singleton_batches(draw):
+    """A random affine or bounded nonlinear field as a singleton map, and a
+    lockstep batch of runs of it that may leave their guard ball."""
     n = draw(st.integers(1, 4))
     A = draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
     b = draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
     x0 = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
     guard = float(np.linalg.norm(x0)) + draw(st.floats(0.1, 1e3))
-    H = singleton_map(n, lambda x: A @ x + b)
-    traj = run_sa(x0, H, draw(SCHEDULES), draw(NOISES), None, draw(st.integers(1, 60)), guard,
-                  draw(st.integers(0, 2**32 - 1)), rule=draw(st.sampled_from(SELECTION_RULES)))
-    return A, b, traj
+    field = (lambda x: A @ x + b) if draw(st.booleans()) else (lambda x: np.tanh(A @ x) + b)
+    runs = run_sa_seeds(x0, singleton_map(n, field), draw(SCHEDULES), draw(NOISES), None,
+                        draw(st.integers(1, 60)), guard, draw(SEED_LISTS),
+                        rule=draw(st.sampled_from(SELECTION_RULES)))
+    return field, list(runs)
 
 
 class TestVelocityIdentity:
     @settings(max_examples=200, deadline=None)
-    @given(affine_runs())
-    def test_velocities_are_difference_quotients_of_the_recursion(self, run):
-        A, b, traj = run
-        x, eps = traj.states, traj.steps
-        assert traj.velocities.shape == (traj.n_steps, x.shape[1])
-        assert traj.velocities.tobytes() == ((x[1:] - x[:-1]) / eps[:, None]).tobytes()
-        for i in range(traj.n_steps):  # each state is one step of x + eps (H(x) + eta)
-            step = x[i] + eps[i] * (A @ x[i] + b + traj.noises[i])
-            assert x[i + 1].tobytes() == step.tobytes()
+    @given(singleton_batches())
+    def test_velocities_are_difference_quotients_of_the_recursion(self, batch):
+        # In every run of a lockstep batch, a batch of one being a single-seed run.
+        field, runs = batch
+        for traj in runs:
+            x, eps = traj.states, traj.steps
+            assert traj.velocities.shape == (traj.n_steps, x.shape[1])
+            assert traj.velocities.tobytes() == ((x[1:] - x[:-1]) / eps[:, None]).tobytes()
+            for i in range(traj.n_steps):  # each state is one step of x + eps (H(x) + eta)
+                step = x[i] + eps[i] * (field(x[i]) + traj.noises[i])
+                assert x[i + 1].tobytes() == step.tobytes()
+
+
+# Property: a lockstep batch is its seeds' single runs ------------------------------
+
+OBJECTIVES = {"abs": abs_value, "quad2": lambda: half_square_norm(2),
+              "maxsq3": lambda: max_of_squares(3)}
+
+
+def assert_same_run(batch: Trajectory, single: Trajectory):
+    for key in ("states", "velocities", "steps", "deltas", "noises", "clock"):
+        a, b = getattr(batch, key), getattr(single, key)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+    assert (batch.status, batch.escape_index, batch.escape_norm, batch.seed) == (
+        single.status, single.escape_index, single.escape_norm, single.seed)
+
+
+@st.composite
+def subgradient_batches(draw):
+    """sgd or heavy ball on abs, quad2 or maxsq3, often from a tie (0 for abs,
+    |x_j| = |x_k| for maxsq3), with a guard that some seeds may leave."""
+    f = OBJECTIVES[draw(st.sampled_from(sorted(OBJECTIVES)))]()
+    n = f.dimension
+    scale = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0))
+    start = np.array([scale * draw(st.sampled_from([1.0, -1.0])) for _ in range(n)])
+    if draw(st.booleans()):  # off the tie
+        start[0] += draw(st.floats(-1.0, 1.0))
+    schedule = draw(st.sampled_from([StepSchedule.constant(0.1), StepSchedule.constant(0.5),
+                                     StepSchedule.power(0.5, 0.6)]))
+    noise = draw(st.just(NoiseModel.none()) | st.builds(NoiseModel.gaussian,
+                                                        st.floats(0.5, 3.0)))
+    guard = float(np.linalg.norm(start)) + draw(st.floats(0.05, 2.0))
+    args = (noise, draw(st.integers(1, 80)), guard)
+    rule, seeds = draw(st.sampled_from(SELECTION_RULES)), draw(SEED_LISTS)
+    if draw(st.booleans()):
+        return (list(run_sgd_seeds(f, schedule, *args, seeds, start, rule)),
+                [run_sgd(f, schedule, *args, s, start, rule) for s in seeds])
+    momentum = (schedule, schedule, *args)
+    return (list(run_shb_seeds(f, *momentum, seeds, start, rule=rule)),
+            [run_shb(f, *momentum, s, start, rule=rule) for s in seeds])
+
+
+class TestLockstep:
+    @settings(max_examples=150, deadline=None)
+    @given(subgradient_batches())
+    def test_subgradient_batch_is_its_single_seed_runs(self, case):
+        batch, singles = case
+        assert len(batch) == len(singles)
+        for b, s in zip(batch, singles):
+            assert_same_run(b, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.1, 0.5), st.floats(0.01, 0.5), SEED_LISTS,
+           st.integers(1, 80), st.sampled_from(SELECTION_RULES))
+    def test_enlarged_batch_is_its_single_seed_runs(self, x0, a, delta, seeds, n_steps, rule):
+        H = negate(clarke_map(abs_value()))
+        args = (StepSchedule.power(a, 0.6), NoiseModel.student_t(4.0, 0.3),
+                StepSchedule.power(delta, 0.5), n_steps, 1.5)
+        for b, s in zip(run_sa_seeds([x0], H, *args, seeds, rule),
+                        [run_sa([x0], H, *args, s, rule) for s in seeds]):
+            assert_same_run(b, s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(SEED_LISTS, st.integers(1, 120))
+    def test_fictitious_play_batch_is_its_single_seed_runs(self, seeds, n_steps):
+        game = game_from_json(THREE_PLAYER_TIES)
+        for b, s in zip(run_fictitious_play_seeds(game, n_steps, seeds),
+                        [run_fictitious_play(game, n_steps, s) for s in seeds]):
+            assert_same_run(b, s)
+
+    def test_seeds_escape_at_their_own_steps(self):
+        # Seeds 1 and 4 leave the ball mid-run while 2 and 3 complete.
+        args = (abs_value(), StepSchedule.constant(0.05), NoiseModel.gaussian(4.0), 3000, 2.5)
+        batch = list(run_sgd_seeds(*args, [1, 2, 3, 4], [1.0]))
+        assert [t.escape_index for t in batch] == [709, None, None, 402]
+        for b, seed in zip(batch, [1, 2, 3, 4]):
+            assert_same_run(b, run_sgd(*args, seed, [1.0]))
+
+    def test_runs_are_views_of_the_batch(self):
+        # The recorded arrays are views of the stacked records; velocities are
+        # recorded run by run.
+        batch = list(run_sgd_seeds(abs_value(), StepSchedule.power(0.5, 0.6),
+                                   NoiseModel.gaussian(0.5), 100, 100.0, [1, 2], [1.0]))
+        for key in ("states", "noises", "steps", "clock"):
+            first, second = getattr(batch[0], key), getattr(batch[1], key)
+            assert first.base is not None and np.shares_memory(first.base, second.base), key
+        assert not np.shares_memory(batch[0].velocities, batch[1].velocities)
 
 
 # Frozen reference ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from svsa.cli import main
 from svsa.experiments import (ConfigError, ExperimentConfig, checkpoint_iterations,
                               diagnose_checkpoint, named_function, named_map,
                               run_experiment, validate_config)
-from svsa.maps import select_subgradient
+from svsa.maps import _select_from, clarke_subdifferential
 from svsa.occupation import accumulate, circulation, save_checkpoint
 
 
@@ -203,12 +204,13 @@ class TestThinnedCheckpoints:
             "checkpoint_1000.csv", "checkpoint_2000.csv"]
 
         config = ExperimentConfig.from_doc(doc)
-        traj = experiments._build_run(config, 1)
+        traj = next(experiments._build_runs(config, [1]))
         f = config.problem.objective
 
         def field(X):
             out = np.zeros_like(X)
-            out[:, :2] = [select_subgradient(f, q, "min_norm", None) for q in X[:, :2]]
+            out[:, :2] = [_select_from(clarke_subdifferential(f, q), "min_norm", None)
+                          for q in X[:, :2]]
             return out
 
         for entry in summary["checkpoints"]:
@@ -276,7 +278,7 @@ def _write_sample_csvs(doc, seed, iterations, directory):
     """The checkpoint CSVs and sidecars that save_checkpoint writes for a run's
     prefix measures, as every checkpoint was stored before sidecar-only ones."""
     config = ExperimentConfig.from_doc(doc)
-    traj = experiments._build_run(config, seed)
+    traj = next(experiments._build_runs(config, [seed]))
     for i in iterations:
         save_checkpoint(accumulate(traj, upto=i), Path(directory) / f"checkpoint_{i}.csv",
                         iteration=i, seed=seed, diagnostics=config.diagnostics)
@@ -528,6 +530,30 @@ class TestCli:
         summary = strict((seed_dir / "summary.json").read_text())
         assert all(isinstance(c["velocity_moment"]["value"], float)
                    for c in summary["checkpoints"])
+
+    def test_overflowing_escape_is_written_as_null(self, tmp_path):
+        # A state that overflows escapes with an infinite norm, and the bank
+        # residuals of the checkpoint holding it are infinite: both are null,
+        # in the summary and in diagnose.
+        def strict(text):
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+
+        doc = {"name": "overflow",
+               "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
+               "schedule": {"kind": "constant", "a": 1e300}, "n_steps": 50,
+               "guard_radius": 1e308, "seeds": [0], "checkpoint_base": 10}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            seed_dir = tmp_path / "out" / "overflow" / "0"
+            summary = strict((seed_dir / "summary.json").read_text())
+            code, out = _diagnose(seed_dir / "checkpoint_1.csv")
+        assert summary["escape"] == {"index": 1, "norm": None}
+        residuals = summary["checkpoints"][0]["closed_residuals"]
+        assert residuals["u^1"] is None and residuals["u^2"] == 0.0
+        assert code == 0 and strict(out)["closed_residuals"] == residuals
 
     def test_empty_seeds_override_is_code_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

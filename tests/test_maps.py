@@ -6,7 +6,7 @@ from svsa.geometry import Polytope, distance_to_hull, support_value
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
                        _select_from, abs_value, check_linear_growth, clarke_map,
                        clarke_subdifferential, enlargement_sample, enlargement_slack,
-                       half_square_norm, max_of_squares, negate, select_subgradient,
+                       half_square_norm, max_of_squares, negate, select_subgradients,
                        selection, singleton_map, uniform_ball)
 
 
@@ -95,39 +95,46 @@ OBJECTIVES = {"abs": abs_value(), "quad2": half_square_norm(2),
 
 
 @st.composite
-def objective_points(draw):
-    # A point, then some coordinates overwritten by +-another coordinate so
+def objective_stacks(draw):
+    # Points, then some coordinates overwritten by +-another coordinate so
     # that exact ties |x_j| = |x_k| (kinks of max_of_squares) come up often.
     name = draw(st.sampled_from(sorted(OBJECTIVES)))
     n = OBJECTIVES[name].dimension
     coordinate = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
-    x = draw(st.lists(coordinate, min_size=n, max_size=n))
-    for j, k, flip in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                              st.booleans()), max_size=n)):
-        x[j] = -x[k] if flip else x[k]
-    return name, np.array(x)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.lists(coordinate, min_size=n, max_size=n))
+        for j, k, flip in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                                  st.booleans()), max_size=n)):
+            x[j] = -x[k] if flip else x[k]
+        rows.append(x)
+    return name, np.array(rows)
 
 
 class TestSelectSubgradient:
     @settings(max_examples=300, deadline=None)
-    @given(objective_points(), st.sampled_from(SELECTION_RULES), st.sampled_from([1.0, -1.0]),
+    @given(objective_stacks(), st.sampled_from(SELECTION_RULES), st.sampled_from([1.0, -1.0]),
            st.integers(0, 2**32 - 1))
     def test_matches_selection_from_the_map_bit_for_bit(self, case, rule, sign, seed):
-        name, x = case
+        # Row by row, on a stack that mixes smooth points and kinks, each row
+        # drawing from its own generator.
+        name, X = case
         f = OBJECTIVES[name]
         H = clarke_map(f) if sign == 1.0 else negate(clarke_map(f))
-        rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        fast = select_subgradient(f, x, rule, rng_fast, sign)
-        ref = _select_from(H.evaluate(x), rule, rng_ref)
-        assert fast.dtype == ref.dtype and fast.shape == ref.shape
-        assert fast.tobytes() == ref.tobytes()
-        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+        rngs = [np.random.default_rng([seed, r]) for r in range(len(X))]
+        refs = [np.random.default_rng([seed, r]) for r in range(len(X))]
+        G = select_subgradients(f, X, rule, rngs, sign)
+        assert G.shape == X.shape and G.dtype == np.float64
+        for x, g, rng, ref_rng in zip(X, G, rngs, refs):
+            ref = _select_from(H.evaluate(x), rule, ref_rng)
+            assert (sign * g).tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_kink_goes_through_the_rule(self):
         rng = np.random.default_rng(0)
-        assert select_subgradient(abs_value(), [0.0], "min_norm", None)[0] == 0.0
+        assert select_subgradients(abs_value(), np.zeros((1, 1)), "min_norm", None)[0, 0] == 0.0
         with pytest.raises(ValueError, match="unknown selection rule"):
-            select_subgradient(abs_value(), [0.0], "nope", rng)
+            select_subgradients(abs_value(), np.zeros((1, 1)), "nope", [rng])
 
 
 class TestEnlargement:
