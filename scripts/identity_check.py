@@ -15,11 +15,17 @@ sgd on maxsq3 from a tie with random vertices (kinks on most steps), heavy
 ball on maxsq2, and sgd on |x| where some seeds escape mid-run and the others
 complete (the script fails if that config does not show both statuses).  Then
 it runs ``svsa diagnose`` on every checkpoint, named ``checkpoint_<N>.csv`` as
-on the command line.
+on the command line.  Last it runs the six operations of the
+``flow_certificates`` workload at seed 7, writes every Euler curve they
+integrate with ``Curve.save_csv`` (``flow/curve_<k>.csv``, in the order they
+were integrated) and their results as JSON (``flow/results.json``: the
+certificate booleans, the enlargement slacks, the hull distances and
+projections).
 
 It compares byte for byte: every summary.json, trajectory.csv and checkpoint
 sidecar, every checkpoint CSV that both checkouts wrote, manifest.json
-without its ``files`` list, and every diagnose exit code and standard output.
+without its ``files`` list, every diagnose exit code and standard output, and
+the flow curves and results.
 A sidecar marked ``standalone`` (a thinned checkpoint, whose samples are only
 in its CSV) is compared as the bytes it would have without that key.
 A checkpoint CSV that only one checkout writes is listed, not counted as a
@@ -41,6 +47,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,6 +159,50 @@ def produce(out: Path) -> None:
         target = out / "diagnose" / sidecar.relative_to(runs).with_suffix(".txt")
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(f"exit {code}\n{stdout.getvalue()}")
+    produce_flow(out / "flow")
+
+
+def produce_flow(out: Path) -> None:
+    """Run the flow_certificates operations at WORKLOAD_SEED; write every Euler
+    curve they integrate and their results."""
+    import svsa.flow as flow
+    import workloads
+
+    curves, euler_di = [], flow.euler_di
+
+    def recorded(*args, **kwargs):
+        curves.append(euler_di(*args, **kwargs))
+        return curves[-1]
+
+    flow.euler_di = recorded  # recurrence_proxy and stable_zero_check look it up here
+    try:
+        workload = workloads.WORKLOADS["flow_certificates"](WORKLOAD_SEED, out, False)
+        results = {name: operation() for name, operation in workload.operations(out)}
+    finally:
+        flow.euler_di = euler_di
+    out.mkdir(parents=True)
+    for k, curve in enumerate(curves):
+        curve.save_csv(out / f"curve_{k:02d}.csv")
+    (out / "results.json").write_text(json.dumps(_plain(results), indent=1) + "\n")
+
+
+def _plain(value):
+    """An operation's result for JSON: arrays as lists, a polytope as its
+    generators, a curve as its length (its CSV holds the points)."""
+    import svsa.flow as flow
+    from svsa.geometry import Polytope
+
+    if isinstance(value, flow.Curve):
+        return {"curve_points": value.n_points}
+    if isinstance(value, Polytope):
+        value = value.generators
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def compared_files(out: Path) -> dict[str, bytes]:

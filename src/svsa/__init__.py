@@ -16,7 +16,7 @@ from .geometry import (Polytope, contains, distance_to_hull, min_norm_point,
 from .maps import (MaxOfSmoothFunction, SetValuedMap, SmoothPiece, abs_value,
                    clarke_map, clarke_subdifferential, enlargement_sample,
                    enlargement_slack, half_square_norm, max_of_squares, negate,
-                   selection, singleton_map)
+                   singleton_map)
 from .occupation import (Ball, Box, OccupationMeasure, TestFunctionBank,
                          UndefinedEstimateError, WeightFunction, accumulate,
                          centroid_field_estimate, centroid_membership_gap,

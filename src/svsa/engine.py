@@ -22,9 +22,10 @@ import numpy as np
 
 from . import games as games_mod
 from .geometry import Polytope
-from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, clarke_subdifferential,
-                   enlargement_sample, select_subgradients)
-from .maps import _select_from  # noqa: F401  (bench/tracing.py wraps it at this name)
+from .maps import (MaxOfSmoothFunction, SetValuedMap, active_gradients, check_rule,
+                   enlargement_sample, select_rows, select_subgradients)
+# bench/tracing.py wraps these two at these names
+from .maps import _select_from, clarke_subdifferential  # noqa: F401
 
 DEFAULT_SELECTION_RULE = "random_hull"
 _ALL_ROWS = slice(None)  # the index of a stack no seed has left
@@ -244,8 +245,7 @@ def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseMode
 def _start(x0, n_steps: int, guard_radius: float, rule: str = DEFAULT_SELECTION_RULE) -> np.ndarray:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if rule not in SELECTION_RULES:
-        raise ValueError(f"unknown selection rule {rule!r}; expected one of {SELECTION_RULES}")
+    check_rule(rule)
     x0 = np.asarray(x0, dtype=float).copy()
     if guard_radius <= np.linalg.norm(x0):
         raise ValueError("guard radius must exceed the norm of the initial state")
@@ -436,15 +436,20 @@ def shb_flow_map(f: MaxOfSmoothFunction, c: float) -> SetValuedMap:
     H(q, p) = {-c p} x (subdiff(f)(q) - p)."""
     m_dim = f.dimension
 
-    def ev(x):
-        q, p = x[:m_dim], x[m_dim:]
-        G = clarke_subdifferential(f, q).generators
-        gens = np.empty((G.shape[0], 2 * m_dim))
+    def generators(x):
+        p, grads = x[m_dim:], active_gradients(f, x[:m_dim])
+        gens = np.empty((len(grads), 2 * m_dim))
         gens[:, :m_dim] = -c * p
-        gens[:, m_dim:] = G - p
-        return Polytope(gens, copy=False)
+        gens[:, m_dim:] = grads - p
+        return gens
 
-    return SetValuedMap(2 * m_dim, ev, name=f"heavy_ball_flow({f.name}, c={c})")
+    def ev(x):
+        return Polytope(generators(x), copy=False)
+
+    def select(x, rule, rng, sign):
+        return select_rows(generators(x), rule, rng, sign)
+
+    return SetValuedMap(2 * m_dim, ev, name=f"heavy_ball_flow({f.name}, c={c})", select=select)
 
 
 # Fictitious play ------------------------------------------------------------

@@ -16,6 +16,7 @@ byte-identical summaries (no timestamps are written).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -403,9 +404,21 @@ def validate_config(config: "ExperimentConfig | dict") -> list[str]:
 
 # Running -------------------------------------------------------------------------
 
+LOCKSTEP_BATCH_BYTES = 256 * 2**20  # bound on one lockstep batch's stacked states and noises
+
+
 def _build_runs(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[Trajectory]:
-    """Execute the configured problem for all ``seeds`` in lockstep; the runs
-    come one by one, in seed order."""
+    """Execute the configured problem for ``seeds`` in lockstep batches of
+    consecutive seeds, each holding its states and noises (16 bytes per step
+    and coordinate of a seed) in LOCKSTEP_BATCH_BYTES; the runs come one by
+    one, in seed order, and a batch starts once the previous one is consumed."""
+    per_seed = 16 * (config.n_steps + 1) * sum(len(s) for s in config.problem.start)
+    size = max(1, LOCKSTEP_BATCH_BYTES // per_seed)
+    return itertools.chain.from_iterable(_run_batch(config, seeds[i:i + size])
+                                         for i in range(0, len(seeds), size))
+
+
+def _run_batch(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[Trajectory]:
     prob = config.problem
     if prob.kind == "sgd":
         return run_sgd_seeds(prob.objective, config.schedule, config.noise, config.n_steps,

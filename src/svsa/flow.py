@@ -17,7 +17,8 @@ import numpy as np
 
 from .csvio import write_csv
 from .geometry import distance_to_hull
-from .maps import SELECTION_RULES, SetValuedMap, _select_from
+from .maps import SELECTION_RULES, SetValuedMap
+from .maps import _select_from  # noqa: F401  (bench/tracing.py wraps it at this name)
 
 STABLE_ZERO_TOL = 1e-9
 
@@ -45,8 +46,9 @@ class Curve:
 
 def euler_di(H: SetValuedMap, x0, dt: float, T: float, rule: str = "min_norm",
              rng: np.random.Generator | None = None) -> Curve:
-    """gamma(s_{k+1}) = gamma(s_k) + dt * selection(H, gamma(s_k)); deterministic
-    for the min-norm rule."""
+    """gamma(s_{k+1}) = gamma(s_k) + dt * H.select(gamma(s_k)); deterministic
+    for the min-norm rule, whose curve stays at a state a step leaves bitwise
+    unchanged (-0.0 -> 0.0 is a change): H is pure, so each later step would too."""
     if dt <= 0.0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
     n_steps = int(round(T / dt))
@@ -54,11 +56,14 @@ def euler_di(H: SetValuedMap, x0, dt: float, T: float, rule: str = "min_norm",
     points = np.empty((n_steps + 1, x.shape[0]))
     points[0] = x
     for k in range(n_steps):
-        v = _select_from(H.evaluate(x), rule, rng)
-        x = x + dt * v
-        if not np.all(np.isfinite(x)):
+        y = x + dt * H.select(x, rule, rng)
+        if not all(map(math.isfinite, y.tolist())):
             raise RuntimeError(f"integration produced a non-finite state at step {k + 1}")
-        points[k + 1] = x
+        points[k + 1] = y
+        if rule == "min_norm" and y.tobytes() == x.tobytes():
+            points[k + 2:] = y
+            break
+        x = y
     times = dt * np.arange(n_steps + 1)
     return Curve(times=times, points=points, dt=dt, rule=rule)
 

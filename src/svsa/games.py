@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import Polytope
-from .maps import SetValuedMap
+from .maps import SetValuedMap, select_rows
 
 BR_TIE_TOL = 1e-9
 
@@ -160,7 +160,7 @@ def game_map(game: Game) -> SetValuedMap:
     counts = game.action_counts
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
 
-    def ev(xi):
+    def generators(xi):
         parts = [xi[offsets[i]:offsets[i + 1]] for i in range(game.n_players)]
         vertex_lists = []
         for i in range(game.n_players):
@@ -173,13 +173,16 @@ def game_map(game: Game) -> SetValuedMap:
                 seg = gens[r, offsets[i]:offsets[i + 1]]
                 seg[:] = -parts[i]
                 seg[a] += 1.0
-        return Polytope(gens, copy=False)
+        return gens
 
     # Displacements live in a product of differences of simplices: bounded by
     # sqrt(2) per player, so a constant growth bound applies.
     bound = np.sqrt(2.0 * game.n_players)
-    return SetValuedMap(game.profile_dimension, ev, growth_bound=float(bound),
-                        name=f"best_response_displacement({game.name})")
+    return SetValuedMap(game.profile_dimension, lambda xi: Polytope(generators(xi), copy=False),
+                        growth_bound=float(bound),
+                        name=f"best_response_displacement({game.name})",
+                        select=lambda xi, rule, rng, sign: select_rows(generators(xi), rule,
+                                                                       rng, sign))
 
 
 # Built-in example games -----------------------------------------------------

@@ -21,20 +21,38 @@ SELECTION_RULES = ("min_norm", "random_vertex", "random_hull")
 DEFAULT_ACTIVITY_TOL = 1e-8
 
 
-class SetValuedMap:
-    """A map x -> Polytope with non-empty compact convex (hull) values."""
+def check_rule(rule: str) -> None:
+    if rule not in SELECTION_RULES:
+        raise ValueError(f"unknown selection rule {rule!r}; expected one of {SELECTION_RULES}")
 
-    __slots__ = ("dimension", "_evaluate", "growth_bound", "name")
+
+class SetValuedMap:
+    """A map x -> Polytope with non-empty compact convex (hull) values.  A
+    constructor may pass its own ``select``, equal bit for bit and draw for draw
+    to selecting from ``sign * evaluate(x)``, that builds no single-row polytope."""
+
+    __slots__ = ("dimension", "_evaluate", "growth_bound", "name", "_select")
 
     def __init__(self, dimension: int, evaluate: Callable[[np.ndarray], Polytope],
-                 growth_bound: float | None = None, name: str = ""):
+                 growth_bound: float | None = None, name: str = "", select=None):
         self.dimension = int(dimension)
         self._evaluate = evaluate
         self.growth_bound = growth_bound
         self.name = name
+        self._select = select
 
     def evaluate(self, x) -> Polytope:
         return self._evaluate(np.asarray(x, dtype=float))
+
+    def select(self, x, rule: str, rng: np.random.Generator | None = None,
+               sign: float = 1.0) -> np.ndarray:
+        """One element of sign * H(x), sign being 1 or -1: the min-norm point, a
+        random generator, or a random hull point (flat Dirichlet weights)."""
+        check_rule(rule)
+        x = np.asarray(x, dtype=float)
+        if self._select is not None:
+            return self._select(x, rule, rng, sign)
+        return select_rows(self.evaluate(x).generators, rule, rng, sign)
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
@@ -46,7 +64,8 @@ def negate(H: SetValuedMap) -> SetValuedMap:
     def ev(x):
         return Polytope(-H.evaluate(x).generators, copy=False)
     return SetValuedMap(H.dimension, ev, growth_bound=H.growth_bound,
-                        name=f"-({H.name})" if H.name else "")
+                        name=f"-({H.name})" if H.name else "",
+                        select=lambda x, rule, rng, sign: H.select(x, rule, rng, -sign))
 
 
 def singleton_map(dimension: int, func: Callable[[np.ndarray], np.ndarray],
@@ -54,7 +73,10 @@ def singleton_map(dimension: int, func: Callable[[np.ndarray], np.ndarray],
     """Wrap a single-valued vector field as a set-valued map."""
     def ev(x):
         return Polytope(np.asarray(func(x), dtype=float).reshape(1, -1), copy=False)
-    return SetValuedMap(dimension, ev, growth_bound=growth_bound, name=name)
+
+    def select(x, rule, rng, sign):
+        return sign * np.asarray(func(x), dtype=float).ravel()
+    return SetValuedMap(dimension, ev, growth_bound=growth_bound, name=name, select=select)
 
 
 def check_linear_growth(H: SetValuedMap, points) -> float:
@@ -156,7 +178,7 @@ def clarke_subdifferential(f: MaxOfSmoothFunction, x) -> Polytope:
 def select_subgradients(f: MaxOfSmoothFunction, X: np.ndarray, rule: str,
                         rngs: Sequence | None, sign: float = 1.0) -> np.ndarray:
     """For each row x of the (S, n) stack X, the element g of subdiff(f)(x)
-    whose ``sign * g`` is ``selection(sign * subdiff(f), x, rule, rngs[r])``,
+    whose ``sign * g`` is ``_select_from(Polytope(sign * subdiff(f)(x)), rule, rngs[r])``,
     bit for bit and draw for draw (``rngs`` may be None for ``min_norm``).
     With sign = -1 a step along ``eta - g`` is one along ``(sign * g) + eta``:
     IEEE subtraction adds the negation.
@@ -190,21 +212,26 @@ def clarke_map(f: MaxOfSmoothFunction, growth_bound: float | None = None) -> Set
     """The subdifferential of f as a set-valued map."""
     def ev(x):
         return clarke_subdifferential(f, x)
+
+    def select(x, rule, rng, sign):
+        return select_rows(active_gradients(f, x), rule, rng, sign)
     return SetValuedMap(f.dimension, ev, growth_bound=growth_bound,
-                        name=f"subdiff({f.name})" if f.name else "subdiff")
+                        name=f"subdiff({f.name})" if f.name else "subdiff", select=select)
 
 
-def selection(H: SetValuedMap, x, rule: str, rng: np.random.Generator | None = None) -> np.ndarray:
-    """One element of H(x): the min-norm point, a random generator, or a
-    random hull point (flat Dirichlet weights)."""
-    poly = H.evaluate(x)
-    return _select_from(poly, rule, rng)
+def select_rows(rows: Sequence[np.ndarray], rule: str, rng: np.random.Generator | None,
+                sign: float = 1.0) -> np.ndarray:
+    """``_select_from(Polytope(sign * np.array(rows)), rule, rng)``, with no
+    polytope for one row (``1.0 * g`` is a copy of g, bit for bit)."""
+    if len(rows) == 1:
+        return sign * rows[0]
+    gens = np.array(rows, dtype=float)
+    return _select_from(Polytope(gens if sign > 0 else -gens, copy=False), rule, rng)
 
 
 def _select_from(poly: Polytope, rule: str, rng: np.random.Generator | None) -> np.ndarray:
     g = poly.generators
-    if rule not in SELECTION_RULES:
-        raise ValueError(f"unknown selection rule {rule!r}; expected one of {SELECTION_RULES}")
+    check_rule(rule)
     if g.shape[0] == 1:
         return g[0].copy()
     if rule == "min_norm":
@@ -239,11 +266,11 @@ def enlargement_sample(H: SetValuedMap, x, delta: float, rng: np.random.Generato
         raise ValueError("delta must be non-negative")
     x = np.asarray(x, dtype=float)
     if delta == 0.0:
-        return selection(H, x, rule, rng)
+        return H.select(x, rule, rng)
     if rng is None:
         raise ValueError("enlargement sampling with delta > 0 needs an rng")
     z = x + delta * uniform_ball(rng, H.dimension)
-    h = selection(H, z, rule, rng)
+    h = H.select(z, rule, rng)
     return h + delta * uniform_ball(rng, H.dimension)
 
 

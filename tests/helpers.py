@@ -7,10 +7,29 @@ to a 1e-4 weight resolution.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from svsa.engine import Trajectory
+from svsa.maps import _select_from
 from svsa.occupation import SmoothTestFunction
+
+
+# A 2x3x2 integer-payoff game in which every player ties now and then, up to
+# three ways: the uniform draw over ties.
+THREE_PLAYER_TIES = {
+    "name": "three_player_ties", "players": 3, "action_counts": [2, 3, 2],
+    "payoff_tensors": [[[[1, 0], [0, -1], [1, 0]], [[0, -1], [1, 0], [0, -1]]],
+                       [[[0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]],
+                       [[[1, 0], [1, 0], [0, -1]], [[0, 1], [0, 1], [-1, 0]]]]}
+
+
+def digest(a) -> str:
+    """Short SHA-256 of an array's dtype, shape and bytes."""
+    a = np.ascontiguousarray(a)
+    head = f"{a.dtype.str}{a.shape}".encode()
+    return hashlib.sha256(head + a.tobytes()).hexdigest()[:16]
 
 
 def compositions(total: int, parts: int):
@@ -76,6 +95,18 @@ def grid_search_hull_point(generators, target=None, resolution: float = 1e-4,
     d = evaluate(candidates)
     j = int(np.argmin(d))
     return candidates[j] @ G, float(d[j])
+
+
+def reference_euler(H, x0, dt: float, T: float, rule: str, rng=None) -> np.ndarray:
+    """The points of the Euler curve by the plain loop: every step selects
+    from the polytope ``H.evaluate(x)``, and none is skipped."""
+    x = np.asarray(x0, dtype=float).copy()
+    points = [x]
+    for _ in range(int(round(T / dt))):
+        x = x + dt * _select_from(H.evaluate(x), rule, rng)
+        assert np.all(np.isfinite(x))
+        points.append(x)
+    return np.array(points)
 
 
 def random_polytope(rng: np.random.Generator, max_generators: int = 4,

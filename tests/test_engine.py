@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +11,8 @@ from svsa.games import Game, game_from_json, generalized_rps, matching_pennies
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
                        abs_value, clarke_map, enlargement_slack, half_square_norm,
                        max_of_squares, negate, singleton_map)
+
+from helpers import THREE_PLAYER_TIES, digest
 
 
 def attract_origin(dim=1):
@@ -469,12 +469,6 @@ class TestLockstep:
 
 # Frozen reference ---------------------------------------------------------------
 
-def _digest(a) -> str:
-    a = np.ascontiguousarray(a)
-    head = f"{a.dtype.str}{a.shape}".encode()
-    return hashlib.sha256(head + a.tobytes()).hexdigest()[:16]
-
-
 def _sa_step_run():
     # A chain of single steps with delta > 0, laid out like a Trajectory.
     H = negate(clarke_map(abs_value()))
@@ -491,12 +485,6 @@ def _sa_step_run():
                       steps=sched.values(200), deltas=delta.values(200),
                       noises=np.array(noises), clock=np.zeros(201))
 
-
-THREE_PLAYER_TIES = {
-    "name": "three_player_ties", "players": 3, "action_counts": [2, 3, 2],
-    "payoff_tensors": [[[[1, 0], [0, -1], [1, 0]], [[0, -1], [1, 0], [0, -1]]],
-                       [[[0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]],
-                       [[[1, 0], [1, 0], [0, -1]], [[0, 1], [0, 1], [-1, 0]]]]}
 
 FROZEN_RUNS = {
     "sgd_abs": lambda: run_sgd(abs_value(), StepSchedule.power(0.5, 0.6),
@@ -641,7 +629,7 @@ def test_engines_match_frozen_reference(name):
     # Every recorded array and escape field of a few hundred steps is pinned
     # bit for bit; any change to the recursion or its random draws shows here.
     traj = FROZEN_RUNS[name]()
-    arrays = {key: _digest(getattr(traj, key)) for key in
+    arrays = {key: digest(getattr(traj, key)) for key in
               ("states", "velocities", "steps", "deltas", "noises", "clock")}
     fields = (traj.status, traj.escape_index, traj.escape_norm, traj.seed)
     assert arrays == FROZEN_DIGESTS[name]

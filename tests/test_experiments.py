@@ -144,6 +144,37 @@ class TestRunExperiment:
         parallel = run_experiment(doc, out_dir=None, jobs=2)
         assert serial.seed_summaries == parallel.seed_summaries
 
+    @pytest.mark.parametrize("problem", [None, SHB_PROBLEM], ids=["sgd", "shb"])
+    def test_lockstep_batches_write_the_same_files(self, tmp_path, monkeypatch, problem):
+        # A byte bound that holds one or two seeds splits five seeds into
+        # consecutive batches; every file of the run is unchanged.
+        doc = sgd_doc(n_steps=1000, seeds=(1, 2, 3, 4, 5), base=250)
+        if problem is not None:
+            doc["problem"] = problem
+        run_experiment(doc, out_dir=tmp_path / "whole")
+        per_seed = 16 * 1001 * (1 if problem is None else 2)
+        sizes = []
+        run_batch = experiments._run_batch
+        monkeypatch.setattr(experiments, "_run_batch",
+                            lambda config, seeds: sizes.append(len(seeds)) or
+                            run_batch(config, seeds))
+        for bound, expected in ((2 * per_seed + 1, [2, 2, 1]), (per_seed - 1, [1] * 5)):
+            sizes.clear()
+            monkeypatch.setattr(experiments, "LOCKSTEP_BATCH_BYTES", bound)
+            run_experiment(doc, out_dir=tmp_path / str(bound))
+            assert sizes == expected
+            whole = sorted(p.relative_to(tmp_path / "whole")
+                           for p in (tmp_path / "whole").rglob("*") if p.is_file())
+            assert whole == sorted(p.relative_to(tmp_path / str(bound))
+                                   for p in (tmp_path / str(bound)).rglob("*") if p.is_file())
+            for rel in whole:
+                assert (tmp_path / str(bound) / rel).read_bytes() == \
+                    (tmp_path / "whole" / rel).read_bytes(), rel
+
+    def test_acceptance_batch_is_one_batch(self):
+        # 10 seeds x 1M steps of a 1-D state: 160 MB of states and noises.
+        assert experiments.LOCKSTEP_BATCH_BYTES // (16 * (1_000_000 + 1)) >= 10
+
     def test_seed_override(self):
         report = run_experiment(sgd_doc(n_steps=1000, base=500), seeds=[7])
         assert [s["seed"] for s in report.seed_summaries] == [7]

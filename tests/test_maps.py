@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svsa.engine import shb_flow_map
+from svsa.games import game_from_json, game_map, generalized_rps, matching_pennies
 from svsa.geometry import Polytope, distance_to_hull, support_value
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
                        _select_from, abs_value, check_linear_growth, clarke_map,
                        clarke_subdifferential, enlargement_sample, enlargement_slack,
                        half_square_norm, max_of_squares, negate, select_subgradients,
-                       selection, singleton_map, uniform_ball)
+                       singleton_map, uniform_ball)
+
+from helpers import THREE_PLAYER_TIES
 
 
 def attract_origin(dim=1):
@@ -60,34 +64,34 @@ class TestClarkeSubdifferential:
 class TestSelection:
     def test_min_norm_at_kink_is_zero(self):
         H = clarke_map(abs_value())
-        assert abs(selection(H, [0.0], "min_norm")[0]) <= 1e-9
+        assert abs(H.select([0.0], "min_norm")[0]) <= 1e-9
 
     def test_singleton_under_any_rule(self):
         H = attract_origin(2)
         rng = np.random.default_rng(0)
         for rule in ("min_norm", "random_vertex", "random_hull"):
-            np.testing.assert_array_equal(selection(H, [1.0, 2.0], rule, rng), [-1.0, -2.0])
+            np.testing.assert_array_equal(H.select([1.0, 2.0], rule, rng), [-1.0, -2.0])
 
     def test_min_norm_on_symmetric_segment(self):
         H = SetValuedMap(2, lambda x: Polytope([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(selection(H, [0.0, 0.0], "min_norm"), [0.5, 0.5], atol=1e-9)
+        np.testing.assert_allclose(H.select([0.0, 0.0], "min_norm"), [0.5, 0.5], atol=1e-9)
 
     def test_selection_lands_in_hull(self):
         H = SetValuedMap(2, lambda x: Polytope([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         rng = np.random.default_rng(7)
         for rule in ("min_norm", "random_vertex", "random_hull"):
             for _ in range(50):
-                y = selection(H, [0.0, 0.0], rule, rng)
+                y = H.select([0.0, 0.0], rule, rng)
                 assert distance_to_hull(y, H.evaluate([0.0, 0.0])) <= 1e-9
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown selection rule"):
-            selection(attract_origin(), [1.0], "nope", np.random.default_rng(0))
+            attract_origin().select([1.0], "nope", np.random.default_rng(0))
 
     def test_stochastic_rule_needs_rng(self):
         H = SetValuedMap(1, lambda x: Polytope([[-1.0], [1.0]]))
         with pytest.raises(ValueError, match="needs an rng"):
-            selection(H, [0.0], "random_hull", None)
+            H.select([0.0], "random_hull", None)
 
 
 OBJECTIVES = {"abs": abs_value(), "quad2": half_square_norm(2),
@@ -95,20 +99,22 @@ OBJECTIVES = {"abs": abs_value(), "quad2": half_square_norm(2),
 
 
 @st.composite
-def objective_stacks(draw):
-    # Points, then some coordinates overwritten by +-another coordinate so
+def tied_points(draw, n):
+    # A point, then some coordinates overwritten by +-another coordinate so
     # that exact ties |x_j| = |x_k| (kinks of max_of_squares) come up often.
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
+    x = draw(st.lists(coordinate, min_size=n, max_size=n))
+    for j, k, flip in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              st.booleans()), max_size=n)):
+        x[j] = -x[k] if flip else x[k]
+    return np.array(x)
+
+
+@st.composite
+def objective_stacks(draw):
     name = draw(st.sampled_from(sorted(OBJECTIVES)))
     n = OBJECTIVES[name].dimension
-    coordinate = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
-    rows = []
-    for _ in range(draw(st.integers(1, 4))):
-        x = draw(st.lists(coordinate, min_size=n, max_size=n))
-        for j, k, flip in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                                  st.booleans()), max_size=n)):
-            x[j] = -x[k] if flip else x[k]
-        rows.append(x)
-    return name, np.array(rows)
+    return name, np.array([draw(tied_points(n)) for _ in range(draw(st.integers(1, 4)))])
 
 
 class TestSelectSubgradient:
@@ -135,6 +141,98 @@ class TestSelectSubgradient:
         assert select_subgradients(abs_value(), np.zeros((1, 1)), "min_norm", None)[0, 0] == 0.0
         with pytest.raises(ValueError, match="unknown selection rule"):
             select_subgradients(abs_value(), np.zeros((1, 1)), "nope", [rng])
+
+
+@st.composite
+def profiles(draw, game):
+    # Small integer weights per player: ties between best responses, the
+    # equilibria and the uniform profile among them, come up often.
+    parts = []
+    for k in game.action_counts:
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), dtype=float)
+        parts.append(w / w.sum() if w.sum() > 0 else np.full(k, 1.0 / k))
+    return np.concatenate(parts)
+
+
+def _pair(points):
+    return st.tuples(points, points).map(np.concatenate)
+
+
+_A = np.array([[-0.5, 0.3], [-0.2, -0.7]])
+_PENNIES, _RPS = matching_pennies(), generalized_rps(1.0, 2.0)
+_TIES = game_from_json(THREE_PLAYER_TIES)
+_PLAIN = SetValuedMap(2, lambda x: Polytope([[1.0, 0.0], [0.0, 1.0], x]))
+
+# name -> (map, points): every constructor, negated, with kinks and ties forced
+SELECT_MAPS = {
+    **{f"subdiff_{name}": (clarke_map(f), tied_points(f.dimension))
+       for name, f in OBJECTIVES.items()},
+    **{f"-subdiff_{name}": (negate(clarke_map(f)), tied_points(f.dimension))
+       for name, f in OBJECTIVES.items()},
+    "--subdiff_maxsq3": (negate(negate(clarke_map(OBJECTIVES["maxsq3"]))), tied_points(3)),
+    "affine": (singleton_map(2, lambda x: _A @ x), tied_points(2)),
+    "-affine": (negate(singleton_map(2, lambda x: _A @ x)), tied_points(2)),
+    "heavy_ball_quad2": (shb_flow_map(OBJECTIVES["quad2"], 1.0), _pair(tied_points(2))),
+    "heavy_ball_maxsq2": (shb_flow_map(OBJECTIVES["maxsq2"], 0.5), _pair(tied_points(2))),
+    "-heavy_ball_maxsq2": (negate(shb_flow_map(OBJECTIVES["maxsq2"], 0.5)),
+                           _pair(tied_points(2))),
+    "pennies": (game_map(_PENNIES), profiles(_PENNIES)),
+    "rps": (game_map(_RPS), profiles(_RPS)),
+    "-rps": (negate(game_map(_RPS)), profiles(_RPS)),
+    "three_player_ties": (game_map(_TIES), profiles(_TIES)),
+    "plain": (_PLAIN, tied_points(2)),
+    "-plain": (negate(_PLAIN), tied_points(2)),
+}
+
+# (map, point) pairs at a kink or tie of every constructor that has them
+FORCED_KINKS = [("subdiff_abs", [0.0]), ("-subdiff_abs", [0.0]), ("-subdiff_abs", [-0.0]),
+                ("-subdiff_maxsq3", [1.0, -1.0, 1.0]), ("subdiff_maxsq2", [0.0, 0.0]),
+                ("heavy_ball_maxsq2", [1.0, -1.0, 0.5, 0.0]), ("pennies", [0.5] * 4),
+                ("rps", [1.0 / 3.0] * 6), ("-rps", [1.0 / 3.0] * 6),
+                ("three_player_ties", [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3, 0.5, 0.5]),
+                ("plain", [0.5, 0.5])]
+
+
+def _outcome(call):
+    """A selection's dtype, shape and bytes, or the message of its ValueError."""
+    try:
+        y = call()
+    except ValueError as exc:
+        return str(exc)
+    return y.dtype.str, y.shape, y.tobytes()
+
+
+def _assert_select_is_selecting_from_the_value(H, x, rule, seed):
+    rng, ref_rng = (None, None) if seed is None else (np.random.default_rng(seed),
+                                                      np.random.default_rng(seed))
+    ref = _outcome(lambda: _select_from(H.evaluate(x), rule, ref_rng))
+    assert _outcome(lambda: H.select(x, rule, rng)) == ref
+    if seed is not None:
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return ref
+
+
+class TestSelectEntry:
+    # H.select is _select_from(H.evaluate(x)) bit for bit and draw for draw,
+    # errors included (an unknown rule; a random rule without an rng at a kink).
+    RULES = SELECTION_RULES + ("nope",)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(SELECT_MAPS)), st.sampled_from(RULES),
+           st.none() | st.integers(0, 2**32 - 1))
+    def test_matches_selecting_from_the_value(self, data, name, rule, seed):
+        H, points = SELECT_MAPS[name]
+        _assert_select_is_selecting_from_the_value(H, data.draw(points), rule, seed)
+
+    @pytest.mark.parametrize("name, x", FORCED_KINKS)
+    def test_matches_at_forced_kinks(self, name, x):
+        H = SELECT_MAPS[name][0]
+        assert H.evaluate(x).n_generators > 1
+        for rule in self.RULES:
+            for seed in (None, 3):
+                ref = _assert_select_is_selecting_from_the_value(H, np.array(x), rule, seed)
+                assert isinstance(ref, str) == (rule == "nope" or
+                                                seed is None and rule != "min_norm")
 
 
 class TestEnlargement:
