@@ -226,7 +226,9 @@ def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseMode
 
     Returns (x_next, v, eta) with v recomputed as (x_next - x)/eps_i so the
     definitional velocity identity holds bit-exactly.  ``eta`` may be forced
-    for deterministic tests.
+    for deterministic tests.  The noise is drawn after the selection, while
+    ``run_sa`` draws a run's noises before its first step, so a chain of
+    ``sa_step`` calls sharing one rng is not ``run_sa`` with that seed.
     """
     x = np.asarray(x, dtype=float)
     eps_i = schedule.step(i)
@@ -436,12 +438,9 @@ def shb_flow_map(f: MaxOfSmoothFunction, c: float) -> SetValuedMap:
     H(q, p) = {-c p} x (subdiff(f)(q) - p)."""
     m_dim = f.dimension
 
-    def generators(x):
+    def generators(x):  # a list of rows: off the kinks select_rows takes its one row as is
         p, grads = x[m_dim:], active_gradients(f, x[:m_dim])
-        gens = np.empty((len(grads), 2 * m_dim))
-        gens[:, :m_dim] = -c * p
-        gens[:, m_dim:] = grads - p
-        return gens
+        return [np.concatenate((-c * p, g - p)) for g in grads]
 
     def ev(x):
         return Polytope(generators(x), copy=False)

@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -623,6 +622,7 @@ def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
         return None if root is None else str(root / str(s))
 
     if jobs > 1 and len(seed_list) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it slows every start
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_seed, config.raw, s, seed_out(s)) for s in seed_list]
             summaries = [f.result() for f in futures]

@@ -157,22 +157,20 @@ def game_map(game: Game) -> SetValuedMap:
     """The averaged best-response displacement map on the concatenated profile:
     generators are (b^1 - xi^1, ..., b^m - xi^m) over all combinations of
     best-response vertices b^i."""
-    counts = game.action_counts
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+    offsets = [0, *itertools.accumulate(game.action_counts)]
+    players = range(game.n_players)
+    others = [[j for j in players if j != i] for i in players]
 
     def generators(xi):
-        parts = [xi[offsets[i]:offsets[i + 1]] for i in range(game.n_players)]
-        vertex_lists = []
-        for i in range(game.n_players):
-            opponents = [parts[j] for j in range(game.n_players) if j != i]
-            vertex_lists.append(best_response_indices(game, i, opponents))
+        parts = [xi[offsets[i]:offsets[i + 1]] for i in players]
+        vertex_lists = [best_response_indices(game, i, [parts[j] for j in others[i]]).tolist()
+                        for i in players]
         combos = list(itertools.product(*vertex_lists))
         gens = np.empty((len(combos), xi.shape[0]))
-        for r, combo in enumerate(combos):
-            for i, a in enumerate(combo):
-                seg = gens[r, offsets[i]:offsets[i + 1]]
-                seg[:] = -parts[i]
-                seg[a] += 1.0
+        gens[:] = -xi
+        for row, combo in zip(gens, combos):  # (-xi_a) + 1.0 at each chosen action a
+            for start, a in zip(offsets, combo):
+                row[start + a] += 1.0
         return gens
 
     # Displacements live in a product of differences of simplices: bounded by

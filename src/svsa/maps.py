@@ -49,10 +49,13 @@ class SetValuedMap:
         """One element of sign * H(x), sign being 1 or -1: the min-norm point, a
         random generator, or a random hull point (flat Dirichlet weights)."""
         check_rule(rule)
-        x = np.asarray(x, dtype=float)
+        return self._pick(np.asarray(x, dtype=float), rule, rng, sign)
+
+    def _pick(self, x: np.ndarray, rule: str, rng, sign: float) -> np.ndarray:
+        """``select`` once the rule is checked and x is a float array."""
         if self._select is not None:
             return self._select(x, rule, rng, sign)
-        return select_rows(self.evaluate(x).generators, rule, rng, sign)
+        return select_rows(self._evaluate(x).generators, rule, rng, sign)
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
@@ -65,7 +68,7 @@ def negate(H: SetValuedMap) -> SetValuedMap:
         return Polytope(-H.evaluate(x).generators, copy=False)
     return SetValuedMap(H.dimension, ev, growth_bound=H.growth_bound,
                         name=f"-({H.name})" if H.name else "",
-                        select=lambda x, rule, rng, sign: H.select(x, rule, rng, -sign))
+                        select=lambda x, rule, rng, sign: H._pick(x, rule, rng, -sign))
 
 
 def singleton_map(dimension: int, func: Callable[[np.ndarray], np.ndarray],
@@ -162,8 +165,13 @@ def check_gradients(functions: Sequence[tuple[str, Callable, Callable]],
 
 
 def active_gradients(f: MaxOfSmoothFunction, x) -> list[np.ndarray]:
-    """Gradients of the pieces within ``f.activity_tol`` of the max at x (one off the kinks)."""
+    """Gradients of the pieces within ``f.activity_tol`` of the max at x (one off the kinks).
+    A lone piece is active at every x, a NaN or infinite one included, so its
+    value is not evaluated: the result is its gradient there, as in
+    ``select_subgradients``."""
     x = np.asarray(x, dtype=float)
+    if len(f.pieces) == 1:
+        return [np.asarray(f.pieces[0].gradient(x), dtype=float)]
     values = [float(p.value(x)) for p in f.pieces]
     cutoff = max(values) - f.activity_tol
     return [np.asarray(p.gradient(x), dtype=float)

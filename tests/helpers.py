@@ -8,6 +8,7 @@ to a 1e-4 weight resolution.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -181,3 +182,23 @@ def reference_strategy_draw(game, i, opponents, rng: np.random.Generator) -> np.
     out = np.zeros(game.action_counts[i])
     out[idx[int(rng.integers(idx.size))]] = 1.0
     return out
+
+
+def reference_displacements(game, xi) -> np.ndarray:
+    """The generators of ``game_map(game)`` at xi by the per-segment loop: for
+    each combination of the players' reference best responses, in
+    ``itertools.product`` order, each player's segment is -xi^i with 1.0 added
+    at the chosen action."""
+    xi = np.asarray(xi, dtype=float)
+    offsets = np.concatenate([[0], np.cumsum(game.action_counts)])
+    parts = [xi[offsets[i]:offsets[i + 1]] for i in range(game.n_players)]
+    combos = list(itertools.product(*[
+        reference_best_response_indices(game, i, parts[:i] + parts[i + 1:])
+        for i in range(game.n_players)]))
+    gens = np.empty((len(combos), xi.shape[0]))
+    for r, combo in enumerate(combos):
+        for i, a in enumerate(combo):
+            seg = gens[r, offsets[i]:offsets[i + 1]]
+            seg[:] = -parts[i]
+            seg[a] += 1.0
+    return gens

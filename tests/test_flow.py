@@ -66,6 +66,27 @@ class TestEulerDi:
         with np.errstate(over="ignore"), pytest.raises(RuntimeError):
             euler_di(H, [1.0], 1.0, 10.0)
 
+    @pytest.mark.parametrize("case", ["overflow", "nan"])
+    def test_nonfinite_state_raises_before_it_is_selected_at(self, case):
+        # The lone-piece selection no longer raises at a non-finite point, so
+        # this check is what stops a curve there.  Heavy ball on quad2 from
+        # (1, 1, 0, 0) reaches momentum 1e200, then overflows; the singleton
+        # field is inf - inf = NaN at 1e10.
+        if case == "overflow":
+            H, x0, dt, step = shb_flow_map(half_square_norm(2), 1.0), [1.0, 1.0, 0, 0], 1e200, 2
+        else:
+            H, x0, dt, step = singleton_map(1, lambda x: x * 1e300 - x * 1e300), [1e10], 1.0, 1
+        seen = []
+
+        def select(x, rule, rng, sign):
+            seen.append(x.copy())
+            return H.select(x, rule, rng, sign)
+        watched = SetValuedMap(H.dimension, H.evaluate, select=select)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                RuntimeError, match=f"non-finite state at step {step}$"):
+            euler_di(watched, x0, dt, 10 * dt)
+        assert len(seen) == step and np.isfinite(seen).all()
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             euler_di(attract_origin(), [1.0], 0.0, 1.0)

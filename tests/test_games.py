@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_best_response_indices, reference_strategy_draw
+from helpers import (THREE_PLAYER_TIES, reference_best_response_indices,
+                     reference_displacements, reference_strategy_draw)
 from svsa.games import (Game, PotentialGame, best_response, best_response_indices,
                         builtin_games, game_from_json, game_map, game_to_json,
                         generalized_rps, matching_pennies, potential_2x2,
@@ -132,6 +133,50 @@ class TestGameMap:
         poly = H.evaluate(np.array([0.5, 0.5, 0.5, 0.5]))
         assert poly.n_generators == 4  # both vertex sets are full
         assert distance_to_hull(np.zeros(4), poly) <= 1e-9
+
+
+# name -> (game, profiles at which every player has tied best responses)
+DISPLACEMENT_GAMES = {
+    "pennies": (matching_pennies(), [[0.5] * 4]),
+    "rps": (generalized_rps(1.0, 2.0), [[1 / 3] * 6]),
+    "three_player_ties": (game_from_json(THREE_PLAYER_TIES),
+                          [[0.5, 0.5, 1 / 3, 1 / 3, 1 / 3, 0.5, 0.5],
+                           [0.5, 0.5, 0.0, 0.0, 1.0, 0.5, 0.5]]),
+}
+
+
+@st.composite
+def displacement_cases(draw):
+    """A game of DISPLACEMENT_GAMES and a profile: a forced tie, small integer
+    weights (ties are frequent) or arbitrary weights, per player."""
+    name = draw(st.sampled_from(sorted(DISPLACEMENT_GAMES)))
+    game, ties = DISPLACEMENT_GAMES[name]
+    if draw(st.booleans()):
+        return game, np.array(draw(st.sampled_from(ties)))
+    weights = st.integers(0, 3).map(float) | st.floats(0.0, 1.0)
+    parts = []
+    for k in game.action_counts:
+        w = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
+        parts.append(w / w.sum() if w.sum() > 0 else np.full(k, 1.0 / k))
+    return game, np.concatenate(parts)
+
+
+class TestDisplacementGenerators:
+    @settings(max_examples=300, deadline=None)
+    @given(displacement_cases())
+    def test_match_the_per_segment_builder_byte_for_byte(self, case):
+        game, xi = case
+        gens, want = game_map(game).evaluate(xi).generators, reference_displacements(game, xi)
+        assert gens.dtype == want.dtype and gens.shape == want.shape
+        assert gens.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(DISPLACEMENT_GAMES))
+    def test_forced_ties_give_every_combination(self, name):
+        game, ties = DISPLACEMENT_GAMES[name]
+        for xi in map(np.array, ties):
+            want = reference_displacements(game, xi)
+            assert want.shape[0] > 1
+            assert game_map(game).evaluate(xi).generators.tobytes() == want.tobytes()
 
 
 class TestStrategyDraw:

@@ -6,7 +6,7 @@ from svsa.engine import shb_flow_map
 from svsa.games import game_from_json, game_map, generalized_rps, matching_pennies
 from svsa.geometry import Polytope, distance_to_hull, support_value
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
-                       _select_from, abs_value, check_linear_growth, clarke_map,
+                       _select_from, abs_value, active_gradients, check_linear_growth, clarke_map,
                        clarke_subdifferential, enlargement_sample, enlargement_slack,
                        half_square_norm, max_of_squares, negate, select_subgradients,
                        singleton_map, uniform_ball)
@@ -173,9 +173,12 @@ SELECT_MAPS = {
     "affine": (singleton_map(2, lambda x: _A @ x), tied_points(2)),
     "-affine": (negate(singleton_map(2, lambda x: _A @ x)), tied_points(2)),
     "heavy_ball_quad2": (shb_flow_map(OBJECTIVES["quad2"], 1.0), _pair(tied_points(2))),
+    "-heavy_ball_quad2": (negate(shb_flow_map(OBJECTIVES["quad2"], 1.0)), _pair(tied_points(2))),
     "heavy_ball_maxsq2": (shb_flow_map(OBJECTIVES["maxsq2"], 0.5), _pair(tied_points(2))),
     "-heavy_ball_maxsq2": (negate(shb_flow_map(OBJECTIVES["maxsq2"], 0.5)),
                            _pair(tied_points(2))),
+    "--heavy_ball_maxsq2": (negate(negate(shb_flow_map(OBJECTIVES["maxsq2"], 0.5))),
+                            _pair(tied_points(2))),
     "pennies": (game_map(_PENNIES), profiles(_PENNIES)),
     "rps": (game_map(_RPS), profiles(_RPS)),
     "-rps": (negate(game_map(_RPS)), profiles(_RPS)),
@@ -233,6 +236,42 @@ class TestSelectEntry:
                 ref = _assert_select_is_selecting_from_the_value(H, np.array(x), rule, seed)
                 assert isinstance(ref, str) == (rule == "nope" or
                                                 seed is None and rule != "min_norm")
+
+
+class TestLonePieceAtNonFinitePoints:
+    # One piece is active wherever f has one, so at a NaN or infinite point the
+    # value is its gradient there (at NaN it used to be empty, and evaluate and
+    # select both raised).  select still selects from the value, at NaN up to
+    # the sign bit of a NaN, which -g flips and -1.0 * g need not.
+    POINTS = [[np.nan, 1.0], [np.inf, -2.0], [-np.inf, np.inf]]
+
+    @pytest.mark.parametrize("q", POINTS)
+    def test_the_lone_gradient_is_active(self, q):
+        f, q = half_square_norm(2), np.array(q)
+        (g,) = active_gradients(f, q)
+        assert g.tobytes() == q.tobytes()
+        assert clarke_subdifferential(f, q).generators.tobytes() == q.tobytes()
+        assert select_subgradients(f, q[None], "min_norm", None).tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("q", POINTS)
+    @pytest.mark.parametrize("name", ["subdiff", "-subdiff", "heavy_ball", "-heavy_ball"])
+    def test_select_is_selecting_from_the_value(self, name, q):
+        f, q, p = half_square_norm(2), np.array(q), np.array([0.5, -0.0])
+        if name.endswith("subdiff"):
+            H, x, want = clarke_map(f), q, q
+        else:
+            H, x, want = shb_flow_map(f, 0.5), np.concatenate([q, p]), np.concatenate([-0.5 * p,
+                                                                                       q - p])
+        if name.startswith("-"):
+            H, want = negate(H), -want
+        value = H.evaluate(x)
+        assert value.n_generators == 1 and np.array_equal(value.generators[0], want,
+                                                          equal_nan=True)
+        for rule in SELECTION_RULES:
+            y = H.select(x, rule, np.random.default_rng(0))
+            assert y.dtype == np.float64 and np.array_equal(y, want, equal_nan=True)
+            if not np.isnan(q).any():
+                assert y.tobytes() == _select_from(value, rule, None).tobytes()
 
 
 class TestEnlargement:
