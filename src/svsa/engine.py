@@ -21,9 +21,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import games as games_mod
-from .geometry import Polytope
 from .maps import (MaxOfSmoothFunction, SetValuedMap, active_gradients, check_rule,
-                   enlargement_sample, select_rows, select_subgradients)
+                   enlargement_sample, select_subgradients)
 # bench/tracing.py wraps these two at these names
 from .maps import _select_from, clarke_subdifferential  # noqa: F401
 
@@ -438,17 +437,11 @@ def shb_flow_map(f: MaxOfSmoothFunction, c: float) -> SetValuedMap:
     H(q, p) = {-c p} x (subdiff(f)(q) - p)."""
     m_dim = f.dimension
 
-    def generators(x):  # a list of rows: off the kinks select_rows takes its one row as is
+    def generators(x):  # a list of rows: off the kinks select takes its one row as is
         p, grads = x[m_dim:], active_gradients(f, x[:m_dim])
         return [np.concatenate((-c * p, g - p)) for g in grads]
 
-    def ev(x):
-        return Polytope(generators(x), copy=False)
-
-    def select(x, rule, rng, sign):
-        return select_rows(generators(x), rule, rng, sign)
-
-    return SetValuedMap(2 * m_dim, ev, name=f"heavy_ball_flow({f.name}, c={c})", select=select)
+    return SetValuedMap(2 * m_dim, generators, name=f"heavy_ball_flow({f.name}, c={c})")
 
 
 # Fictitious play ------------------------------------------------------------

@@ -359,6 +359,10 @@ class ExperimentConfig:
             raise ConfigError(stalled)
         diagnostics = _diagnostics_from_doc(doc.get("diagnostics", {}),
                                             sum(part.shape[0] for part in resolved.start))
+        reach = 1.0 if kind == "fictitious_play" else guard_radius  # a profile is in [0, 1]^n
+        if not reach / diagnostics["residence_cell_size"] < 2.0 ** 62:  # states have int64 cells
+            raise ConfigError([f"diagnostics.residence_cell_size: above {reach / 2.0 ** 62:.6g} "
+                               f"required, so that each state has an int64 cell"])
         return cls(name=name, problem=resolved, n_steps=n_steps, seeds=list(seeds),
                    guard_radius=guard_radius, checkpoint_base=checkpoint_base,
                    schedule=schedule, noise=noise, delta=delta, selection_rule=rule,

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import Polytope
-from .maps import SetValuedMap, select_rows
+from .maps import SetValuedMap, near_max
 
 BR_TIE_TOL = 1e-9
 
@@ -124,10 +124,9 @@ def best_response_indices(game: Game, i: int, opponents: Sequence) -> np.ndarray
     """Player i's actions within ``br_tol`` of its best payoff: the max and the
     tie test of ``np.flatnonzero(u >= u.max() - br_tol)`` on plain floats."""
     u = game.pure_action_payoffs(i, opponents).tolist()
-    if math.isnan(sum(u)) and any(map(math.isnan, u)):  # max() would skip a NaN
+    if math.isnan(sum(u)) and any(map(math.isnan, u)):  # near_max would pass over a NaN
         raise ValueError(f"player {i} has a NaN payoff")
-    cut = max(u) - game.br_tol
-    return np.array([a for a, x in enumerate(u) if x >= cut], dtype=np.intp)
+    return np.array(near_max([u], game.br_tol)[0], dtype=np.intp)
 
 
 def draw_best_response(idx: np.ndarray, rng: np.random.Generator) -> int:
@@ -176,11 +175,8 @@ def game_map(game: Game) -> SetValuedMap:
     # Displacements live in a product of differences of simplices: bounded by
     # sqrt(2) per player, so a constant growth bound applies.
     bound = np.sqrt(2.0 * game.n_players)
-    return SetValuedMap(game.profile_dimension, lambda xi: Polytope(generators(xi), copy=False),
-                        growth_bound=float(bound),
-                        name=f"best_response_displacement({game.name})",
-                        select=lambda xi, rule, rng, sign: select_rows(generators(xi), rule,
-                                                                       rng, sign))
+    return SetValuedMap(game.profile_dimension, generators, growth_bound=float(bound),
+                        name=f"best_response_displacement({game.name})")
 
 
 # Built-in example games -----------------------------------------------------

@@ -1,7 +1,7 @@
 """Set-valued maps, subdifferentials of max-of-smooth functions, and
 graph-enlargement sampling.
 
-A map H: R^n => R^n is represented by a pure evaluation function returning
+A map H: R^n => R^n is represented by a pure function, ``generators``, returning
 the finite generator list of H(x); all values are convex hulls of those
 generators.  Randomized operations take an explicit numpy Generator.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,35 +27,40 @@ def check_rule(rule: str) -> None:
 
 
 class SetValuedMap:
-    """A map x -> Polytope with non-empty compact convex (hull) values.  A
-    constructor may pass its own ``select``, equal bit for bit and draw for draw
-    to selecting from ``sign * evaluate(x)``, that builds no single-row polytope."""
+    """A map x -> Polytope with non-empty compact convex (hull) values, given by
+    ``generators(x)``: the rows of H(x), as a 2-D float array or a list of 1-D
+    float arrays.  ``sign`` is 1, or -1 on a map made by ``negate``, whose
+    values are the negated rows."""
 
-    __slots__ = ("dimension", "_evaluate", "growth_bound", "name", "_select")
+    __slots__ = ("dimension", "generators", "growth_bound", "name", "sign")
 
-    def __init__(self, dimension: int, evaluate: Callable[[np.ndarray], Polytope],
-                 growth_bound: float | None = None, name: str = "", select=None):
+    def __init__(self, dimension: int, generators: Callable[[np.ndarray], Sequence[np.ndarray]],
+                 growth_bound: float | None = None, name: str = ""):
         self.dimension = int(dimension)
-        self._evaluate = evaluate
+        self.generators = generators
         self.growth_bound = growth_bound
         self.name = name
-        self._select = select
+        self.sign = 1.0
 
     def evaluate(self, x) -> Polytope:
-        return self._evaluate(np.asarray(x, dtype=float))
+        return self._hull(self.generators(np.asarray(x, dtype=float)))
 
-    def select(self, x, rule: str, rng: np.random.Generator | None = None,
-               sign: float = 1.0) -> np.ndarray:
-        """One element of sign * H(x), sign being 1 or -1: the min-norm point, a
-        random generator, or a random hull point (flat Dirichlet weights)."""
+    def select(self, x, rule: str, rng: np.random.Generator | None = None) -> np.ndarray:
+        """One element of H(x): the min-norm point, a random generator, or a
+        random hull point (flat Dirichlet weights).  It is
+        ``_select_from(self.evaluate(x), rule, rng)`` bit for bit and draw for
+        draw, with no polytope for one row (``1.0 * g`` is a copy of g)."""
         check_rule(rule)
-        return self._pick(np.asarray(x, dtype=float), rule, rng, sign)
+        rows = self.generators(np.asarray(x, dtype=float))
+        if len(rows) == 1:
+            return self.sign * rows[0]
+        return _select_from(self._hull(rows), rule, rng)
 
-    def _pick(self, x: np.ndarray, rule: str, rng, sign: float) -> np.ndarray:
-        """``select`` once the rule is checked and x is a float array."""
-        if self._select is not None:
-            return self._select(x, rule, rng, sign)
-        return select_rows(self._evaluate(x).generators, rule, rng, sign)
+    def _hull(self, rows) -> Polytope:
+        # a negated value holds -g; select's one row is -1.0 * g, which may
+        # differ from it in the sign bit of a NaN only
+        value = Polytope(rows)
+        return value if self.sign > 0 else Polytope(-value.generators, copy=False)
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
@@ -63,23 +68,18 @@ class SetValuedMap:
 
 
 def negate(H: SetValuedMap) -> SetValuedMap:
-    """The map x -> -H(x)."""
-    def ev(x):
-        return Polytope(-H.evaluate(x).generators, copy=False)
-    return SetValuedMap(H.dimension, ev, growth_bound=H.growth_bound,
-                        name=f"-({H.name})" if H.name else "",
-                        select=lambda x, rule, rng, sign: H._pick(x, rule, rng, -sign))
+    """The map x -> -H(x), on the generators of H."""
+    neg = SetValuedMap(H.dimension, H.generators, growth_bound=H.growth_bound,
+                       name=f"-({H.name})" if H.name else "")
+    neg.sign = -H.sign
+    return neg
 
 
 def singleton_map(dimension: int, func: Callable[[np.ndarray], np.ndarray],
                   growth_bound: float | None = None, name: str = "") -> SetValuedMap:
     """Wrap a single-valued vector field as a set-valued map."""
-    def ev(x):
-        return Polytope(np.asarray(func(x), dtype=float).reshape(1, -1), copy=False)
-
-    def select(x, rule, rng, sign):
-        return sign * np.asarray(func(x), dtype=float).ravel()
-    return SetValuedMap(dimension, ev, growth_bound=growth_bound, name=name, select=select)
+    return SetValuedMap(dimension, lambda x: np.asarray(func(x), dtype=float).reshape(1, -1),
+                        growth_bound=growth_bound, name=name)
 
 
 def check_linear_growth(H: SetValuedMap, points) -> float:
@@ -164,6 +164,24 @@ def check_gradients(functions: Sequence[tuple[str, Callable, Callable]],
     return worst
 
 
+def near_max(rows: Iterable[Sequence[float]], tol: float) -> list[list[int]]:
+    """For each row of floats, the indices k with ``row[k] >= max(row) - tol``,
+    the one activity test.  A NaN is never near the max, wherever it stands in
+    its row; a row of NaNs alone raises ValueError."""
+    near = []
+    for row in rows:
+        cut = max(row) - tol
+        ks = [k for k, v in enumerate(row) if v >= cut]
+        if not ks:  # max() returned a leading NaN (it skips a later one): retake it
+            numbers = [v for v in row if v == v]
+            if not numbers:
+                raise ValueError("every value of the activity test is NaN")
+            cut = max(numbers) - tol
+            ks = [k for k, v in enumerate(row) if v >= cut]
+        near.append(ks)
+    return near
+
+
 def active_gradients(f: MaxOfSmoothFunction, x) -> list[np.ndarray]:
     """Gradients of the pieces within ``f.activity_tol`` of the max at x (one off the kinks).
     A lone piece is active at every x, a NaN or infinite one included, so its
@@ -172,10 +190,8 @@ def active_gradients(f: MaxOfSmoothFunction, x) -> list[np.ndarray]:
     x = np.asarray(x, dtype=float)
     if len(f.pieces) == 1:
         return [np.asarray(f.pieces[0].gradient(x), dtype=float)]
-    values = [float(p.value(x)) for p in f.pieces]
-    cutoff = max(values) - f.activity_tol
-    return [np.asarray(p.gradient(x), dtype=float)
-            for p, v in zip(f.pieces, values) if v >= cutoff]
+    (ks,) = near_max([[float(p.value(x)) for p in f.pieces]], f.activity_tol)
+    return [np.asarray(f.pieces[k].gradient(x), dtype=float) for k in ks]
 
 
 def clarke_subdifferential(f: MaxOfSmoothFunction, x) -> Polytope:
@@ -191,24 +207,21 @@ def select_subgradients(f: MaxOfSmoothFunction, X: np.ndarray, rule: str,
     With sign = -1 a step along ``eta - g`` is one along ``(sign * g) + eta``:
     IEEE subtraction adds the negation.
 
-    Each piece is evaluated once on the whole stack, and the activity test runs
-    on plain floats, row by row, as ``active_gradients`` does.  A row with one
-    active piece takes its gradient, with no polytope and no draw; a row at a
-    kink selects from its polytope alone.  A single piece is active everywhere,
-    so it needs no activity test.
+    Each piece is evaluated once on the whole stack, and one ``near_max`` call
+    runs the activity test on plain floats, row by row, as ``active_gradients``
+    does.  A row with one active piece takes its gradient, with no polytope and
+    no draw; a row at a kink selects from its polytope alone.  A single piece
+    is active everywhere, so it needs no activity test.
     """
     pieces = f.pieces
     if len(pieces) == 1:
         return pieces[0].gradient(X)
-    tol, ks, actives = f.activity_tol, range(len(pieces)), []
-    for row in zip(*[p.value(X).tolist() for p in pieces]):
-        cut = max(row) - tol
-        actives.append([k for k in ks if row[k] >= cut])
+    actives = near_max(zip(*[p.value(X).tolist() for p in pieces]), f.activity_tol)
     first = actives[0]
     if len(first) == 1 and actives.count(first) == len(actives):  # one piece on every row
         return pieces[first[0]].gradient(X)
     grads = np.array([p.gradient(X) for p in pieces], dtype=float)
-    G = grads[[a[0] if a else 0 for a in actives], np.arange(X.shape[0])]
+    G = grads[[a[0] for a in actives], np.arange(X.shape[0])]
     for r, a in enumerate(actives):
         if len(a) != 1:  # sign * (sign * y) is y
             G[r] = sign * _select_from(Polytope(sign * grads[a, r], copy=False), rule,
@@ -218,23 +231,8 @@ def select_subgradients(f: MaxOfSmoothFunction, X: np.ndarray, rule: str,
 
 def clarke_map(f: MaxOfSmoothFunction, growth_bound: float | None = None) -> SetValuedMap:
     """The subdifferential of f as a set-valued map."""
-    def ev(x):
-        return clarke_subdifferential(f, x)
-
-    def select(x, rule, rng, sign):
-        return select_rows(active_gradients(f, x), rule, rng, sign)
-    return SetValuedMap(f.dimension, ev, growth_bound=growth_bound,
-                        name=f"subdiff({f.name})" if f.name else "subdiff", select=select)
-
-
-def select_rows(rows: Sequence[np.ndarray], rule: str, rng: np.random.Generator | None,
-                sign: float = 1.0) -> np.ndarray:
-    """``_select_from(Polytope(sign * np.array(rows)), rule, rng)``, with no
-    polytope for one row (``1.0 * g`` is a copy of g, bit for bit)."""
-    if len(rows) == 1:
-        return sign * rows[0]
-    gens = np.array(rows, dtype=float)
-    return _select_from(Polytope(gens if sign > 0 else -gens, copy=False), rule, rng)
+    return SetValuedMap(f.dimension, lambda x: active_gradients(f, x), growth_bound=growth_bound,
+                        name=f"subdiff({f.name})" if f.name else "subdiff")
 
 
 def _select_from(poly: Polytope, rule: str, rng: np.random.Generator | None) -> np.ndarray:

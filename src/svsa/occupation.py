@@ -144,8 +144,10 @@ def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_residences(measure: OccupationMeasure, cell_size: float) -> dict[tuple, float]:
-    cells = np.floor(measure.positions / cell_size).astype(np.int64)
-    uniq, inverse = _unique_rows(cells)
+    cells = np.floor(measure.positions / cell_size)
+    if not np.all(np.abs(cells) < 2.0 ** 63):  # NaN fails too
+        raise ValueError(f"a position has no int64 cell index at cell size {cell_size!r}")
+    uniq, inverse = _unique_rows(cells.astype(np.int64))
     masses = np.bincount(inverse, weights=measure.weights) / measure.total_weight
     return {tuple(row): float(m) for row, m in zip(uniq, masses)}
 

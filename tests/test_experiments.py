@@ -64,6 +64,13 @@ class TestConfig:
         assert "name" in text and "problem.kind" in text
         assert "n_steps" in text and "seeds" in text
 
+    def test_cell_size_bound_follows_the_states(self):
+        # the guard ball holds every recorded state, the unit box every profile
+        doc = sgd_doc(n_steps=1000, base=500)
+        for edit in ({"diagnostics": {"residence_cell_size": 100.0 / 2.0 ** 61}},
+                     {"problem": FP_PROBLEM, "diagnostics": {"residence_cell_size": 1e-18}}):
+            ExperimentConfig.from_doc(doc | edit)
+
     def test_checkpoint_base_bounded_by_steps(self):
         doc = sgd_doc(n_steps=500, base=1000)
         with pytest.raises(ConfigError, match="checkpoint_base"):
@@ -510,6 +517,11 @@ class TestCli:
         (lambda doc: doc.update(problem=FP_PROBLEM | {"game": {"name": "generalized_rps",
                                                                  "a": math.inf}}),
          "problem.game: payoffs must be finite"),
+        (lambda doc: doc.update(problem={"kind": "custom_map", "map": "doubling", "dim": 1,
+                                         "x0": [1.0]}, guard_radius=1e300),
+         "diagnostics.residence_cell_size: above 2.1684e+281 required"),
+        (lambda doc: doc.update(problem=FP_PROBLEM, diagnostics={"residence_cell_size": 1e-19}),
+         "diagnostics.residence_cell_size: above 2.1684e-19 required"),
     ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game",
             "objective_suffix", "objective_dimension_0", "objective_not_a_string",
             "negative_sigma", "moment_order_not_a_number", "unknown_diagnostics_key",
@@ -523,7 +535,8 @@ class TestCli:
             "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool",
             "step_underflow", "heavy_ball_alpha_underflow", "seed_is_a_bool",
             "checkpoint_base_is_a_bool", "n_steps_is_a_bool", "bank_degree_is_a_bool",
-            "guard_radius_is_a_bool", "nan_payoff", "infinite_payoff", "rps_with_infinite_win"])
+            "guard_radius_is_a_bool", "nan_payoff", "infinite_payoff", "rps_with_infinite_win",
+            "cell_index_beyond_int64", "profile_cell_index_beyond_int64"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
         doc = sgd_doc(n_steps=1000, base=500)
         edit(doc)
@@ -572,7 +585,8 @@ class TestCli:
         doc = {"name": "overflow",
                "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
                "schedule": {"kind": "constant", "a": 1e300}, "n_steps": 50,
-               "guard_radius": 1e308, "seeds": [0], "checkpoint_base": 10}
+               "guard_radius": 1e308, "seeds": [0], "checkpoint_base": 10,
+               "diagnostics": {"residence_cell_size": 1e290}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         with warnings.catch_warnings():
@@ -599,7 +613,9 @@ class TestCli:
         lambda meta: meta.pop("dimension"),
         lambda meta: meta.update(diagnostics="x"),
         lambda meta: meta["diagnostics"].update(residence_cell_size=-1),
-    ], ids=["no_iteration", "no_dimension", "diagnostics_not_an_object", "negative_cell_size"])
+        lambda meta: meta["diagnostics"].update(residence_cell_size=1e-300),
+    ], ids=["no_iteration", "no_dimension", "diagnostics_not_an_object", "negative_cell_size",
+            "cell_index_beyond_int64"])
     def test_bad_sidecar_is_reported(self, tmp_path, capsys, edit):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(sgd_doc(n_steps=1000, seeds=(1,), base=500)))

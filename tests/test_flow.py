@@ -8,7 +8,7 @@ from svsa.engine import shb_flow_map
 from svsa.flow import (Curve, euler_di, limit_set_estimate, lyapunov_check,
                        recurrence_proxy, stable_zero_check)
 from svsa.games import game_from_json, game_map, generalized_rps, matching_pennies
-from svsa.geometry import Polytope, distance_to_hull
+from svsa.geometry import distance_to_hull
 from svsa.maps import (SELECTION_RULES, SetValuedMap, abs_value, clarke_map,
                        half_square_norm, max_of_squares, negate, singleton_map)
 
@@ -78,10 +78,10 @@ class TestEulerDi:
             H, x0, dt, step = singleton_map(1, lambda x: x * 1e300 - x * 1e300), [1e10], 1.0, 1
         seen = []
 
-        def select(x, rule, rng, sign):
+        def generators(x):
             seen.append(x.copy())
-            return H.select(x, rule, rng, sign)
-        watched = SetValuedMap(H.dimension, H.evaluate, select=select)
+            return H.generators(x)
+        watched = SetValuedMap(H.dimension, generators)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 RuntimeError, match=f"non-finite state at step {step}$"):
             euler_di(watched, x0, dt, 10 * dt)
@@ -278,12 +278,12 @@ class TestStableZero:
 
     def test_zero_that_leaks_is_rejected(self):
         # 0 belongs to the value at the origin, but selections can run away.
-        def ev(x):
+        def generators(x):
             if abs(x[0]) > 0.0:
-                return Polytope([[1.0]])
-            return Polytope([[0.0], [1.0]])
+                return np.array([[1.0]])
+            return np.array([[0.0], [1.0]])
 
-        H = SetValuedMap(1, ev)
+        H = SetValuedMap(1, generators)
         assert not stable_zero_check(H, [0.0], 2.0, 1e-3, trials=4,
                                      rng=np.random.default_rng(3))
 

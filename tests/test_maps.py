@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from svsa.engine import shb_flow_map
 from svsa.games import game_from_json, game_map, generalized_rps, matching_pennies
-from svsa.geometry import Polytope, distance_to_hull, support_value
+from svsa.geometry import distance_to_hull, support_value
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
                        _select_from, abs_value, active_gradients, check_linear_growth, clarke_map,
                        clarke_subdifferential, enlargement_sample, enlargement_slack,
-                       half_square_norm, max_of_squares, negate, select_subgradients,
+                       half_square_norm, max_of_squares, near_max, negate, select_subgradients,
                        singleton_map, uniform_ball)
 
 from helpers import THREE_PLAYER_TIES
@@ -73,11 +73,11 @@ class TestSelection:
             np.testing.assert_array_equal(H.select([1.0, 2.0], rule, rng), [-1.0, -2.0])
 
     def test_min_norm_on_symmetric_segment(self):
-        H = SetValuedMap(2, lambda x: Polytope([[1.0, 0.0], [0.0, 1.0]]))
+        H = SetValuedMap(2, lambda x: np.array([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_allclose(H.select([0.0, 0.0], "min_norm"), [0.5, 0.5], atol=1e-9)
 
     def test_selection_lands_in_hull(self):
-        H = SetValuedMap(2, lambda x: Polytope([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        H = SetValuedMap(2, lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         rng = np.random.default_rng(7)
         for rule in ("min_norm", "random_vertex", "random_hull"):
             for _ in range(50):
@@ -89,7 +89,7 @@ class TestSelection:
             attract_origin().select([1.0], "nope", np.random.default_rng(0))
 
     def test_stochastic_rule_needs_rng(self):
-        H = SetValuedMap(1, lambda x: Polytope([[-1.0], [1.0]]))
+        H = SetValuedMap(1, lambda x: np.array([[-1.0], [1.0]]))
         with pytest.raises(ValueError, match="needs an rng"):
             H.select([0.0], "random_hull", None)
 
@@ -161,7 +161,7 @@ def _pair(points):
 _A = np.array([[-0.5, 0.3], [-0.2, -0.7]])
 _PENNIES, _RPS = matching_pennies(), generalized_rps(1.0, 2.0)
 _TIES = game_from_json(THREE_PLAYER_TIES)
-_PLAIN = SetValuedMap(2, lambda x: Polytope([[1.0, 0.0], [0.0, 1.0], x]))
+_PLAIN = SetValuedMap(2, lambda x: np.array([[1.0, 0.0], [0.0, 1.0], x]))
 
 # name -> (map, points): every constructor, negated, with kinks and ties forced
 SELECT_MAPS = {
@@ -274,6 +274,43 @@ class TestLonePieceAtNonFinitePoints:
                 assert y.tobytes() == _select_from(value, rule, None).tobytes()
 
 
+class TestNaNActivity:
+    # A NaN value is never active, wherever its piece stands (Python's max
+    # skips a NaN unless it comes first), and a point whose values are all NaN
+    # has no active piece.
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["maxsq2", "maxsq3"]), st.sampled_from(SELECTION_RULES),
+           st.integers(0, 2**32 - 1))
+    def test_permuting_coordinates_permutes_the_result(self, data, name, rule, seed):
+        f = OBJECTIVES[name]
+        n = f.dimension
+        x = data.draw(tied_points(n))
+        x[sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))] = np.nan
+        perm = data.draw(st.permutations(range(n)))
+        y = x[perm]
+        # piece k at y is piece perm[k] at x, and its gradient is permuted alike
+        gx, gy = (clarke_subdifferential(f, z).generators for z in (x, y))
+        assert sorted(map(tuple, gx[:, perm].tolist())) == sorted(map(tuple, gy.tolist()))
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        G = select_subgradients(f, np.stack([x, y]), rule, rngs)
+        for g, z in zip(G, (x, y)):
+            want = clarke_map(f).select(z, rule, np.random.default_rng(seed))
+            assert g.tobytes() == want.tobytes()
+
+    def test_all_nan_values_raise(self):
+        for f, x in ((abs_value(), [np.nan]), (max_of_squares(2), [np.nan, np.nan])):
+            with pytest.raises(ValueError, match="every value of the activity test is NaN"):
+                active_gradients(f, x)
+            with pytest.raises(ValueError, match="every value of the activity test is NaN"):
+                select_subgradients(f, np.array([[1.0] * f.dimension, x]), "min_norm", None)
+
+    def test_near_max(self):
+        nan = float("nan")
+        assert near_max([(nan, 1.0, 1.0 - 1e-9, 0.5), (2.0, nan), (-np.inf, -np.inf)],
+                        1e-8) == [[1, 2], [0], [0, 1]]
+
+
 class TestEnlargement:
     def test_zero_delta_collapses_to_map_value(self):
         y = enlargement_sample(attract_origin(), [3.0], 0.0, np.random.default_rng(0))
@@ -311,7 +348,7 @@ class TestEnlargement:
         # positive slack is only an upper bound from the sampled z's.
         maps = [attract_origin(1),
                 clarke_map(abs_value()),
-                SetValuedMap(2, lambda x: Polytope([[1.0, 0.0], [0.0, 1.0]]))]
+                SetValuedMap(2, lambda x: np.array([[1.0, 0.0], [0.0, 1.0]]))]
         rng = np.random.default_rng(3)
         for H in maps:
             x = np.zeros(H.dimension) + 0.1

@@ -164,6 +164,15 @@ class TestEssentialAccumulation:
         with pytest.raises(ValueError, match="more samples or more total weight"):
             essential_accumulation_estimate([late, early], 1.0, 0.5)
 
+    @pytest.mark.parametrize("position, cell_size", [(np.nan, 1.0), (np.inf, 1.0),
+                                                     (1.0, 1e-300), (-2.0 ** 64, 1.0)])
+    def test_cell_index_outside_int64_raises(self, position, cell_size):
+        # floor(x / cell) must be an int64: a cast would give a platform-defined index
+        mus = [OccupationMeasure.from_arrays([[0.0], [position]][:m], np.zeros((m, 1)),
+                                             np.ones(m)) for m in (1, 2)]
+        with pytest.raises(ValueError, match="no int64 cell index"):
+            essential_accumulation_estimate(mus, cell_size, 0.5)
+
 
 class TestResiduals:
     def test_odd_velocities_cancel_for_every_g(self):
