@@ -13,7 +13,9 @@ game that ties often, so the uniform draw over ties is compared.  Seeds of a
 config are stepped in lockstep, so several configs run a few seeds at once:
 sgd on maxsq3 from a tie with random vertices (kinks on most steps), heavy
 ball on maxsq2, and sgd on |x| where some seeds escape mid-run and the others
-complete (the script fails if that config does not show both statuses).  Then
+complete (the script fails if that config does not show both statuses).  The
+heavy-ball config also runs with ``jobs=2``, each seed in a process pool,
+under its own experiment name.  Then
 it runs ``svsa diagnose`` on every checkpoint, named ``checkpoint_<N>.csv`` as
 on the command line.  Last it runs the six operations of the
 ``flow_certificates`` workload at seed 7, writes every Euler curve they
@@ -63,6 +65,11 @@ def _sgd(name: str, **extra) -> dict:
 
 
 MIXED_STATUSES = "sgd_abs_escapes_mixed"  # seeds 1 and 4 escape, 2 and 3 complete
+SHB_SEEDS = {"name": "shb_maxsq2_seeds",
+             "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
+             "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
+             "n_steps": 1000, "seeds": [1, 2, 3], "checkpoint_base": 250}
+POOLED = "shb_maxsq2_seeds_jobs2"  # the same config, run with jobs=2 (a process pool)
 
 # (config, max_samples or None): a run with max_samples thins its checkpoints.
 CONFIGS = [
@@ -117,10 +124,8 @@ CONFIGS = [
       "problem": {"kind": "sgd", "f": "maxsq3", "x0": [1.0, -1.0, 1.0]},
       "schedule": {"kind": "constant", "a": 0.1}, "selection_rule": "random_vertex",
       "n_steps": 600, "seeds": [1, 2, 3, 4], "checkpoint_base": 200}, None),
-    ({"name": "shb_maxsq2_seeds",
-      "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
-      "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
-      "n_steps": 1000, "seeds": [1, 2, 3], "checkpoint_base": 250}, None),
+    (SHB_SEEDS, None),
+    ({**SHB_SEEDS, "name": POOLED}, None),
     (_sgd(MIXED_STATUSES, schedule={"kind": "constant", "a": 0.05},
           noise={"kind": "gaussian", "sigma": 4.0}, n_steps=3000, guard_radius=2.5,
           seeds=[1, 2, 3, 4], checkpoint_base=500), None),
@@ -146,7 +151,8 @@ def produce(out: Path) -> None:
         experiments.accumulate = (accumulate if max_samples is None else
                                   functools.partial(accumulate, max_samples=max_samples))
         try:
-            report = experiments.run_experiment(doc, out_dir=runs)
+            report = experiments.run_experiment(doc, out_dir=runs,
+                                                jobs=2 if doc["name"] == POOLED else 1)
         finally:
             experiments.accumulate = accumulate
         statuses = {s["status"] for s in report.seed_summaries}

@@ -14,9 +14,10 @@ run is the batch of one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .maps import (MaxOfSmoothFunction, SetValuedMap, active_gradients, check_ru
 from .maps import _select_from, clarke_subdifferential  # noqa: F401
 
 DEFAULT_SELECTION_RULE = "random_hull"
-_ALL_ROWS = slice(None)  # the index of a stack no seed has left
+LOCKSTEP_BATCH_BYTES = 256 * 2**20  # bound on one lockstep batch's stacked states and noises
 
 
 # Step-size schedules -------------------------------------------------------
@@ -66,6 +67,9 @@ class StepSchedule:
         return cls("constant", a)
 
     def step(self, i: int) -> float:
+        """eps_i in Python arithmetic (``**``, ``math.log``): it may differ from
+        ``values(n)[i]`` (numpy) in the last bit, as on 10 of the first 200
+        steps of power(0.5, 0.6) and 8 of 200k logarithmic steps."""
         if self.kind == "power":
             return self.a / (i + 1) ** self.rho
         if self.kind == "logarithmic":
@@ -200,23 +204,6 @@ class Trajectory:
         return float(self.clock[-1])
 
 
-def _as_rngs(seeds) -> tuple[list[np.random.Generator], list[int | None]]:
-    """One generator per seed (a Generator is used as given) and the recorded seeds."""
-    rngs = [s if isinstance(s, np.random.Generator) else np.random.default_rng(s) for s in seeds]
-    return rngs, [None if isinstance(s, np.random.Generator) else int(s) for s in seeds]
-
-
-def _noise_stack(noise: NoiseModel, rngs, n_steps: int, dimension: int,
-                 width: int | None = None) -> np.ndarray:
-    """Each seed's noise for the whole run, drawn first from its own generator,
-    in the last ``dimension`` columns of a zero (S, n_steps, width) stack."""
-    out = np.zeros((len(rngs), n_steps, width or dimension))
-    if noise.kind != "none":  # that kind draws nothing
-        for r, rng in enumerate(rngs):
-            out[r, :, out.shape[2] - dimension:] = noise.sample(n_steps, dimension, rng)
-    return out
-
-
 def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
             delta_i: float, rng: np.random.Generator,
             rule: str = DEFAULT_SELECTION_RULE, eta=None):
@@ -225,9 +212,11 @@ def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseMode
 
     Returns (x_next, v, eta) with v recomputed as (x_next - x)/eps_i so the
     definitional velocity identity holds bit-exactly.  ``eta`` may be forced
-    for deterministic tests.  The noise is drawn after the selection, while
-    ``run_sa`` draws a run's noises before its first step, so a chain of
-    ``sa_step`` calls sharing one rng is not ``run_sa`` with that seed.
+    for deterministic tests.  A chain of ``sa_step`` calls sharing one rng is
+    not ``run_sa`` with that seed: the noise is drawn after the selection,
+    while ``run_sa`` draws a run's noises before its first step, and eps_i is
+    ``schedule.step(i)``, which may differ from the ``schedule.values`` that
+    ``run_sa`` records in the last bit.
     """
     x = np.asarray(x, dtype=float)
     eps_i = schedule.step(i)
@@ -243,59 +232,83 @@ def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseMode
     return x_next, v, eta
 
 
-def _start(x0, n_steps: int, guard_radius: float, rule: str = DEFAULT_SELECTION_RULE) -> np.ndarray:
+def _iterate(x0, advance, eps: np.ndarray, seeds: Iterable, guard_radius: float,
+             noise: NoiseModel, noise_columns: int | None = None,
+             deltas: np.ndarray | None = None,
+             rule: str = DEFAULT_SELECTION_RULE) -> Iterator[Trajectory]:
+    """The one recursion loop: the run of each of ``seeds`` from x0 for
+    ``len(eps)`` steps (an int seeds its own generator; a Generator is used as
+    given and recorded as seed None).  ``X = advance(i, X, rngs, eta)`` maps
+    the (S', n) stack of the seeds still inside the guard ball to their next
+    states; ``rngs`` are their generators and ``eta`` their (S', noise_columns)
+    noise at step i, which each seed draws first from its generator into the
+    last ``noise_columns`` columns (default: all) of a zero record.  A seed
+    stops at its first state outside the ball, as its own run would.
+
+    The seeds are stepped in lockstep, in batches of consecutive seeds whose
+    states and noises (16 bytes per step and coordinate of a seed) fit in
+    LOCKSTEP_BATCH_BYTES; a batch starts once the previous one is consumed.
+    Returns the runs one by one, in seed order.
+    """
+    n_steps = len(eps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     check_rule(rule)
     x0 = np.asarray(x0, dtype=float).copy()
-    if guard_radius <= np.linalg.norm(x0):
+    if guard_radius <= math.hypot(*x0.tolist()):
         raise ValueError("guard radius must exceed the norm of the initial state")
-    return x0
-
-
-def _iterate(x0: np.ndarray, advance, eps: np.ndarray, deltas: np.ndarray,
-             noises: np.ndarray, guard_radius: float, rngs: list,
-             seeds: list) -> Iterator[Trajectory]:
-    """The one recursion loop, for S seeds in lockstep, from x0 for ``len(eps)``
-    steps.  ``X = advance(i, X, rngs, rows)`` maps the (S', n) stack of the
-    seeds still inside the guard ball to their next states; ``rngs`` are their
-    generators and ``rows`` their index into the per-seed records, as in
-    ``noises[rows, i]``.  A seed stops at its first state outside the ball, as
-    its own run would.
-
-    Returns the S runs one by one, in seed order.  Their states, noises, steps,
-    deltas and clock are views of the stacked records; v_{i+1} =
-    (x_{i+1} - x_i)/eps_i is recorded when a run is reached, so a caller that
-    lets each run go holds the velocities of one run at a time.
-    """
     if not np.all(eps > 0.0):
         raise ValueError("step sizes must be positive")
-    S, n_steps, n = noises.shape
+    seeds, columns = list(seeds), noise_columns or x0.shape[0]
+    deltas = np.zeros(n_steps) if deltas is None else deltas
+    size = max(1, LOCKSTEP_BATCH_BYTES // (16 * (n_steps + 1) * x0.shape[0]))
+    return itertools.chain.from_iterable(
+        _lockstep(x0, advance, eps, guard_radius, noise, columns, deltas, seeds[k:k + size])
+        for k in range(0, len(seeds), size))
+
+
+def _lockstep(x0: np.ndarray, advance, eps: np.ndarray, guard_radius: float,
+              noise: NoiseModel, noise_columns: int, deltas: np.ndarray,
+              seeds: list) -> Iterator[Trajectory]:
+    """One lockstep batch of ``_iterate``.  The runs' states, noises, steps,
+    deltas and clock are views of the stacked records; v_{i+1} =
+    (x_{i+1} - x_i)/eps_i is recorded when a run is reached, so a caller that
+    lets each run go holds the velocities of one run at a time."""
+    rngs = [s if isinstance(s, np.random.Generator) else np.random.default_rng(s) for s in seeds]
+    S, n_steps, n = len(seeds), len(eps), x0.shape[0]
+    noises = np.zeros((S, n_steps, n))
+    etas = noises[:, :, n - noise_columns:]
+    if noise.kind != "none":  # that kind draws nothing
+        for r, rng in enumerate(rngs):
+            etas[r] = noise.sample(n_steps, noise_columns, rng)
     states = np.empty((S, n_steps + 1, n))
     states[:, 0] = x0
     bound = guard_radius * guard_radius
     # hypot(*x) <= radius puts x inside the ball with a finite x @ x; any other
-    # stack is decided by float(x @ x) row by row
+    # stack is decided row by row
     radius = min(0.5 * guard_radius, 1e150)
     ends, norms = [n_steps] * S, [None] * S
-    live, rows = list(range(S)), _ALL_ROWS
+    live, rows = list(range(S)), slice(None)  # rows: the live seeds' index into the records
     X = np.repeat(x0[None], S, axis=0)
     by_step = states.transpose(1, 0, 2)  # by_step[i] is the (S, n) stack of step i
     for i in range(n_steps):
-        X = advance(i, X, rngs, rows)
-        if rows is _ALL_ROWS:
-            by_step[i + 1] = X
-        else:
-            by_step[i + 1, rows] = X
+        X = advance(i, X, rngs, etas[rows, i])
+        by_step[i + 1, rows] = X
         if math.hypot(*X.ravel().tolist()) <= radius:  # the stack's norm bounds each row's
             continue
+        with np.errstate(over="ignore"):
+            squares = [float(x @ x) for x in X]
         keep = []
-        for j, r in enumerate(live):
-            sq = float(X[j] @ X[j])
-            if math.isfinite(sq) and sq <= bound:
+        for j, (r, sq) in enumerate(zip(live, squares)):
+            if math.isfinite(sq):
+                inside, norm = sq <= bound, math.sqrt(sq)
+            else:  # x @ x overflows from about 1.3e154; hypot does not
+                norm = math.hypot(*X[j].tolist())
+                inside = norm <= guard_radius  # False for a NaN norm, recorded as inf
+            if inside:
                 keep.append(j)
             else:
-                ends[r], norms[r] = i + 1, math.sqrt(sq) if math.isfinite(sq) else math.inf
+                ends[r], norms[r] = i + 1, norm if norm == norm else math.inf
         if not keep:
             break
         if len(keep) < len(live):
@@ -304,36 +317,33 @@ def _iterate(x0: np.ndarray, advance, eps: np.ndarray, deltas: np.ndarray,
     clock = np.concatenate([[0.0], np.cumsum(eps)])
 
     def run(r: int) -> Trajectory:
-        m, norm = ends[r], norms[r]
+        m, norm, seed = ends[r], norms[r], seeds[r]
         return Trajectory(states=states[r, :m + 1],
                           velocities=np.diff(states[r, :m + 1], axis=0) / eps[:m, None],
                           steps=eps[:m], deltas=deltas[:m], noises=noises[r, :m],
                           clock=clock[:m + 1], status="completed" if norm is None else "escaped",
                           escape_index=None if norm is None else m, escape_norm=norm,
-                          seed=seeds[r])
+                          seed=None if isinstance(seed, np.random.Generator) else int(seed))
 
     return map(run, range(S))
 
 
 def run_sa_seeds(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
                  delta_schedule: StepSchedule | None, n_steps: int, guard_radius: float,
-                 seeds: Sequence,
+                 seeds: Iterable,
                  rule: str = DEFAULT_SELECTION_RULE) -> Iterator[Trajectory]:
     """``run_sa`` for each of ``seeds``, stepped in lockstep (the runs come one
     by one, as ``_iterate`` returns them); each row selects from H on its own."""
-    x0 = _start(x0, n_steps, guard_radius, rule)
-    rngs, seed_vals = _as_rngs(seeds)
     eps = schedule.values(n_steps)
     deltas = delta_schedule.values(n_steps) if delta_schedule is not None else np.zeros(n_steps)
-    noises = _noise_stack(noise, rngs, n_steps, x0.shape[0])
 
-    def advance(i, X, rngs, rows):
+    def advance(i, X, rngs, eta):
         Y = np.empty(X.shape)
         for j, rng in enumerate(rngs):
             Y[j] = enlargement_sample(H, X[j], deltas.item(i), rng, rule)
-        return X + eps.item(i) * (Y + noises[rows, i])
+        return X + eps.item(i) * (Y + eta)
 
-    return _iterate(x0, advance, eps, deltas, noises, guard_radius, rngs, seed_vals)
+    return _iterate(x0, advance, eps, seeds, guard_radius, noise, deltas=deltas, rule=rule)
 
 
 def run_sa(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
@@ -349,19 +359,16 @@ def run_sa(x0, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
 
 
 def run_sgd_seeds(f: MaxOfSmoothFunction, schedule: StepSchedule, noise: NoiseModel,
-                  n_steps: int, guard_radius: float, seeds: Sequence, x0,
+                  n_steps: int, guard_radius: float, seeds: Iterable, x0,
                   rule: str = DEFAULT_SELECTION_RULE) -> Iterator[Trajectory]:
     """``run_sgd`` for each of ``seeds``, stepped in lockstep (the runs come one
     by one): the pieces of f are evaluated once per step on the stack of states."""
-    x0 = _start(x0, n_steps, guard_radius, rule)
-    rngs, seed_vals = _as_rngs(seeds)
     eps = schedule.values(n_steps)
-    noises = _noise_stack(noise, rngs, n_steps, x0.shape[0])
 
-    def advance(i, X, rngs, rows):
-        return X + eps.item(i) * (noises[rows, i] - select_subgradients(f, X, rule, rngs, -1.0))
+    def advance(i, X, rngs, eta):
+        return X + eps.item(i) * (eta - select_subgradients(f, X, rule, rngs, -1.0))
 
-    return _iterate(x0, advance, eps, np.zeros(n_steps), noises, guard_radius, rngs, seed_vals)
+    return _iterate(x0, advance, eps, seeds, guard_radius, noise, rule=rule)
 
 
 def run_sgd(f: MaxOfSmoothFunction, schedule: StepSchedule, noise: NoiseModel,
@@ -376,28 +383,26 @@ def run_sgd(f: MaxOfSmoothFunction, schedule: StepSchedule, noise: NoiseModel,
 
 def run_shb_seeds(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
                   beta_schedule: StepSchedule, noise: NoiseModel, n_steps: int,
-                  guard_radius: float, seeds: Sequence, q0, p0=None,
+                  guard_radius: float, seeds: Iterable, q0, p0=None,
                   rule: str = DEFAULT_SELECTION_RULE) -> Iterator[Trajectory]:
     """``run_shb`` for each of ``seeds``, stepped in lockstep (the runs come one
     by one)."""
     q0 = np.asarray(q0, dtype=float)
     m_dim = q0.shape[0]
     p0 = np.zeros(m_dim) if p0 is None else np.asarray(p0, dtype=float)
-    x0 = _start(np.concatenate([q0, p0]), n_steps, guard_radius, rule)
-    rngs, seed_vals = _as_rngs(seeds)
     alphas = alpha_schedule.values(n_steps)
     betas = beta_schedule.values(n_steps)
     if np.any(betas > 1.0):
         raise ValueError("beta steps must not exceed 1")
-    noises = _noise_stack(noise, rngs, n_steps, m_dim, 2 * m_dim)
 
-    def advance(i, X, rngs, rows):
+    def advance(i, X, rngs, eta):
         g = select_subgradients(f, X[:, :m_dim], rule, rngs)
         b = betas.item(i)
-        p = (1.0 - b) * X[:, m_dim:] - b * g + b * noises[rows, i, m_dim:]
+        p = (1.0 - b) * X[:, m_dim:] - b * g + b * eta
         return np.concatenate([X[:, :m_dim] + alphas.item(i) * p, p], axis=1)
 
-    return _iterate(x0, advance, betas, np.zeros(n_steps), noises, guard_radius, rngs, seed_vals)
+    return _iterate(np.concatenate([q0, p0]), advance, betas, seeds, guard_radius, noise,
+                    m_dim, rule=rule)
 
 
 def run_shb(f: MaxOfSmoothFunction, alpha_schedule: StepSchedule,
@@ -446,35 +451,30 @@ def shb_flow_map(f: MaxOfSmoothFunction, c: float) -> SetValuedMap:
 
 # Fictitious play ------------------------------------------------------------
 
-def run_fictitious_play_seeds(game: "games_mod.Game", n_steps: int, seeds: Sequence,
+def run_fictitious_play_seeds(game: "games_mod.Game", n_steps: int, seeds: Iterable,
                               xi0: Sequence | None = None) -> Iterator[Trajectory]:
     """``run_fictitious_play`` for each of ``seeds``, stepped in lockstep (the
     runs come one by one); each row draws its best responses on its own."""
-    dim = game.profile_dimension
-    xi0 = _start(np.concatenate(games_mod.initial_profile(game, xi0)), n_steps, math.inf)
-    rngs, seed_vals = _as_rngs(seeds)
-
+    xi0 = np.concatenate(games_mod.initial_profile(game, xi0))
     ends = np.cumsum(game.action_counts).tolist()
     spans = list(zip([0] + ends, ends))
     # (player, its first coordinate, its opponents' slices), built once per run
     players = [(i, a, [slice(*span) for span in spans[:i] + spans[i + 1:]])
                for i, (a, _) in enumerate(spans)]
     eps = 1.0 / (np.arange(n_steps, dtype=float) + 2.0)
-    eps_list = eps.tolist()
 
     # looked up once per run, through the module, so a wrapper installed there sees every call
     best_responses, draw = games_mod.best_response_indices, games_mod.draw_best_response
 
-    def advance(n, X, rngs, rows):
+    def advance(n, X, rngs, eta):
         play = np.zeros(X.shape)
         for j, rng in enumerate(rngs):
             part = X[j].__getitem__
             for i, start, others in players:
                 play[j, start + draw(best_responses(game, i, list(map(part, others))), rng)] = 1.0
-        return X + eps_list[n] * (play - X)
+        return X + eps.item(n) * (play - X)
 
-    return _iterate(xi0, advance, eps, np.zeros(n_steps), np.zeros((len(rngs), n_steps, dim)),
-                    math.inf, rngs, seed_vals)
+    return _iterate(xi0, advance, eps, seeds, math.inf, NoiseModel.none())
 
 
 def run_fictitious_play(game: "games_mod.Game", n_steps: int, seed,

@@ -16,7 +16,6 @@ byte-identical summaries (no timestamps are written).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -205,7 +204,7 @@ def _resolve_problem(doc: dict, beta: StepSchedule | None, guard_radius: float) 
              for key, part in zip(present, start) if part.shape != (dim,)]
     if wrong:
         raise ConfigError(wrong)
-    norm = float(np.linalg.norm(np.concatenate(start)))
+    norm = math.hypot(*np.concatenate(start).tolist())
     if not guard_radius > norm:
         raise ConfigError([f"guard_radius: must exceed the initial state's norm {norm:.6g}"])
     if kind == "shb":
@@ -407,21 +406,9 @@ def validate_config(config: "ExperimentConfig | dict") -> list[str]:
 
 # Running -------------------------------------------------------------------------
 
-LOCKSTEP_BATCH_BYTES = 256 * 2**20  # bound on one lockstep batch's stacked states and noises
-
-
 def _build_runs(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[Trajectory]:
-    """Execute the configured problem for ``seeds`` in lockstep batches of
-    consecutive seeds, each holding its states and noises (16 bytes per step
-    and coordinate of a seed) in LOCKSTEP_BATCH_BYTES; the runs come one by
-    one, in seed order, and a batch starts once the previous one is consumed."""
-    per_seed = 16 * (config.n_steps + 1) * sum(len(s) for s in config.problem.start)
-    size = max(1, LOCKSTEP_BATCH_BYTES // per_seed)
-    return itertools.chain.from_iterable(_run_batch(config, seeds[i:i + size])
-                                         for i in range(0, len(seeds), size))
-
-
-def _run_batch(config: ExperimentConfig, seeds: Sequence[int]) -> Iterator[Trajectory]:
+    """Execute the configured problem for ``seeds``; the runs come one by one,
+    in seed order, as the engine's lockstep batches produce them."""
     prob = config.problem
     if prob.kind == "sgd":
         return run_sgd_seeds(prob.objective, config.schedule, config.noise, config.n_steps,
@@ -466,6 +453,11 @@ def _json_number(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _json_numbers(values: np.ndarray) -> list:
+    """A vector with each non-finite entry as null."""
+    return [_json_number(v) for v in values.tolist()]
+
+
 def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: int,
                             field_values=None, problem_map=None) -> dict:
     """``field_values``: the circulation field at the measure's positions."""
@@ -487,7 +479,7 @@ def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: i
     }
     for psi in bank.weights:
         stat = oscillation_statistic(measure, psi)
-        entry["oscillation"][psi.name] = {"average": stat.weighted_average.tolist(),
+        entry["oscillation"][psi.name] = {"average": _json_numbers(stat.weighted_average),
                                           "psi_weight": stat.psi_weight}
     cell = float(diag["residence_cell_size"])
     cells = _cell_residences(measure, cell)
@@ -529,10 +521,7 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
                   out_dir: str | None) -> dict:
     """The diagnostics, summary and artifacts of one seed's run."""
     prob = config.problem
-    iterations = [i for i in checkpoint_iterations(config.n_steps, config.checkpoint_base)
-                  if i <= traj.n_steps]
-    if not iterations or iterations[-1] != traj.n_steps:
-        iterations.append(traj.n_steps)
+    iterations = checkpoint_iterations(traj.n_steps, config.checkpoint_base)
     measures = [accumulate(traj, upto=i) for i in iterations]
 
     # Checkpoints are prefixes of the run, so the field is evaluated once on its
@@ -556,7 +545,7 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
                   {"index": traj.escape_index, "norm": _json_number(traj.escape_norm)},
         "n_steps": traj.n_steps,
         "elapsed_clock": traj.elapsed,
-        "final_state": traj.states[-1].tolist(),
+        "final_state": _json_numbers(traj.states[-1]),
         "checkpoints": checkpoints,
     }
     summary.update(prob.extras)

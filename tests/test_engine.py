@@ -1,8 +1,12 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import svsa.engine as engine_mod
 from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
                          run_fictitious_play_seeds, run_sa, run_sa_seeds, run_sgd,
                          run_sgd_seeds, run_shb, run_shb_seeds, sa_step,
@@ -132,6 +136,16 @@ class TestRunSa:
         assert traj.escape_norm == 16.0
         assert traj.states.shape[0] == 5
         assert traj.n_steps == 4
+
+    def test_escape_beyond_the_square_root_of_the_float_max(self):
+        # x_i = 2^i 1e200: x @ x overflows from i = 0, and hypot decides, without a
+        # warning, that x_333 is the first state outside the 1e300 ball.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_sa([1e200], singleton_map(1, lambda x: x.copy()),
+                          StepSchedule.constant(1.0), NoiseModel.none(), None, 400, 1e300, 0)
+        assert (traj.status, traj.escape_index, traj.escape_norm) == (
+            "escaped", 333, 1.7498005798264095e300)
 
     def test_guard_must_exceed_start(self):
         with pytest.raises(ValueError):
@@ -465,6 +479,58 @@ class TestLockstep:
             first, second = getattr(batch[0], key), getattr(batch[1], key)
             assert first.base is not None and np.shares_memory(first.base, second.base), key
         assert not np.shares_memory(batch[0].velocities, batch[1].velocities)
+
+
+# Every lockstep entry point on a problem whose runs draw from their generators
+# (noise, kink or best-response ties): seeds -> runs.
+SEED_ENGINES = {
+    "sa": lambda seeds: run_sa_seeds([0.5], negate(clarke_map(abs_value())),
+                                     StepSchedule.power(0.5, 0.6), NoiseModel.gaussian(0.3),
+                                     StepSchedule.power(0.2, 0.5), 200, 100.0, seeds),
+    "sgd": lambda seeds: run_sgd_seeds(max_of_squares(3), StepSchedule.constant(0.1),
+                                       NoiseModel.gaussian(0.2), 200, 100.0, seeds,
+                                       [1.0, -1.0, 1.0], "random_vertex"),
+    "shb": lambda seeds: run_shb_seeds(max_of_squares(2), StepSchedule.constant(0.2),
+                                       StepSchedule.constant(0.2), NoiseModel.gaussian(0.3),
+                                       200, 100.0, seeds, [1.0, -1.0]),
+    "fp": lambda seeds: run_fictitious_play_seeds(game_from_json(THREE_PLAYER_TIES), 200,
+                                                  seeds),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(SEED_ENGINES))
+class TestSeedArguments:
+    def test_generator_seed_is_its_int_seed_recorded_as_none(self, engine):
+        runs = list(SEED_ENGINES[engine]([1, np.random.default_rng(2), 3]))
+        assert [t.seed for t in runs] == [1, None, 3]
+        for a, b in zip(runs, SEED_ENGINES[engine]([1, 2, 3])):
+            assert_same_run(a, dataclasses.replace(b, seed=a.seed))
+
+    def test_seeds_may_be_any_iterable(self, engine):
+        expected = list(SEED_ENGINES[engine]([4, 5, 6]))
+        for seeds in ((4, 5, 6), (s for s in (4, 5, 6))):
+            runs = list(SEED_ENGINES[engine](seeds))
+            assert len(runs) == 3
+            for a, b in zip(runs, expected):
+                assert_same_run(a, b)
+
+
+@pytest.mark.parametrize("engine", ["sa", "fp"])
+def test_direct_calls_run_in_byte_bounded_batches(monkeypatch, engine):
+    # A bound that holds two seeds' states and noises splits five seeds into
+    # batches of 2, 2 and 1, each started once the previous one is consumed.
+    whole = list(SEED_ENGINES[engine]([1, 2, 3, 4, 5]))
+    sizes, lockstep = [], engine_mod._lockstep
+    monkeypatch.setattr(engine_mod, "_lockstep",
+                        lambda *args: sizes.append(len(args[-1])) or lockstep(*args))
+    monkeypatch.setattr(engine_mod, "LOCKSTEP_BATCH_BYTES", 2 * 16 * 201 * whole[0].dimension)
+    runs = SEED_ENGINES[engine]([1, 2, 3, 4, 5])
+    split = [next(runs), next(runs), next(runs)]
+    assert sizes == [2, 2]
+    split.extend(runs)
+    assert sizes == [2, 2, 1]
+    for a, b in zip(split, whole, strict=True):
+        assert_same_run(a, b)
 
 
 # Frozen reference ---------------------------------------------------------------

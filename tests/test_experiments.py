@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import svsa.engine as engine
 import svsa.experiments as experiments
 from svsa.cli import main
 from svsa.experiments import (ConfigError, ExperimentConfig, checkpoint_iterations,
@@ -92,6 +93,34 @@ class TestConfig:
         assert checkpoint_iterations(10_000, 2000) == [2000, 4000, 8000, 10_000]
         assert checkpoint_iterations(8000, 1000) == [1000, 2000, 4000, 8000]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(1, n))))
+    def test_checkpoints_of_a_shortened_run(self, case):
+        # An escaped run of m <= n_steps steps is checkpointed as a run of m
+        # steps: the configured checkpoints up to m, then m.
+        n_steps, base, m = case
+        reference = [i for i in checkpoint_iterations(n_steps, base) if i <= m]
+        if not reference or reference[-1] != m:
+            reference.append(m)
+        assert checkpoint_iterations(m, base) == reference
+
+    def test_start_norm_beyond_the_square_root_of_the_float_max(self, tmp_path):
+        # The norm of x0 and of every state is taken without overflow: the run
+        # leaves the 1e300 ball at x_333 = 2^333 1e200.
+        doc = {"name": "huge",
+               "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1e200]},
+               "schedule": {"kind": "constant", "a": 1.0}, "n_steps": 400,
+               "guard_radius": 1e300, "seeds": [0], "checkpoint_base": 100,
+               "diagnostics": {"residence_cell_size": 1e290}}
+        with warnings.catch_warnings():
+            # the bump diagnostics overflow; a cast of NaN or out of range still fails
+            warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered in (?!cast)",
+                                    RuntimeWarning)
+            run_experiment(doc, out_dir=tmp_path)
+        summary = json.loads((tmp_path / "huge" / "0" / "summary.json").read_text())
+        assert summary["escape"] == {"index": 333, "norm": 1.7498005798264095e300}
+
 
 class TestValidate:
     def test_conforming_power_schedule(self):
@@ -161,13 +190,12 @@ class TestRunExperiment:
         run_experiment(doc, out_dir=tmp_path / "whole")
         per_seed = 16 * 1001 * (1 if problem is None else 2)
         sizes = []
-        run_batch = experiments._run_batch
-        monkeypatch.setattr(experiments, "_run_batch",
-                            lambda config, seeds: sizes.append(len(seeds)) or
-                            run_batch(config, seeds))
+        lockstep = engine._lockstep
+        monkeypatch.setattr(engine, "_lockstep",
+                            lambda *args: sizes.append(len(args[-1])) or lockstep(*args))
         for bound, expected in ((2 * per_seed + 1, [2, 2, 1]), (per_seed - 1, [1] * 5)):
             sizes.clear()
-            monkeypatch.setattr(experiments, "LOCKSTEP_BATCH_BYTES", bound)
+            monkeypatch.setattr(engine, "LOCKSTEP_BATCH_BYTES", bound)
             run_experiment(doc, out_dir=tmp_path / str(bound))
             assert sizes == expected
             whole = sorted(p.relative_to(tmp_path / "whole")
@@ -180,7 +208,7 @@ class TestRunExperiment:
 
     def test_acceptance_batch_is_one_batch(self):
         # 10 seeds x 1M steps of a 1-D state: 160 MB of states and noises.
-        assert experiments.LOCKSTEP_BATCH_BYTES // (16 * (1_000_000 + 1)) >= 10
+        assert engine.LOCKSTEP_BATCH_BYTES // (16 * (1_000_000 + 1)) >= 10
 
     def test_seed_override(self):
         report = run_experiment(sgd_doc(n_steps=1000, base=500), seeds=[7])
@@ -578,7 +606,8 @@ class TestCli:
     def test_overflowing_escape_is_written_as_null(self, tmp_path):
         # A state that overflows escapes with an infinite norm, and the bank
         # residuals of the checkpoint holding it are infinite: both are null,
-        # in the summary and in diagnose.
+        # in the summary and in diagnose.  x_1 = 1e300 lies inside the ball,
+        # so the run escapes at x_2 = inf, written as null too.
         def strict(text):
             return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
 
@@ -594,10 +623,38 @@ class TestCli:
             assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
             seed_dir = tmp_path / "out" / "overflow" / "0"
             summary = strict((seed_dir / "summary.json").read_text())
+            code, out = _diagnose(seed_dir / "checkpoint_2.csv")
+        assert summary["escape"] == {"index": 2, "norm": None}
+        assert summary["final_state"] == [None]
+        residuals = summary["checkpoints"][0]["closed_residuals"]
+        assert residuals["u^1"] is None and residuals["u^2"] is None
+        assert code == 0 and strict(out)["closed_residuals"] == residuals
+
+    def test_finite_state_with_an_overflowing_norm_escapes(self, tmp_path):
+        # x_1 = [1.3e308, 1.3e308] has finite coordinates and an infinite
+        # norm: it escapes, with the norm and the residuals that overflow null
+        # and the ones that do not as numbers.
+        def strict(text):
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+
+        doc = {"name": "overflow",
+               "problem": {"kind": "custom_map", "map": "doubling", "dim": 2,
+                           "x0": [1.0, 1.0]},
+               "schedule": {"kind": "constant", "a": 1.3e308}, "n_steps": 50,
+               "guard_radius": 1e308, "seeds": [0], "checkpoint_base": 10,
+               "diagnostics": {"residence_cell_size": 1e290}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            seed_dir = tmp_path / "out" / "overflow" / "0"
+            summary = strict((seed_dir / "summary.json").read_text())
             code, out = _diagnose(seed_dir / "checkpoint_1.csv")
         assert summary["escape"] == {"index": 1, "norm": None}
+        assert summary["final_state"] == [1.3e308, 1.3e308]
         residuals = summary["checkpoints"][0]["closed_residuals"]
-        assert residuals["u^1"] is None and residuals["u^2"] == 0.0
+        assert residuals["u0^1"] is None and residuals["u0^2"] == 0.0
         assert code == 0 and strict(out)["closed_residuals"] == residuals
 
     def test_empty_seeds_override_is_code_1(self, tmp_path, capsys):
