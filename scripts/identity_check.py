@@ -32,8 +32,11 @@ A sidecar marked ``standalone`` (a thinned checkpoint, whose samples are only
 in its CSV) is compared as the bytes it would have without that key.
 A checkpoint CSV that only one checkout writes is listed, not counted as a
 difference (a prefix checkpoint may be stored as its sidecar alone); any other
-file that only one writes is one.  It prints each difference and exits 1 if
-there is one, 0 otherwise.
+file that only one writes is one.  Every JSON file and every diagnose standard
+output, on both sides, must also parse as strict JSON, with ``NaN`` and
+``Infinity`` rejected (JSON has neither); each that does not is printed as
+``NOT JSON: <file>``.  It prints each difference and exits 1 if there is a
+difference or a file that is not JSON, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -232,7 +235,32 @@ def compared_files(out: Path) -> dict[str, bytes]:
     return files
 
 
-def run_side(checkout: Path, out: Path) -> dict[str, bytes]:
+def _reject(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def not_json(out: Path) -> list[str]:
+    """The JSON files and diagnose standard outputs under ``out`` that are not
+    strict JSON."""
+    bad = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        rel = str(path.relative_to(out))
+        if path.suffix == ".json":
+            text = path.read_bytes()
+        elif rel.startswith("diagnose"):
+            text = path.read_bytes().split(b"\n", 1)[1]  # after the "exit <code>" line
+            if not text:  # a failed diagnose prints nothing
+                continue
+        else:
+            continue
+        try:
+            json.loads(text, parse_constant=_reject)
+        except ValueError:
+            bad.append(f"{out.name}/{rel}")
+    return bad
+
+
+def run_side(checkout: Path, out: Path) -> tuple[dict[str, bytes], list[str]]:
     shutil.rmtree(out, ignore_errors=True)  # a rerun in the same --work starts afresh
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
@@ -241,7 +269,7 @@ def run_side(checkout: Path, out: Path) -> dict[str, bytes]:
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: producing the runs failed ({proc.returncode}):\n"
                          f"{proc.stderr[-3000:]}")
-    return compared_files(out)
+    return compared_files(out), not_json(out)
 
 
 def main(argv=None) -> int:
@@ -259,8 +287,9 @@ def main(argv=None) -> int:
 
     with contextlib.ExitStack() as stack:
         work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        before = run_side(args.baseline, work / "before")
-        after = run_side(ROOT, work / "after")
+        before, bad = run_side(args.baseline, work / "before")
+        after, bad_after = run_side(ROOT, work / "after")
+        bad += bad_after
         differ = sorted(rel for rel in before.keys() & after.keys()
                         if before[rel] != after[rel])
         for label, only in (("baseline", before.keys() - after.keys()),
@@ -272,10 +301,12 @@ def main(argv=None) -> int:
             differ += sorted(only - samples)
         for rel in differ:
             print(f"DIFFERS: {rel}")
+        for rel in bad:
+            print(f"NOT JSON: {rel}")
         compared = len(before.keys() & after.keys())
         print(f"{compared - len(differ)} of {compared} files identical "
               f"({sum(rel.startswith('diagnose') for rel in after)} diagnose outputs)")
-    return 1 if differ else 0
+    return 1 if differ or bad else 0
 
 
 if __name__ == "__main__":

@@ -55,8 +55,9 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         return _fail(f"i/o failure: {exc}", EXIT_IO)
     for summary in report.seed_summaries:
-        print(f"seed {summary['seed']}: {summary['status']} "
-              f"({summary['n_steps']} steps, clock {summary['elapsed_clock']:.6g})")
+        clock = summary["elapsed_clock"]  # null when the clock overflowed
+        print(f"seed {summary['seed']}: {summary['status']} ({summary['n_steps']} steps, "
+              f"clock {'null' if clock is None else format(clock, '.6g')})")
     print(f"bounded fraction: {report.bounded_fraction:.2f}")
     if report.output_dir is not None:
         print(f"artifacts under {report.output_dir}")

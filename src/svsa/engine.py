@@ -145,7 +145,11 @@ class NoiseModel:
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         radii = rng.uniform(size=(n, 1)) ** (1.0 / dimension)
-        return self.radius * radii * directions / norms
+        with np.errstate(over="ignore"):
+            draws = self.radius * radii * directions / norms
+        over = ~np.isfinite(draws).all(axis=1)  # radius * radii * directions overflowed
+        draws[over] = self.radius * radii[over] * (directions[over] / norms[over])
+        return draws
 
     def mean_square_norm(self, dimension: int) -> float | None:
         """Analytic E||eta||^2 where known, else None."""

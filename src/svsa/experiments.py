@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import games as games_mod
-from .csvio import write_csv
+from .artifacts import finite, write_csv, write_json
 from .engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play_seeds,
                      run_sa_seeds, run_sgd_seeds, run_shb_seeds)
 from .engine import (run_fictitious_play, run_sa, run_sgd,  # noqa: F401  (likewise)
@@ -62,6 +62,13 @@ def _is_number(v) -> bool:
     """A JSON number (not a boolean) that converts to a finite float."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)
+
+
+def _number(doc: dict, key: str, default=None) -> float:
+    """``doc[key]`` (``default`` when absent) as a float; ValueError unless ``_is_number``."""
+    if not _is_number(value := doc.get(key, default)):
+        raise ValueError(f"{key}: a finite number required, not {value!r}")
+    return float(value)
 
 
 # Named ingredients ------------------------------------------------------------
@@ -118,11 +125,11 @@ def _schedule_from_doc(doc: dict, label: str) -> StepSchedule:
     try:
         kind = doc["kind"]
         if kind == "power":
-            return StepSchedule.power(float(doc["a"]), float(doc["rho"]))
+            return StepSchedule.power(_number(doc, "a"), _number(doc, "rho"))
         if kind == "logarithmic":
-            return StepSchedule.logarithmic(float(doc["a"]))
+            return StepSchedule.logarithmic(_number(doc, "a"))
         if kind == "constant":
-            return StepSchedule.constant(float(doc["a"]))
+            return StepSchedule.constant(_number(doc, "a"))
     except _MALFORMED as exc:
         raise ConfigError([f"{label}: malformed schedule ({exc})"]) from exc
     raise ConfigError([f"{label}: unknown schedule kind {doc.get('kind')!r}"])
@@ -139,8 +146,8 @@ def _noise_from_doc(doc: dict | None) -> NoiseModel:
     if doc.get("kind") not in tuple(_NOISE_FIELDS):  # a tuple: a list kind is unhashable
         raise ConfigError([f"noise: unknown kind {doc.get('kind')!r}"])
     try:
-        return NoiseModel(doc["kind"], moment_order=float(doc.get("moment_order", 2.0)),
-                          **{k: float(doc[k]) for k in _NOISE_FIELDS[doc["kind"]]})
+        return NoiseModel(doc["kind"], moment_order=_number(doc, "moment_order", 2.0),
+                          **{k: _number(doc, k) for k in _NOISE_FIELDS[doc["kind"]]})
     except _MALFORMED as exc:
         raise ConfigError([f"noise: malformed model ({exc})"]) from exc
 
@@ -448,16 +455,6 @@ def checkpoint_iterations(n_steps: int, base: int) -> list[int]:
     return its
 
 
-def _json_number(value: float) -> float | None:
-    """A non-finite value as null: JSON has no Infinity or NaN."""
-    return value if math.isfinite(value) else None
-
-
-def _json_numbers(values: np.ndarray) -> list:
-    """A vector with each non-finite entry as null."""
-    return [_json_number(v) for v in values.tolist()]
-
-
 def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: int,
                             field_values=None, problem_map=None) -> dict:
     """``field_values``: the circulation field at the measure's positions."""
@@ -470,16 +467,13 @@ def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: i
         "iteration": int(iteration),
         "n_samples": measure.n_samples,
         "total_weight": measure.total_weight,
-        # an overflowing residual or moment is null, as an undefined centroid gap is
-        "closed_residuals": {name: _json_number(value)
-                             for name, value in bank.closed_residuals(measure).items()},
+        "closed_residuals": bank.closed_residuals(measure),
         "oscillation": {},
-        "velocity_moment": {"order": diag["velocity_moment_order"],
-                            "value": _json_number(moment)},
+        "velocity_moment": {"order": diag["velocity_moment_order"], "value": moment},
     }
     for psi in bank.weights:
         stat = oscillation_statistic(measure, psi)
-        entry["oscillation"][psi.name] = {"average": _json_numbers(stat.weighted_average),
+        entry["oscillation"][psi.name] = {"average": stat.weighted_average.tolist(),
                                           "psi_weight": stat.psi_weight}
     cell = float(diag["residence_cell_size"])
     cells = _cell_residences(measure, cell)
@@ -542,10 +536,10 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
         "seed": seed,
         "status": traj.status,
         "escape": None if traj.status == "completed" else
-                  {"index": traj.escape_index, "norm": _json_number(traj.escape_norm)},
+                  {"index": traj.escape_index, "norm": traj.escape_norm},
         "n_steps": traj.n_steps,
         "elapsed_clock": traj.elapsed,
-        "final_state": _json_numbers(traj.states[-1]),
+        "final_state": traj.states[-1].tolist(),
         "checkpoints": checkpoints,
     }
     summary.update(prob.extras)
@@ -559,6 +553,7 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
             "threshold": diag["essential_threshold"],
             "centers": centers.tolist(),
         }
+    summary = finite(summary)
 
     if out_dir is not None:
         seed_dir = Path(out_dir)
@@ -574,9 +569,7 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
         for m, i in zip(measures, iterations):
             save_checkpoint(m, seed_dir / f"checkpoint_{i}.csv", iteration=i, seed=seed,
                             diagnostics=diag, prefix=m.n_samples == i)
-        with open(seed_dir / "summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(seed_dir / "summary.json", summary)
     return summary
 
 
@@ -628,16 +621,13 @@ def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
     if root is not None:
         files = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()
                        and p.name != "manifest.json")
-        manifest = {
+        write_json(root / "manifest.json", finite({
             "experiment": config.name,
             "config_hash": config.config_hash(),
             "config": config.raw,
             "bounded_fraction": bounded,
             "files": files,
-        }
-        with open(root / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        }))
     return ExperimentReport(name=config.name, config_hash=config.config_hash(),
                             seed_summaries=summaries, bounded_fraction=bounded,
                             output_dir=root, files=files)
@@ -659,4 +649,4 @@ def diagnose_checkpoint(csv_path) -> dict:
             "centroid_probes": None}
     entry = _checkpoint_diagnostics(measure, diag, meta["iteration"])
     entry["sidecar"] = meta
-    return entry
+    return finite(entry)

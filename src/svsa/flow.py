@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .csvio import write_csv
+from .artifacts import write_csv
 from .geometry import distance_to_hull
 from .maps import SELECTION_RULES, SetValuedMap
 from .maps import _select_from  # noqa: F401  (bench/tracing.py wraps it at this name)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import write_csv
+from .artifacts import finite, write_csv, write_json
 from .engine import Trajectory
 from .geometry import distance_to_hull
 from .maps import SetValuedMap, check_gradients
@@ -338,9 +338,7 @@ def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
         meta["standalone"] = True
     if diagnostics is not None:
         meta["diagnostics"] = diagnostics
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(sidecar, finite(meta))
     return (sidecar,) if prefix else (csv_path, sidecar)
 
 
@@ -392,7 +390,7 @@ def load_checkpoint(csv_path) -> tuple[OccupationMeasure, dict]:
         columns = _trajectory_prefix(source, n, meta["iteration"])
     # the column slices are not contiguous, so from_arrays copies them
     measure = OccupationMeasure.from_arrays(*columns)
-    if measure.total_weight != meta.get("total_weight"):
+    if finite(measure.total_weight) != finite(meta.get("total_weight")):
         raise ValueError(f"{source.name} rows weigh {measure.total_weight!r}, "
                          f"{sidecar.name} says {meta.get('total_weight')!r}")
     return measure, meta

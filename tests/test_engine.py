@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -81,6 +83,31 @@ class TestNoiseModel:
     def test_invalid_parameters_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("radius", [1.7e308, sys.float_info.max, 1e308])
+    def test_uniform_ball_near_the_float_max_draws_inside_the_ball(self, radius):
+        # radius * radii * directions overflows before the division by the
+        # norms; the draws lie in the ball all the same.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = NoiseModel.uniform_ball_noise(radius).sample(64, 3, np.random.default_rng(0))
+        assert np.isfinite(draws).all()
+        assert all(math.hypot(*row) <= radius * (1.0 - 1e-12) for row in draws.tolist())
+        assert max(math.hypot(*row) for row in draws.tolist()) > 0.9 * radius
+
+    @given(radius=st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.1, 1.0, 3.5, 1e300])),
+           n=st.integers(1, 64), dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_ball_draws_keep_their_bits(self, radius, n, dim, seed):
+        # The reference is the formula that overflows near the float max; below
+        # 1e300 it does not, and every draw keeps its bits.
+        rng = np.random.default_rng(seed)
+        directions = rng.normal(size=(n, dim))
+        norms = np.linalg.norm(directions, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        reference = radius * (rng.uniform(size=(n, 1)) ** (1.0 / dim)) * directions / norms
+        draws = NoiseModel.uniform_ball_noise(radius).sample(n, dim, np.random.default_rng(seed))
+        assert draws.tobytes() == reference.tobytes()
 
     def test_negative_zero_sigma_draws_zeros(self):
         # -0.0 passes the non-negativity check, and numpy's normal would reject it.

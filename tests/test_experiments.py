@@ -56,6 +56,13 @@ def escape_doc():
     }
 
 
+def _escaping_doc(name, problem, a, cell_size, **diagnostics):
+    """A run that escapes a 1e308 guard at step 2 on a constant step ``a``."""
+    return {"name": name, "problem": problem, "schedule": {"kind": "constant", "a": a},
+            "n_steps": 20, "guard_radius": 1e308, "seeds": [0], "checkpoint_base": 10,
+            "diagnostics": {"residence_cell_size": cell_size, **diagnostics}}
+
+
 class TestConfig:
     def test_schema_violations_are_listed(self):
         with pytest.raises(ConfigError) as err:
@@ -550,6 +557,11 @@ class TestCli:
          "diagnostics.residence_cell_size: above 2.1684e+281 required"),
         (lambda doc: doc.update(problem=FP_PROBLEM, diagnostics={"residence_cell_size": 1e-19}),
          "diagnostics.residence_cell_size: above 2.1684e-19 required"),
+        (lambda doc: doc["schedule"].update(a=math.inf), "schedule: malformed schedule ("),
+        (lambda doc: doc.update(problem=SHB_PROBLEM | {"alpha_schedule": {
+            "kind": "power", "a": 0.5, "rho": True}}), "alpha_schedule: malformed schedule ("),
+        (lambda doc: doc["noise"].update(sigma=math.inf), "noise: malformed model ("),
+        (lambda doc: doc["noise"].update(moment_order="2"), "noise: malformed model ("),
     ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game",
             "objective_suffix", "objective_dimension_0", "objective_not_a_string",
             "negative_sigma", "moment_order_not_a_number", "unknown_diagnostics_key",
@@ -564,7 +576,8 @@ class TestCli:
             "step_underflow", "heavy_ball_alpha_underflow", "seed_is_a_bool",
             "checkpoint_base_is_a_bool", "n_steps_is_a_bool", "bank_degree_is_a_bool",
             "guard_radius_is_a_bool", "nan_payoff", "infinite_payoff", "rps_with_infinite_win",
-            "cell_index_beyond_int64", "profile_cell_index_beyond_int64"])
+            "cell_index_beyond_int64", "profile_cell_index_beyond_int64",
+            "infinite_step", "alpha_rho_is_a_bool", "infinite_sigma", "moment_order_is_a_string"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
         doc = sgd_doc(n_steps=1000, base=500)
         edit(doc)
@@ -656,6 +669,66 @@ class TestCli:
         residuals = summary["checkpoints"][0]["closed_residuals"]
         assert residuals["u0^1"] is None and residuals["u0^2"] == 0.0
         assert code == 0 and strict(out)["closed_residuals"] == residuals
+
+    @pytest.mark.parametrize("doc, nulls", [
+        (_escaping_doc("sgd_quad1", {"kind": "sgd", "f": "quad1", "x0": [1.0]}, 1e300, 1e300),
+         [("0/summary.json", "checkpoints", 0, "circulation", "min_norm_subgradient")]),
+        (_escaping_doc("doubling", {"kind": "custom_map", "map": "doubling", "dim": 1,
+                                    "x0": [1.0]}, 1e300, 1e300, centroid_probes=[[1.0]]),
+         [("0/summary.json", "checkpoints", 0, "centroid", "bandwidth"),
+          ("0/summary.json", "checkpoints", 0, "centroid", "gap")]),
+        (_escaping_doc("attract_origin", {"kind": "custom_map", "map": "attract_origin",
+                                          "dim": 1, "x0": [1.0]}, 1e308, 1e290),
+         [("0/summary.json", "checkpoints", 0, "total_weight"),
+          ("0/summary.json", "checkpoints", 0, "oscillation", "one", "psi_weight"),
+          ("0/summary.json", "elapsed_clock"), ("0/checkpoint_2.json", "total_weight")]),
+    ], ids=["circulation", "centroid", "weights_and_clock"])
+    def test_escaping_run_writes_every_document_as_json(self, tmp_path, capsys, doc, nulls):
+        # JSON has no Infinity or NaN: each document is made finite once, at its
+        # root, so every field that overflows is null, wherever it stands.
+        def strict(text):
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        root = tmp_path / "out" / doc["name"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            printed = capsys.readouterr().out
+            diagnosed = [_diagnose(p.with_suffix(".csv"))
+                         for p in sorted(root.glob("0/checkpoint_*.json"))]
+            report = run_experiment(doc)
+        assert sum(line.startswith("seed ") for line in printed.splitlines()) == 1
+        docs = {str(p.relative_to(root)): strict(p.read_text()) for p in root.rglob("*.json")}
+        for file, *path in nulls:
+            assert functools.reduce(lambda node, key: node[key], path, docs[file]) is None
+        summary = docs["0/summary.json"]
+        assert diagnosed
+        for code, out in diagnosed:
+            entry = strict(out)
+            [checkpoint] = [c for c in summary["checkpoints"]
+                            if c["iteration"] == entry["iteration"]]
+            assert code == 0 and set(entry) - set(checkpoint) == {"sidecar"}
+            assert all(entry[key] == checkpoint[key] for key in entry if key != "sidecar")
+            assert entry["sidecar"] == docs[f"0/checkpoint_{entry['iteration']}.json"]
+        assert report.seed_summaries[0] == summary
+
+    def test_sidecar_with_an_infinite_total_weight_still_diagnoses(self, tmp_path):
+        # Sidecars written before the null rule hold "Infinity"; the weight
+        # check reads both spellings of an infinite sum alike.
+        doc = _escaping_doc("attract_origin", {"kind": "custom_map", "map": "attract_origin",
+                                               "dim": 1, "x0": [1.0]}, 1e308, 1e290)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_experiment(doc, out_dir=tmp_path)
+            checkpoint = tmp_path / "attract_origin" / "0" / "checkpoint_2.csv"
+            sidecar = checkpoint.with_suffix(".json")
+            expected = _diagnose(checkpoint)
+            sidecar.write_text(sidecar.read_text().replace('"total_weight": null',
+                                                           '"total_weight": Infinity'))
+            assert "Infinity" in sidecar.read_text()
+            assert _diagnose(checkpoint) == expected and expected[0] == 0
 
     def test_empty_seeds_override_is_code_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
