@@ -42,16 +42,13 @@ def _fail(message: str, code: int) -> int:
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     seeds = None
-    if args.seeds:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s]
-        except ValueError:
-            seeds = []
-        if not seeds or min(seeds) < 0:
-            return _fail(f"--seeds expects comma-separated non-negative integers, "
-                         f"got {args.seeds!r}", EXIT_CONFIG)
+    if args.seeds:  # ASCII digits only (int() also reads "1_0", "+1" and " 1"); a string fails
+        seeds = [int(s) if s.isascii() and s.isdigit() else s for s in args.seeds.split(",") if s]
     try:
         report = run_experiment(config, out_dir=args.out, seeds=seeds, jobs=args.jobs)
+    except ConfigError:  # the config is checked, so only the seeds can be wrong
+        return _fail(f"--seeds expects comma-separated distinct non-negative integers, "
+                     f"got {args.seeds!r}", EXIT_CONFIG)
     except OSError as exc:
         return _fail(f"i/o failure: {exc}", EXIT_IO)
     for summary in report.seed_summaries:

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import games as games_mod
 from .artifacts import finite, write_csv, write_json
-from .engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play_seeds,
-                     run_sa_seeds, run_sgd_seeds, run_shb_seeds)
+from .engine import (DEFAULT_SELECTION_RULE, NoiseModel, StepSchedule, Trajectory,
+                     run_fictitious_play_seeds, run_sa_seeds, run_sgd_seeds, run_shb_seeds)
 from .engine import (run_fictitious_play, run_sa, run_sgd,  # noqa: F401  (likewise)
                      run_shb)
 from .geometry import min_norm_point  # noqa: F401  (bench/tracing.py wraps it at this name)
@@ -64,13 +64,6 @@ def _is_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
-def _number(doc: dict, key: str, default=None) -> float:
-    """``doc[key]`` (``default`` when absent) as a float; ValueError unless ``_is_number``."""
-    if not _is_number(value := doc.get(key, default)):
-        raise ValueError(f"{key}: a finite number required, not {value!r}")
-    return float(value)
-
-
 # Named ingredients ------------------------------------------------------------
 
 def named_function(name: str) -> MaxOfSmoothFunction:
@@ -99,8 +92,6 @@ def named_map(name: str, dimension: int) -> SetValuedMap:
 def _game_from_doc(doc) -> games_mod.Game:
     if isinstance(doc, str):
         doc = {"name": doc}
-    if not isinstance(doc, dict):
-        raise ConfigError(["problem.game: a builtin name or a JSON object required"])
     name = doc.get("name")
     build = games_mod.builtin_games().get(name) if isinstance(name, str) else None
     if build is None and "payoff_tensors" not in doc:
@@ -119,37 +110,98 @@ _KNOWN_EQUILIBRIA = {
 }
 
 
-# Config --------------------------------------------------------------------------
+# Config tables -------------------------------------------------------------------
+# Each block of a document has a table: key -> (the value's test, what it requires).
+# A block with a kind has one table per kind, held with the keys that kind requires.
 
-def _schedule_from_doc(doc: dict, label: str) -> StepSchedule:
-    try:
-        kind = doc["kind"]
-        if kind == "power":
-            return StepSchedule.power(_number(doc, "a"), _number(doc, "rho"))
-        if kind == "logarithmic":
-            return StepSchedule.logarithmic(_number(doc, "a"))
-        if kind == "constant":
-            return StepSchedule.constant(_number(doc, "a"))
-    except _MALFORMED as exc:
-        raise ConfigError([f"{label}: malformed schedule ({exc})"]) from exc
-    raise ConfigError([f"{label}: unknown schedule kind {doc.get('kind')!r}"])
+_ANY = (lambda v: True, "")  # a name, a game or a profile: checked as it is built
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+_OBJECT_OR_NULL = (lambda v: v is None or isinstance(v, dict), "a JSON object")  # null: absent
+_COUNT = (_is_count, "a non-negative integer")
+_POSITIVE_COUNT = (lambda v: _is_count(v, 1), "positive integer")
+_FINITE = (_is_number, "a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0.0, "a positive number")
+_NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0.0, "a non-negative number")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_POINT = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
+_POINTS = (lambda v: v is None or isinstance(v, list) and all(map(_POINT[0], v)),
+           "a list of points")  # null: none
+
+_TOP = {
+    "name": (lambda v: isinstance(v, str) and v not in ("", ".", "..") and "/" not in v
+             and "\0" not in v, "a non-empty string usable as a directory name"),
+    "problem": _OBJECT, "schedule": _OBJECT, "noise": _OBJECT_OR_NULL,
+    "delta": _OBJECT_OR_NULL, "diagnostics": _OBJECT,
+    "n_steps": _POSITIVE_COUNT, "checkpoint_base": _POSITIVE_COUNT,
+    # each seed runs once, into its own directory
+    "seeds": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_count, v))
+              and len(set(v)) == len(v), "non-empty list of non-negative integers without repeats"),
+    "guard_radius": (_is_number, "a number"),
+    "selection_rule": (lambda v: v in SELECTION_RULES, f"one of {', '.join(SELECTION_RULES)}"),
+    "strict_bounded": _BOOL,
+}
+_PROBLEMS = {
+    "sgd": ({"f": _ANY, "x0": _POINT}, ("x0", "f")),
+    "shb": ({"f": _ANY, "c": _POSITIVE, "q0": _POINT, "p0": _POINT,
+             "alpha_schedule": _OBJECT_OR_NULL}, ("q0", "f")),
+    "fictitious_play": ({"game": (lambda v: isinstance(v, (str, dict)),
+                                  "a builtin name or a JSON object"), "xi0": _POINTS},
+                        ("game",)),
+    "custom_map": ({"map": _ANY, "dim": _POSITIVE_COUNT, "x0": _POINT}, ("x0", "map", "dim")),
+}
+_SCHEDULES = {
+    "power": ({"a": _POSITIVE, "rho": _POSITIVE}, ("a", "rho")),
+    "logarithmic": ({"a": _POSITIVE}, ("a",)),
+    "constant": ({"a": _POSITIVE}, ("a",)),
+}
+_DELTAS = {**_SCHEDULES, "zero": ({}, ())}  # zero: no enlargement
+_NOISES = {
+    "gaussian": ({"sigma": _NON_NEGATIVE, "moment_order": _FINITE}, ("sigma",)),
+    "uniform_ball": ({"radius": _NON_NEGATIVE, "moment_order": _FINITE}, ("radius",)),
+    "student_t": ({"df": _POSITIVE, "scale": _NON_NEGATIVE, "moment_order": _FINITE},
+                  ("df", "scale")),
+    "none": ({}, ()),
+}
+# An inline game; a builtin game's arguments are checked by its function's signature
+_GAME = {
+    "name": (lambda v: isinstance(v, str), "a string"), "players": _POSITIVE_COUNT,
+    "action_counts": (lambda v: isinstance(v, list) and all(_is_count(k, 1) for k in v),
+                      "a list of positive integers"),
+    "payoff_tensors": _ANY,
+}
 
 
-_NOISE_FIELDS = {"gaussian": ("sigma",), "uniform_ball": ("radius",), "student_t": ("df", "scale")}
+def _problems(block, path: str, table: dict, required=()) -> list[str]:
+    """Everything wrong with the block at ``path`` ("" for the document): it is
+    not an object, or a key is not in ``table``, is ``required`` and missing,
+    or fails its test."""
+    if not isinstance(block, dict):
+        return [f"{path or 'document'}: a JSON object required"]
+    at = f"{path}." if path else ""
+    return ([f"{at}{key}: unknown key" for key in block if key not in table]
+            + [f"{at}{key}: required" for key in required if key not in block]
+            + [f"{at}{key}: {what} required" for key, (ok, what) in table.items()
+               if key in block and not ok(block[key])])
 
 
-def _noise_from_doc(doc: dict | None) -> NoiseModel:
-    if not isinstance(doc, (dict, type(None))):
-        raise ConfigError(["noise: a JSON object required"])
-    if doc is None or doc.get("kind") == "none":
-        return NoiseModel.none()
-    if doc.get("kind") not in tuple(_NOISE_FIELDS):  # a tuple: a list kind is unhashable
-        raise ConfigError([f"noise: unknown kind {doc.get('kind')!r}"])
-    try:
-        return NoiseModel(doc["kind"], moment_order=_number(doc, "moment_order", 2.0),
-                          **{k: _number(doc, k) for k in _NOISE_FIELDS[doc["kind"]]})
-    except _MALFORMED as exc:
-        raise ConfigError([f"noise: malformed model ({exc})"]) from exc
+def _kinded(block: dict, path: str, tables: dict) -> list[str]:
+    """``_problems`` of a block against its kind's table; a block of no known
+    kind has no table, so that is its one problem."""
+    kind = block.get("kind")
+    if not (isinstance(kind, str) and kind in tables):  # (a list kind is unhashable)
+        return [f"{path}.kind: one of {', '.join(tables)} required"]
+    table, required = tables[kind]
+    return _problems(block, path, {"kind": _ANY, **table}, required)
+
+
+def _check(problems: list[str]) -> None:
+    if problems:
+        raise ConfigError(problems)
+
+
+def _built(cls, block: dict):
+    """The StepSchedule or NoiseModel of a checked block: its kind, its numbers as floats."""
+    return cls(block["kind"], **{k: float(v) for k, v in block.items() if k != "kind"})
 
 
 @dataclass(frozen=True)
@@ -168,13 +220,11 @@ class Problem:
 
 
 def _resolve_problem(doc: dict, beta: StepSchedule | None, guard_radius: float) -> Problem:
-    """The one reading of the ``problem`` block: builds the objective, the
+    """The one building of a checked ``problem`` block: the objective, the
     velocity map (-subdiff(f) for sgd, the named map, or the game's averaged
     best-response map), the game, the start and the heavy-ball step ratio."""
     kind = doc["kind"]
     if kind == "fictitious_play":
-        if doc.get("game") is None:
-            raise ConfigError(["problem.game: required for kind 'fictitious_play'"])
         game = _game_from_doc(doc["game"])
         try:
             start = tuple(games_mod.initial_profile(game, doc.get("xi0")))
@@ -186,43 +236,29 @@ def _resolve_problem(doc: dict, beta: StepSchedule | None, guard_radius: float) 
                 if [len(s) for s in known] == list(game.action_counts) else None)
         return Problem(kind, start, velocity_map=games_mod.game_map(game), game=game,
                        equilibrium=star)
-    keys = ("q0", "p0") if kind == "shb" else ("x0",)
-    required = (keys[0], "map", "dim") if kind == "custom_map" else (keys[0], "f")
-    missing = [f"problem.{key}: required for kind {kind!r}"
-               for key in required if key not in doc]
-    if missing:
-        raise ConfigError(missing)
     alpha = None
     if kind == "custom_map":
-        if not _is_count(doc["dim"], 1):
-            raise ConfigError(["problem.dim: positive integer required"])
         f, H = None, named_map(doc["map"], doc["dim"])
         dim, extras = H.dimension, {"map": doc["map"]}
     else:
         f = named_function(doc["f"])
         H = negate(clarke_map(f)) if kind == "sgd" else None
         dim, extras = f.dimension, {"objective": doc["f"]}
-    present = [key for key in keys if key in doc]
-    try:
-        start = [np.asarray(doc[key], dtype=float) for key in present]
-    except _MALFORMED:
-        raise ConfigError([f"problem.{'/'.join(present)}: a list of numbers required"]) from None
-    wrong = [f"problem.{key}: {dim} coordinates required"
-             for key, part in zip(present, start) if part.shape != (dim,)]
-    if wrong:
-        raise ConfigError(wrong)
+    present = [key for key in (("q0", "p0") if kind == "shb" else ("x0",)) if key in doc]
+    start = [np.asarray(doc[key], dtype=float) for key in present]
+    _check([f"problem.{key}: {dim} coordinates required"
+            for key, part in zip(present, start) if part.shape != (dim,)])
     norm = math.hypot(*np.concatenate(start).tolist())
     if not guard_radius > norm:
         raise ConfigError([f"guard_radius: must exceed the initial state's norm {norm:.6g}"])
     if kind == "shb":
-        c = doc.get("c", 1.0)
-        if not _is_number(c) or not c * beta.a > 0.0:
+        c = float(doc.get("c", 1.0))
+        if not c * beta.a > 0.0:
             raise ConfigError(["problem.c: a positive number required"])
-        c = float(c)
         if beta.step(0) > 1.0:
             raise ConfigError(["schedule: heavy-ball beta steps must not exceed 1"])
         alpha_doc = doc.get("alpha_schedule")
-        alpha = (_schedule_from_doc(alpha_doc, "alpha_schedule") if alpha_doc is not None
+        alpha = (_built(StepSchedule, alpha_doc) if alpha_doc is not None
                  else StepSchedule(beta.kind, c * beta.a, beta.rho))
         if "p0" not in doc:
             start.append(np.zeros(dim))
@@ -248,40 +284,30 @@ DEFAULT_DIAGNOSTICS = {
 MAX_BANK_DEGREE = 8
 MAX_BANK_MONOMIALS = math.comb(MAX_BANK_DEGREE + 6, 6) - 1
 
-_COUNT = (_is_count, "a non-negative integer")
-_POSITIVE = (lambda v: _is_number(v) and v > 0.0, "a positive number")
-_DIAGNOSTIC_VALUES = {
+_DIAGNOSTICS = {
     "bank_degree": _COUNT, "bank_bumps": _COUNT, "bank_seed": _COUNT,
     "velocity_moment_order": (lambda v: _is_number(v) and v > 1.0, "a number above 1"),
     "residence_cell_size": _POSITIVE, "essential_threshold": _POSITIVE,
-    "circulation": (lambda v: isinstance(v, bool), "true or false"),
+    "centroid_probes": _POINTS, "circulation": _BOOL,
 }
 
 
-def _diagnostics_from_doc(block, dimension: int) -> dict:
-    """A diagnostics block (of a config or of a checkpoint sidecar) checked
-    key by key and merged over the defaults."""
-    if not isinstance(block, dict):
-        raise ConfigError(["diagnostics: a JSON object required"])
-    problems = [f"diagnostics.{key}: unknown key"
-                for key in sorted(set(block) - set(DEFAULT_DIAGNOSTICS))]
-    problems.extend(f"diagnostics.{key}: {wanted} required"
-                    for key, (ok, wanted) in _DIAGNOSTIC_VALUES.items()
-                    if key in block and not ok(block[key]))
-    probes = block.get("centroid_probes")
-    if probes is not None and not (isinstance(probes, list) and all(
-            isinstance(p, list) and len(p) == dimension and all(map(_is_number, p))
-            for p in probes)):
+def _diagnostics_from_doc(block: dict, dimension: int) -> dict:
+    """A checked diagnostics block (of a config or of a checkpoint sidecar),
+    merged over the defaults, with its rules for a state of ``dimension``."""
+    diag = {**DEFAULT_DIAGNOSTICS, **block}
+    problems = []
+    if diag["centroid_probes"] is not None and any(len(p) != dimension
+                                                   for p in diag["centroid_probes"]):
         problems.append(f"diagnostics.centroid_probes: a list of points with "
                         f"{dimension} coordinates required")
-    degree = block.get("bank_degree", DEFAULT_DIAGNOSTICS["bank_degree"])
-    if _COUNT[0](degree) and (degree > MAX_BANK_DEGREE or
-                              math.comb(degree + dimension, dimension) - 1 > MAX_BANK_MONOMIALS):
+    degree = diag["bank_degree"]
+    if (degree > MAX_BANK_DEGREE
+            or math.comb(degree + dimension, dimension) - 1 > MAX_BANK_MONOMIALS):
         problems.append(f"diagnostics.bank_degree: at most {MAX_BANK_DEGREE}, and at most "
                         f"{MAX_BANK_MONOMIALS} monomials in {dimension} dimensions, required")
-    if problems:
-        raise ConfigError(problems)
-    return {**DEFAULT_DIAGNOSTICS, **block}
+    _check(problems)
+    return diag
 
 
 @dataclass
@@ -290,89 +316,70 @@ class ExperimentConfig:
     problem: Problem
     n_steps: int
     seeds: list[int]
-    guard_radius: float = 1e3
-    checkpoint_base: int = 1000
-    schedule: StepSchedule | None = None
-    noise: NoiseModel = field(default_factory=NoiseModel.none)
-    delta: StepSchedule | None = None
-    selection_rule: str = "random_hull"
-    strict_bounded: bool = False
-    diagnostics: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    guard_radius: float
+    checkpoint_base: int
+    schedule: StepSchedule | None
+    noise: NoiseModel
+    delta: StepSchedule | None
+    selection_rule: str
+    strict_bounded: bool
+    diagnostics: dict
+    raw: dict
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
-        problems = []
+        """Check every block of ``doc`` against its table and raise once with
+        every problem found; then build the config from the checked blocks,
+        applying the rules across keys that no table states."""
         if not isinstance(doc, dict):
-            raise ConfigError(["experiment document must be a JSON object"])
-        name = doc.get("name")
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
-            problems.append("name: required non-empty string usable as a directory name")
+            raise ConfigError(_problems(doc, "", _TOP))
+        problems = _problems(doc, "", _TOP, ("name", "problem", "n_steps", "seeds"))
         problem = doc.get("problem")
-        if not isinstance(problem, dict) or problem.get("kind") not in (
-                "sgd", "shb", "fictitious_play", "custom_map"):
-            problems.append("problem.kind: one of sgd, shb, fictitious_play, custom_map")
-        n_steps = doc.get("n_steps")
-        if not _is_count(n_steps, 1):
-            problems.append("n_steps: positive integer required")
-        seeds = doc.get("seeds")
-        if not isinstance(seeds, list) or not seeds or not all(map(_is_count, seeds)):
-            problems.append("seeds: non-empty list of non-negative integers required")
-        checkpoint_base = doc.get("checkpoint_base", 1000)
-        if not _is_count(checkpoint_base, 1):
-            problems.append("checkpoint_base: positive integer required")
-        elif _is_count(n_steps, 1) and n_steps < checkpoint_base:
-            problems.append("n_steps must be at least checkpoint_base")
-        if problems:
-            raise ConfigError(problems)
+        kind = problem.get("kind") if isinstance(problem, dict) else None
+        blocks = [(problem, "problem", _PROBLEMS), (doc.get("schedule"), "schedule", _SCHEDULES),
+                  (doc.get("noise"), "noise", _NOISES), (doc.get("delta"), "delta", _DELTAS)]
+        if kind == "shb":
+            blocks.append((problem.get("alpha_schedule"), "problem.alpha_schedule", _SCHEDULES))
+        problems += [p for block, path, tables in blocks if isinstance(block, dict)
+                     for p in _kinded(block, path, tables)]
+        game = problem.get("game") if kind == "fictitious_play" else None
+        if isinstance(game, dict) and "payoff_tensors" in game:
+            problems += _problems(game, "problem.game", _GAME, ("players", "action_counts"))
+        if isinstance(doc.get("diagnostics"), dict):
+            problems += _problems(doc["diagnostics"], "diagnostics", _DIAGNOSTICS)
+        if kind in ("sgd", "shb", "custom_map") and "schedule" not in doc:
+            problems.append(f"problem kind {kind!r} requires a schedule")
+        _check(problems)
 
-        kind = problem["kind"]
-        schedule = None
-        if kind in ("sgd", "shb", "custom_map"):
-            if "schedule" not in doc:
-                raise ConfigError([f"problem kind {kind!r} requires a schedule"])
-            schedule = _schedule_from_doc(doc["schedule"], "schedule")
-        noise = _noise_from_doc(doc.get("noise"))
-        delta_doc = doc.get("delta")
-        delta = None
-        if not isinstance(delta_doc, (dict, type(None))):
-            raise ConfigError(["delta: a JSON object required"])
-        if delta_doc and delta_doc.get("kind") not in (None, "zero"):
-            delta = _schedule_from_doc(delta_doc, "delta")
-            if kind != "custom_map":
-                problems.append(f"delta: only custom_map runs are enlarged, not {kind!r}")
+        n_steps, checkpoint_base = doc["n_steps"], doc.get("checkpoint_base", 1000)
+        if n_steps < checkpoint_base:
+            raise ConfigError(["n_steps must be at least checkpoint_base"])
+        schedule = _built(StepSchedule, doc["schedule"]) if kind != "fictitious_play" else None
+        noise = _built(NoiseModel, doc.get("noise") or {"kind": "none"})  # null: no noise
+        delta = doc.get("delta") or {"kind": "zero"}
+        delta = _built(StepSchedule, delta) if delta["kind"] != "zero" else None
+        if delta is not None and kind != "custom_map":
+            raise ConfigError([f"delta: only custom_map runs are enlarged, not {kind!r}"])
 
-        rule = doc.get("selection_rule", "random_hull")
-        if rule not in SELECTION_RULES:
-            problems.append(f"selection_rule: one of {', '.join(SELECTION_RULES)}")
-        guard_radius = doc.get("guard_radius", 1e3)
-        if not _is_number(guard_radius):
-            problems.append("guard_radius: a number required")
-        strict_bounded = doc.get("strict_bounded", False)
-        if not isinstance(strict_bounded, bool):
-            problems.append("strict_bounded: true or false required")
-        if problems:
-            raise ConfigError(problems)
-
-        guard_radius = float(guard_radius)
+        guard_radius = float(doc.get("guard_radius", 1e3))
         resolved = _resolve_problem(problem, schedule, guard_radius)
         with np.errstate(over="ignore"):  # (i + 1)^rho may overflow to inf
             stalled = [f"{label}: the step size reaches 0 within n_steps"
                        for label, steps in (("schedule", schedule),
                                             ("alpha_schedule", resolved.alpha))
                        if steps is not None and not steps.values(n_steps).min() > 0.0]
-        if stalled:
-            raise ConfigError(stalled)
+        _check(stalled)
         diagnostics = _diagnostics_from_doc(doc.get("diagnostics", {}),
                                             sum(part.shape[0] for part in resolved.start))
         reach = 1.0 if kind == "fictitious_play" else guard_radius  # a profile is in [0, 1]^n
         if not reach / diagnostics["residence_cell_size"] < 2.0 ** 62:  # states have int64 cells
             raise ConfigError([f"diagnostics.residence_cell_size: above {reach / 2.0 ** 62:.6g} "
                                f"required, so that each state has an int64 cell"])
-        return cls(name=name, problem=resolved, n_steps=n_steps, seeds=list(seeds),
+        return cls(name=doc["name"], problem=resolved, n_steps=n_steps, seeds=list(doc["seeds"]),
                    guard_radius=guard_radius, checkpoint_base=checkpoint_base,
-                   schedule=schedule, noise=noise, delta=delta, selection_rule=rule,
-                   strict_bounded=strict_bounded,
+                   schedule=schedule, noise=noise, delta=delta,
+                   selection_rule=doc.get("selection_rule", DEFAULT_SELECTION_RULE),
+                   strict_bounded=doc.get("strict_bounded", False),
                    diagnostics=diagnostics, raw=doc)
 
     @classmethod
@@ -596,8 +603,7 @@ def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
     if isinstance(config, dict):
         config = ExperimentConfig.from_doc(config)
     seed_list = list(seeds) if seeds is not None else list(config.seeds)
-    if not seed_list:
-        raise ConfigError(["no seeds to run"])
+    _check(_problems({"seeds": seed_list}, "", _TOP))  # the config's seeds rule
 
     root = None
     if out_dir is not None:
@@ -643,10 +649,11 @@ def diagnose_checkpoint(csv_path) -> dict:
     centroid probes need the problem, so they are left out.
     """
     measure, meta = load_checkpoint(csv_path)
-    if not isinstance(meta.get("iteration"), int):
-        raise ValueError("checkpoint sidecar: an integer iteration required")
-    diag = {**_diagnostics_from_doc(meta.get("diagnostics", {}), measure.dimension),
-            "centroid_probes": None}
+    if not _is_count(meta.get("iteration"), 1):
+        raise ValueError("checkpoint sidecar: a positive integer iteration required")
+    block = meta.get("diagnostics", {})
+    _check(_problems(block, "diagnostics", _DIAGNOSTICS))
+    diag = {**_diagnostics_from_doc(block, measure.dimension), "centroid_probes": None}
     entry = _checkpoint_diagnostics(measure, diag, meta["iteration"])
     entry["sidecar"] = meta
     return finite(entry)

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -220,6 +221,11 @@ class TestRunExperiment:
     def test_seed_override(self):
         report = run_experiment(sgd_doc(n_steps=1000, base=500), seeds=[7])
         assert [s["seed"] for s in report.seed_summaries] == [7]
+
+    @pytest.mark.parametrize("seeds", [[], [7, 7], [-1], [True]])
+    def test_seed_override_follows_the_seeds_rule(self, seeds):
+        with pytest.raises(ConfigError, match="seeds: non-empty list of non-negative integers"):
+            run_experiment(sgd_doc(n_steps=1000, base=500), seeds=seeds)
 
     def test_fictitious_play_summary_reports_nash_gap(self):
         doc = {
@@ -487,8 +493,9 @@ class TestCli:
         (lambda doc: doc["problem"].update(f="quadx"), "unknown objective function 'quadx'"),
         (lambda doc: doc["problem"].update(f="maxsq0"), "unknown objective function 'maxsq0'"),
         (lambda doc: doc["problem"].update(f=7), "unknown objective function 7"),
-        (lambda doc: doc["noise"].update(sigma=-1), "noise: malformed model"),
-        (lambda doc: doc["noise"].update(moment_order="two"), "noise: malformed model"),
+        (lambda doc: doc["noise"].update(sigma=-1), "noise.sigma: a non-negative number required"),
+        (lambda doc: doc["noise"].update(moment_order="two"),
+         "noise.moment_order: a finite number required"),
         (lambda doc: doc.update(diagnostics={"bank_degre": 2}), "diagnostics.bank_degre"),
         (lambda doc: doc.update(delta={"kind": "constant", "a": 0.1}), "delta"),
         (lambda doc: doc.update(guard_radius="big"), "guard_radius: a number required"),
@@ -557,11 +564,45 @@ class TestCli:
          "diagnostics.residence_cell_size: above 2.1684e+281 required"),
         (lambda doc: doc.update(problem=FP_PROBLEM, diagnostics={"residence_cell_size": 1e-19}),
          "diagnostics.residence_cell_size: above 2.1684e-19 required"),
-        (lambda doc: doc["schedule"].update(a=math.inf), "schedule: malformed schedule ("),
+        (lambda doc: doc["schedule"].update(a=math.inf), "schedule.a: a positive number required"),
         (lambda doc: doc.update(problem=SHB_PROBLEM | {"alpha_schedule": {
-            "kind": "power", "a": 0.5, "rho": True}}), "alpha_schedule: malformed schedule ("),
-        (lambda doc: doc["noise"].update(sigma=math.inf), "noise: malformed model ("),
-        (lambda doc: doc["noise"].update(moment_order="2"), "noise: malformed model ("),
+            "kind": "power", "a": 0.5, "rho": True}}),
+         "problem.alpha_schedule.rho: a positive number required"),
+        (lambda doc: doc["noise"].update(sigma=math.inf),
+         "noise.sigma: a non-negative number required"),
+        (lambda doc: doc["noise"].update(moment_order="2"),
+         "noise.moment_order: a finite number required"),
+        (lambda doc: doc.update(n_step=5), "n_step: unknown key"),
+        (lambda doc: doc["schedule"].update(rho_typo=0.6), "schedule.rho_typo: unknown key"),
+        (lambda doc: doc["noise"].update(sigmaa=3), "noise.sigmaa: unknown key"),
+        (lambda doc: doc["problem"].update(c=1.0), "problem.c: unknown key"),
+        (lambda doc: doc.update(schedule={"kind": "constant", "a": 0.1, "rho": 0.5}),
+         "schedule.rho: unknown key"),
+        (lambda doc: doc["problem"].update(x0=["1.0"]), "problem.x0: a list of numbers required"),
+        (lambda doc: doc["problem"].update(x0=[True]), "problem.x0: a list of numbers required"),
+        (lambda doc: doc.update(problem=SHB_PROBLEM | {"p0": ["0.5"]}),
+         "problem.p0: a list of numbers required"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"xi0": [["0.5", "0.5"], [0.5, 0.5]]}),
+         "problem.xi0: a list of points required"),
+        (lambda doc: doc.update(delta={}),
+         "delta.kind: one of power, logarithmic, constant, zero required"),
+        (lambda doc: doc.update(delta={"kind": None}),
+         "delta.kind: one of power, logarithmic, constant, zero required"),
+        (lambda doc: doc.update(schedule=None), "schedule: a JSON object required"),
+        (lambda doc: doc.update(seeds=[1, 1]),
+         "seeds: non-empty list of non-negative integers without repeats required"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": dict(INLINE_PENNIES, players="2")}),
+         "problem.game.players: positive integer required"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": dict(INLINE_PENNIES, players=2.7)}),
+         "problem.game.players: positive integer required"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": {
+            "players": True, "action_counts": [2], "payoff_tensors": [[1, -1]]}}),
+         "problem.game.players: positive integer required"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": dict(INLINE_PENNIES,
+                                                                 action_counts=[2.9, 2])}),
+         "problem.game.action_counts: a list of positive integers required"),
+        (lambda doc: doc.update(problem=FP_PROBLEM | {"game": dict(INLINE_PENNIES, payof=1)}),
+         "problem.game.payof: unknown key"),
     ], ids=["missing_x0", "unknown_rule", "guard_inside_start", "x0_length", "missing_game",
             "objective_suffix", "objective_dimension_0", "objective_not_a_string",
             "negative_sigma", "moment_order_not_a_number", "unknown_diagnostics_key",
@@ -577,7 +618,12 @@ class TestCli:
             "checkpoint_base_is_a_bool", "n_steps_is_a_bool", "bank_degree_is_a_bool",
             "guard_radius_is_a_bool", "nan_payoff", "infinite_payoff", "rps_with_infinite_win",
             "cell_index_beyond_int64", "profile_cell_index_beyond_int64",
-            "infinite_step", "alpha_rho_is_a_bool", "infinite_sigma", "moment_order_is_a_string"])
+            "infinite_step", "alpha_rho_is_a_bool", "infinite_sigma", "moment_order_is_a_string",
+            "misspelt_top_level_key", "misspelt_schedule_key", "misspelt_noise_key",
+            "momentum_ratio_on_sgd", "rho_on_a_constant_schedule", "x0_of_strings",
+            "x0_of_booleans", "p0_of_strings", "xi0_of_strings", "empty_delta", "delta_kind_null",
+            "schedule_null", "repeated_seed", "players_a_string", "players_fractional",
+            "players_a_bool", "action_counts_fractional", "misspelt_game_key"])
     def test_config_errors_exit_1_without_traceback(self, tmp_path, capsys, edit, message):
         doc = sgd_doc(n_steps=1000, base=500)
         edit(doc)
@@ -733,7 +779,7 @@ class TestCli:
     def test_empty_seeds_override_is_code_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(sgd_doc(n_steps=1000, base=500)))
-        for seeds in (",", "-1"):
+        for seeds in (",", "-1", "1_0", "+1", "1,1"):
             assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--seeds", seeds]) == 1
             assert "--seeds expects" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -744,8 +790,11 @@ class TestCli:
         lambda meta: meta.update(diagnostics="x"),
         lambda meta: meta["diagnostics"].update(residence_cell_size=-1),
         lambda meta: meta["diagnostics"].update(residence_cell_size=1e-300),
+        lambda meta: meta.update(iteration=True),
+        lambda meta: meta.update(iteration=-5),
+        lambda meta: meta.update(iteration=0),
     ], ids=["no_iteration", "no_dimension", "diagnostics_not_an_object", "negative_cell_size",
-            "cell_index_beyond_int64"])
+            "cell_index_beyond_int64", "iteration_a_bool", "negative_iteration", "zero_iteration"])
     def test_bad_sidecar_is_reported(self, tmp_path, capsys, edit):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(sgd_doc(n_steps=1000, seeds=(1,), base=500)))
@@ -757,6 +806,18 @@ class TestCli:
         sidecar.write_text(json.dumps(meta))
         capsys.readouterr()
         assert main(["diagnose", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad checkpoint:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("iteration", [True, -5, 0])
+    def test_sample_csv_sidecar_needs_a_positive_iteration(self, tmp_path, capsys, iteration):
+        # Samples read from the checkpoint's own CSV take no row count from the
+        # iteration, so diagnose checks it (true would be reported as 1).
+        _write_sample_csvs(sgd_doc(n_steps=1000, seeds=(1,), base=500), 1, [500], tmp_path)
+        sidecar = tmp_path / "checkpoint_500.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "iteration": iteration}))
+        capsys.readouterr()
+        assert main(["diagnose", str(tmp_path / "checkpoint_500.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bad checkpoint:") and "Traceback" not in err
 
@@ -882,6 +943,29 @@ def fuzzed_docs(draw):
     return doc
 
 
+def _objects(node, path=()):
+    """Each JSON object of a document with its path, but a builtin game's
+    arguments, which its function's signature checks instead of a table."""
+    if isinstance(node, dict):
+        if not (path == ("problem", "game") and "payoff_tensors" not in node):
+            yield path, node
+        for key, child in node.items():
+            yield from _objects(child, path + (key,))
+
+
+@st.composite
+def docs_with_a_misspelt_key(draw):
+    """A base document with a key that its object's table does not list: a
+    listed key with its last character dropped or upper-case letters appended
+    (no table lists a key with either)."""
+    doc = json.loads(json.dumps(FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]))
+    path, node = draw(st.sampled_from(list(_objects(doc))))
+    listed = draw(st.sampled_from(sorted(node)))
+    key = draw(st.just(listed[:-1]) | st.text("XYZ", min_size=1, max_size=3).map(listed.__add__))
+    node[key] = draw(FIELD_VALUES)
+    return doc, ".".join(path + (key,))
+
+
 class TestFuzzedConfigs:
     def test_bases_run(self):
         for doc in FUZZ_BASES.values():
@@ -902,3 +986,55 @@ class TestFuzzedConfigs:
             return
         report = run_experiment(doc, out_dir=None)
         assert {s["status"] for s in report.seed_summaries} <= {"completed", "escaped"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs_with_a_misspelt_key())
+    def test_a_misspelt_key_is_named(self, case):
+        doc, key = case
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_doc(doc)
+        assert f"{key}: unknown key" in err.value.problems
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            cfg.write_text(json.dumps(doc))
+            with pytest.raises(SystemExit) as exc:
+                main(["run", str(cfg), "--out", str(out)])
+            assert exc.value.code == 1 and not out.exists()
+
+
+# Every config a committed tool runs -------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _module(path: Path, monkeypatch):
+    """A script or bench module of the repository, imported from its file (and
+    listed in sys.modules for the test only: its dataclasses look it up there)."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, path.stem, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCommittedConfigs:
+    """A stricter reader must not reject a config that the README shows, the
+    identity check runs or the benchmark builds."""
+
+    def test_readme_example(self):
+        text = (REPO / "README.md").read_text()
+        ExperimentConfig.from_doc(json.loads(text.split("```json\n", 1)[1].split("```", 1)[0]))
+
+    def test_identity_check_configs(self, monkeypatch):
+        script = _module(REPO / "scripts" / "identity_check.py", monkeypatch)
+        for doc in [doc for doc, _ in script.CONFIGS] + [script.SHB_SEEDS]:
+            ExperimentConfig.from_doc(doc)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_benchmark_workload_configs(self, tmp_path, monkeypatch, seed):
+        workloads = _module(REPO / "bench" / "workloads.py", monkeypatch)
+        built = [workload(seed, tmp_path, True) for workload in workloads.WORKLOADS.values()]
+        docs = [w.doc for w in built if hasattr(w, "doc")]
+        assert len(docs) == 3
+        for doc in docs:
+            ExperimentConfig.from_doc(doc)
