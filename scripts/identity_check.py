@@ -5,7 +5,8 @@
 Runs a fixed list of experiment configs with the svsa package of each
 checkout (this one and ``--baseline``, say the parent commit made with
 ``git archive`` or ``git clone``): small sgd, heavy-ball, fictitious-play and
-custom-map runs, an escaping run, the three run workloads of
+custom-map runs, runs whose test-function banks have degree 0 (1-D), 1 (3-D)
+and 5 (4-D), an escaping run, the three run workloads of
 ``bench/workloads.py`` at seed 7, a heavy-ball run whose checkpoints are
 thinned to 700 samples, and fictitious play with centroid probes, from the
 uniform start (both players tie at step 0) and on an integer-payoff 3-player
@@ -79,6 +80,19 @@ CONFIGS = [
     (_sgd("sgd_abs_small"), None),
     (_sgd("sgd_abs_diag", diagnostics={"bank_degree": 2, "bank_bumps": 1,
                                        "residence_cell_size": 0.05}), None),
+    # Banks whose monomial gradients read no power (degree 0 has no monomial,
+    # degree 1 only constant columns) and up to three factors a column (5, 4-D).
+    (_sgd("sgd_abs_bank0", diagnostics={"bank_degree": 0, "bank_bumps": 1}), None),
+    ({"name": "sgd_maxsq3_bank1",
+      "problem": {"kind": "sgd", "f": "maxsq3", "x0": [1.0, -0.5, 0.25]},
+      "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
+      "n_steps": 600, "guard_radius": 50.0, "seeds": [2], "checkpoint_base": 200,
+      "diagnostics": {"bank_degree": 1}}, None),
+    ({"name": "shb_maxsq2_bank5",
+      "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
+      "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
+      "n_steps": 1000, "seeds": [5], "checkpoint_base": 250,
+      "diagnostics": {"bank_degree": 5, "bank_bumps": 0}}, None),
     ({"name": "runaway",
       "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
       "schedule": {"kind": "constant", "a": 1.0}, "n_steps": 50, "guard_radius": 5.0,

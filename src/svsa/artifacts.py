@@ -1,5 +1,6 @@
-"""The artifact writers, one for CSV tables and one for JSON documents, and
-``finite``, the one rule for the numbers JSON cannot hold."""
+"""The artifact writers, one for CSV tables and one for JSON documents,
+``finite``, the one rule for the numbers JSON cannot hold, and ``_is_count``,
+the one test of a JSON integer."""
 
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ def write_csv(path, columns: Sequence[str], data: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\r\n",
                    header=",".join(columns), comments="")
+
+
+def _is_count(v, least: int = 0) -> bool:
+    """A JSON integer (not a boolean) of at least ``least``."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
 def finite(node):

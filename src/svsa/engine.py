@@ -78,10 +78,12 @@ class StepSchedule:
 
     def values(self, n: int) -> np.ndarray:
         i = np.arange(n, dtype=float)
-        if self.kind == "power":
-            return self.a / (i + 1.0) ** self.rho
-        if self.kind == "logarithmic":
-            return self.a / np.log(i + 2.0)
+        # A step past the float range is inf, and (i + 1)^rho past it gives a step of 0.
+        with np.errstate(over="ignore"):
+            if self.kind == "power":
+                return self.a / (i + 1.0) ** self.rho
+            if self.kind == "logarithmic":
+                return self.a / np.log(i + 2.0)
         return np.full(n, self.a)
 
     def violations(self) -> list[str]:
@@ -140,7 +142,8 @@ class NoiseModel:
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, (n, dimension))
         if self.kind == "student_t":
-            return self.scale * rng.standard_t(self.df, (n, dimension))
+            with np.errstate(over="ignore"):  # past the float range a draw is inf, as a normal's
+                return self.scale * rng.standard_t(self.df, (n, dimension))
         directions = rng.normal(size=(n, dimension))
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
@@ -271,6 +274,7 @@ def _iterate(x0, advance, eps: np.ndarray, seeds: Iterable, guard_radius: float,
         for k in range(0, len(seeds), size))
 
 
+@np.errstate(over="ignore")  # a state or clock past the float range is inf; a state escapes
 def _lockstep(x0: np.ndarray, advance, eps: np.ndarray, guard_radius: float,
               noise: NoiseModel, noise_columns: int, deltas: np.ndarray,
               seeds: list) -> Iterator[Trajectory]:
@@ -300,8 +304,7 @@ def _lockstep(x0: np.ndarray, advance, eps: np.ndarray, guard_radius: float,
         by_step[i + 1, rows] = X
         if math.hypot(*X.ravel().tolist()) <= radius:  # the stack's norm bounds each row's
             continue
-        with np.errstate(over="ignore"):
-            squares = [float(x @ x) for x in X]
+        squares = [float(x @ x) for x in X]
         keep = []
         for j, (r, sq) in enumerate(zip(live, squares)):
             if math.isfinite(sq):

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import games as games_mod
-from .artifacts import finite, write_csv, write_json
+from .artifacts import _is_count, finite, write_csv, write_json
 from .engine import (DEFAULT_SELECTION_RULE, NoiseModel, StepSchedule, Trajectory,
                      run_fictitious_play_seeds, run_sa_seeds, run_sgd_seeds, run_shb_seeds)
 from .engine import (run_fictitious_play, run_sa, run_sgd,  # noqa: F401  (likewise)
@@ -37,7 +37,7 @@ from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, abs_value
                    select_subgradients, singleton_map)
 from .maps import clarke_subdifferential  # noqa: F401  (likewise)
 from .occupation import (OccupationMeasure, TestFunctionBank,
-                         UndefinedEstimateError, _cell_residences, _is_count, accumulate,
+                         UndefinedEstimateError, _cell_residences, accumulate,
                          centroid_membership_gap, circulation,
                          essential_accumulation_estimate, load_checkpoint,
                          oscillation_statistic, plugin_bandwidth,
@@ -363,12 +363,12 @@ class ExperimentConfig:
 
         guard_radius = float(doc.get("guard_radius", 1e3))
         resolved = _resolve_problem(problem, schedule, guard_radius)
-        with np.errstate(over="ignore"):  # (i + 1)^rho may overflow to inf
-            stalled = [f"{label}: the step size reaches 0 within n_steps"
-                       for label, steps in (("schedule", schedule),
-                                            ("alpha_schedule", resolved.alpha))
-                       if steps is not None and not steps.values(n_steps).min() > 0.0]
-        _check(stalled)
+        steps = [(label, s.values(n_steps)) for label, s in
+                 (("schedule", schedule), ("alpha_schedule", resolved.alpha)) if s is not None]
+        _check([f"{label}: the step size reaches 0 within n_steps"
+                for label, eps in steps if not eps.min() > 0.0]
+               + [f"{label}: the step size passes the float range within n_steps"
+                  for label, eps in steps if not eps.max() < math.inf])
         diagnostics = _diagnostics_from_doc(doc.get("diagnostics", {}),
                                             sum(part.shape[0] for part in resolved.start))
         reach = 1.0 if kind == "fictitious_play" else guard_radius  # a profile is in [0, 1]^n

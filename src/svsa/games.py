@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .artifacts import _is_count
 from .geometry import Polytope
 from .maps import SetValuedMap, near_max
 
@@ -240,11 +241,13 @@ def game_from_json(doc: dict | str) -> Game:
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
-        players = int(doc["players"])
-        counts = [int(k) for k in doc["action_counts"]]
+        players, counts = doc["players"], list(doc["action_counts"])
         tensors = [np.asarray(t, dtype=float) for t in doc["payoff_tensors"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game document: {exc}") from exc
+    if not (_is_count(players, 1) and all(_is_count(k, 1) for k in counts)):
+        raise ValueError("players and action_counts must be positive integers, "
+                         f"got {players!r} and {counts!r}")
     if len(counts) != players or len(tensors) != players:
         raise ValueError("player count does not match action_counts/payoff_tensors")
     expected = tuple(counts)

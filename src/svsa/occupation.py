@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import finite, write_csv, write_json
+from .artifacts import _is_count, finite, write_csv, write_json
 from .engine import Trajectory
 from .geometry import distance_to_hull
 from .maps import SetValuedMap, check_gradients
@@ -149,7 +149,7 @@ def _cell_residences(measure: OccupationMeasure, cell_size: float) -> dict[tuple
         raise ValueError(f"a position has no int64 cell index at cell size {cell_size!r}")
     uniq, inverse = _unique_rows(cells.astype(np.int64))
     masses = np.bincount(inverse, weights=measure.weights) / measure.total_weight
-    return {tuple(row): float(m) for row, m in zip(uniq, masses)}
+    return dict(zip(map(tuple, uniq.tolist()), masses.tolist()))
 
 
 def essential_accumulation_estimate(checkpoints: Sequence[OccupationMeasure],
@@ -196,7 +196,8 @@ def circulation(measure: OccupationMeasure, field: Callable[[np.ndarray], np.nda
     """
     values = np.asarray(field(measure.positions), dtype=float)
     dots = np.einsum("ij,ij->i", values, measure.velocities)
-    return float(np.sum(measure.weights * dots) / measure.total_weight)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+        return float(np.sum(measure.weights * dots) / measure.total_weight)
 
 
 def closed_residual(measure: OccupationMeasure, g: "SmoothTestFunction") -> float:
@@ -231,8 +232,8 @@ def velocity_moment(measure: OccupationMeasure, q: float) -> float:
     """Normalized weighted q-th moment of the velocity norms (q > 1)."""
     if q <= 1.0:
         raise ValueError("moment order must exceed 1")
-    speeds = np.linalg.norm(measure.velocities, axis=1)
-    with np.errstate(over="ignore"):  # a moment too large for a float is inf
+    with np.errstate(over="ignore"):  # a square or a moment too large for a float is inf
+        speeds = np.linalg.norm(measure.velocities, axis=1)
         return float(np.sum(measure.weights * speeds ** q) / measure.total_weight)
 
 
@@ -342,11 +343,6 @@ def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
     return (sidecar,) if prefix else (csv_path, sidecar)
 
 
-def _is_count(v, least: int = 0) -> bool:
-    """A JSON integer (not a boolean) of at least ``least``."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
-
-
 def _trajectory_prefix(path: Path, n: int, rows: int) -> tuple[np.ndarray, ...]:
     """Positions, velocities and steps of the first ``rows`` rows of a trajectory.csv."""
     with open(path) as fh:
@@ -416,55 +412,70 @@ class WeightFunction:
     value: Callable[[np.ndarray], np.ndarray]
 
 
-def _powers(U: np.ndarray, degree: int) -> list:
-    """[None, U, U**2, ..., U**degree], each power one np.power with an (n,)
-    array exponent as in ``U ** alpha`` (numpy's scalar ``** 2.0`` differs)."""
-    return [None, U] + [np.power(U, np.full(U.shape[-1], float(a))) for a in range(2, degree + 1)]
+def _power_rows(U: np.ndarray, degree: int) -> list:
+    """[None, u, u**2, ..., u**(degree - 1)] (at least u) for the (..., n) array
+    U: the powers that a gradient of a degree-``degree`` monomial reads, never
+    u**degree.  Entry a is an (n, ...) array whose row k is u_k ** a,
+    contiguous; each power is one np.power of U with an (n,) array exponent as
+    in ``U ** alpha`` (numpy's scalar ``** 2.0`` and ``U * U`` differ)."""
+    n = U.shape[-1]
+    return [None] + [np.moveaxis(U if a == 1 else np.power(U, np.full(n, float(a))), -1, 0).copy()
+                     for a in range(1, max(degree, 2))]
 
 
-def _product(powers: list, alpha, out: np.ndarray) -> np.ndarray:
-    """prod_k u_k ** alpha_k into ``out``, multiplied left to right as np.prod
-    does, without the factors u ** 0 = 1 (x 1.0 is exact)."""
-    out[...] = 1.0
-    for k, a in enumerate(alpha):
-        if a:
-            out *= powers[a][..., k]
-    return out
-
-
-def _monomial_gradient(powers: list, half: np.ndarray, alpha, out: np.ndarray) -> np.ndarray:
+def _monomial_gradient(rows: list, half: np.ndarray, alpha, out: np.ndarray) -> np.ndarray:
     """Gradient in x of prod_k u_k ** alpha_k, u = (x - center)/half, into
-    ``out``: column k is alpha_k/half_k times the product for alpha - e_k."""
-    column = np.empty(out.shape[:-1])
+    ``out`` from the power rows of u: column k is (f_1 * f_2 ...) * c, the
+    factors f of the product for alpha - e_k multiplied left to right as
+    np.prod does, less the exact factors u ** 0 = 1, times c = alpha_k/half_k
+    (products commute, so one factor gives c * f_1); 0 when alpha_k is 0."""
     for k, a in enumerate(alpha):
-        lowered = [b - (j == k) for j, b in enumerate(alpha)]
-        out[..., k] = a / half[k] * _product(powers, lowered, column) if a else 0.0
+        column = out[..., k]
+        if not a:
+            column[...] = 0.0
+            continue
+        c = a / half[k]
+        first, *rest = [rows[b - (j == k)][j] for j, b in enumerate(alpha) if b - (j == k)] + [c]
+        if not rest:
+            column[...] = first
+            continue
+        np.multiply(first, rest[0], out=column)
+        for f in rest[1:]:
+            column *= f
     return out
 
 
-def _monomial(center: np.ndarray, half: np.ndarray, alpha) -> SmoothTestFunction:
+def _monomial(center: np.ndarray, half: np.ndarray, alpha,
+              interpolation_constant: float) -> SmoothTestFunction:
     if len(alpha) == 1:
         name = f"u^{alpha[0]}"
     else:
         name = "*".join(f"u{k}^{a}" for k, a in enumerate(alpha) if a > 0)
+    exponent = np.asarray(alpha, dtype=float)
 
     def value(X):
-        powers = _powers((np.asarray(X, dtype=float) - center) / half, max(alpha))
-        return _product(powers, alpha, np.empty(powers[1].shape[:-1]))[()]  # a scalar at one point
+        return np.prod(((np.asarray(X, dtype=float) - center) / half) ** exponent, axis=-1)
 
     def gradient(X):
-        powers = _powers((np.asarray(X, dtype=float) - center) / half, max(alpha))
-        return _monomial_gradient(powers, half, alpha, np.empty_like(powers[1]))
+        U = (np.asarray(X, dtype=float) - center) / half
+        return _monomial_gradient(_power_rows(U, sum(alpha)), half, alpha, np.empty_like(U))
 
-    # Hessian entries over the box in normalized coordinates |u| <= 1 are
-    # bounded by a_i a_j (a_i (a_i - 1) on the diagonal).
-    a = np.asarray(alpha, dtype=float)
-    bound = np.outer(a, a)
-    np.fill_diagonal(bound, a * np.maximum(a - 1.0, 0.0))
-    lip = float(np.sqrt(np.sum((bound / np.outer(half, half)) ** 2)))
-    grad_sup = float(np.sqrt(np.sum((a / half) ** 2)))
-    return SmoothTestFunction(name, value, gradient,
-                              max(lip, 2.0 * grad_sup))
+    return SmoothTestFunction(name, value, gradient, interpolation_constant)
+
+
+def _interpolation_constants(exponents: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """max(Lip(grad), 2 sup||grad||) over the box of each monomial, a row of
+    ``exponents`` each, in one pass.  Hessian entries over the box in
+    normalized coordinates |u| <= 1 are bounded by a_i a_j (a_i (a_i - 1) on
+    the diagonal); each sum runs over one contiguous row, as np.sum of the
+    single monomial's array does."""
+    a = exponents.astype(float)
+    K, n = a.shape
+    bound = a[:, :, None] * a[:, None, :]
+    bound[:, np.arange(n), np.arange(n)] = a * np.maximum(a - 1.0, 0.0)
+    lip = np.sqrt(np.sum(((bound / np.outer(half, half)) ** 2).reshape(K, n * n), axis=1))
+    twice_sup = 2.0 * np.sqrt(np.sum((a / half) ** 2, axis=1))
+    return np.where(twice_sup > lip, twice_sup, lip)  # max(lip, twice_sup)
 
 
 def _radial_bump(center: np.ndarray, width: float, tag: int) -> SmoothTestFunction:
@@ -547,7 +558,8 @@ class TestFunctionBank:
 
         exponents = np.array([a for a in _exponents(n, degree) if any(a)],
                              dtype=np.int64).reshape(-1, n)
-        functions = [_monomial(center, half, alpha) for alpha in exponents]
+        functions = [_monomial(center, half, alpha, c) for alpha, c
+                     in zip(exponents, _interpolation_constants(exponents, half).tolist())]
         rng = np.random.default_rng(seed)
         width = 0.25 * float(np.linalg.norm(half))
         for tag in range(n_bumps):
@@ -573,7 +585,8 @@ class TestFunctionBank:
 
     def closed_residuals(self, measure: OccupationMeasure) -> dict[str, float]:
         """``closed_residual`` of every function, by name: the monomials' gradients
-        from one power table of the measure's positions, into one reused buffer."""
+        from one table of the powers of the measure's positions that they read,
+        into one reused buffer."""
         return self._monomial_residuals(measure) | {
             g.name: closed_residual(measure, g) for g in self.functions[len(self.exponents):]}
 
@@ -581,8 +594,8 @@ class TestFunctionBank:
         # The table is freed on return, before the bumps make their own temporaries.
         U = measure.positions - self.center
         U /= self.half
-        powers, G = _powers(U, self.exponents.max(initial=1)), np.empty_like(U)
-        return {g.name: circulation(measure, lambda _: _monomial_gradient(powers, self.half, a, G))
+        rows, G = _power_rows(U, int(self.exponents.sum(axis=1).max(initial=0))), np.empty_like(U)
+        return {g.name: circulation(measure, lambda _: _monomial_gradient(rows, self.half, a, G))
                 for g, a in zip(self.functions, self.exponents)}
 
     def validate_gradients(self, rng: np.random.Generator, n_points: int = 10,

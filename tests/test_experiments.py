@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import svsa.engine as engine
 import svsa.experiments as experiments
@@ -544,6 +544,8 @@ class TestCli:
         (lambda doc: doc.update(problem=SHB_PROBLEM | {"alpha_schedule": {
             "kind": "power", "a": 0.5, "rho": 1e300}}),
          "alpha_schedule: the step size reaches 0 within n_steps"),
+        (lambda doc: doc.update(schedule={"kind": "logarithmic", "a": 1.5e308}),
+         "schedule: the step size passes the float range within n_steps"),
         (lambda doc: doc.update(seeds=[True]), "seeds: non-empty list of non-negative integers"),
         (lambda doc: doc.update(checkpoint_base=True), "checkpoint_base: positive integer"),
         (lambda doc: doc.update(n_steps=True), "n_steps: positive integer required"),
@@ -614,7 +616,7 @@ class TestCli:
             "negative_degree", "degree_above_8", "bank_above_3002_monomials",
             "default_degree_in_30_dimensions", "circulation_not_a_bool", "probe_of_wrong_dimension",
             "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool",
-            "step_underflow", "heavy_ball_alpha_underflow", "seed_is_a_bool",
+            "step_underflow", "heavy_ball_alpha_underflow", "step_overflow", "seed_is_a_bool",
             "checkpoint_base_is_a_bool", "n_steps_is_a_bool", "bank_degree_is_a_bool",
             "guard_radius_is_a_bool", "nan_payoff", "infinite_payoff", "rps_with_infinite_win",
             "cell_index_beyond_int64", "profile_cell_index_beyond_int64",
@@ -928,19 +930,25 @@ def _field_paths(node, prefix=()):
         yield from _field_paths(child, prefix + (key,))
 
 
-@st.composite
-def fuzzed_docs(draw):
-    doc = json.loads(json.dumps(FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]))
-    path = draw(st.sampled_from(list(_field_paths(doc))))
-    value = draw(FIELD_VALUES)
-    cap = WORK_CAPS.get(path[-1])
-    if cap is not None and isinstance(value, int) and value > cap:
-        value = cap
+def _fuzzed(base: str, path: tuple, value) -> dict:
+    """A copy of the base document with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(FUZZ_BASES[base]))
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     return doc
+
+
+@st.composite
+def fuzzed_docs(draw):
+    base = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    path = draw(st.sampled_from(list(_field_paths(FUZZ_BASES[base]))))
+    value = draw(FIELD_VALUES)
+    cap = WORK_CAPS.get(path[-1])
+    if cap is not None and isinstance(value, int) and value > cap:
+        value = cap
+    return _fuzzed(base, path, value)
 
 
 def _objects(node, path=()):
@@ -971,6 +979,21 @@ class TestFuzzedConfigs:
         for doc in FUZZ_BASES.values():
             assert run_experiment(doc).seed_summaries
 
+    # Draws that overflowed a float, each once with a RuntimeWarning:
+    # (i + 1)^rho of the enlargement schedule (its delta is then 0),
+    @example(_fuzzed("custom_map", ("delta", "rho"), 1e300))
+    # the square of a velocity in the norm of velocity_moment,
+    @example(_fuzzed("custom_map", ("noise", "radius"), 1e200))
+    @example(_fuzzed("shb", ("problem", "alpha_schedule", "a"), 1e200))
+    # the products eps_j <grad g, v> of a closed residual,
+    @example(_fuzzed("sgd", ("schedule", "a"), 1e300))
+    # a student-t draw times its scale,
+    @example(_fuzzed("shb", ("noise", "scale"), 1e308))
+    # a step of the recursion and the clock, a sum of steps,
+    @example(_fuzzed("sgd", ("schedule", "a"), 1e308))
+    # and a logarithmic step a / ln 2, which the config now rejects.
+    @example(_fuzzed("custom_map", ("schedule", "a"), 1.7976931348623157e308))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(fuzzed_docs())
     def test_config_error_or_a_completed_run(self, doc):

@@ -327,6 +327,15 @@ class TestJsonInterchange:
             game_from_json({"players": 2, "action_counts": [2, 2],
                             "payoff_tensors": [[[1.0]], [[1.0]]]})
 
+    @pytest.mark.parametrize("players, counts", [(2.7, [2, 2]), (2, [2.9, 2]), (True, [2]),
+                                                 (1, [True]), (0, []), (2, [2, 0])])
+    def test_counts_must_be_positive_integers(self, players, counts):
+        # int() would read 2.7 as 2 and true as 1; the rule of a config's game table.
+        tensors = [np.zeros((2, 2)).tolist()] * 2
+        with pytest.raises(ValueError, match="positive integers"):
+            game_from_json({"players": players, "action_counts": counts,
+                            "payoff_tensors": tensors})
+
 
 def test_game_validation():
     with pytest.raises(ValueError):

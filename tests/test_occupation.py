@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tempfile
 from pathlib import Path
 
@@ -535,20 +536,41 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()  # also tells -0.0 from 0.0
 
 
+def _dimension_and_degree(most_monomials: int):
+    """(n, degree) with degree 0-6 and at most ``most_monomials`` monomials."""
+    return st.tuples(st.integers(1, 6), st.integers(0, 6)).filter(
+        lambda nd: math.comb(nd[0] + nd[1], nd[0]) - 1 <= most_monomials)
+
+
 @st.composite
 def banks_and_measures(draw):
-    n, degree = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    # Up to 300 rows, so that sums run past numpy's 8-element pairwise block.
+    n, degree = draw(_dimension_and_degree(210))
     upper = draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
     lower = (-upper if draw(st.booleans())  # centered at 0, where -0.0 gives u = -0.0
              else upper - draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3))))
     bank = TestFunctionBank.from_box(lower, upper, degree=degree, n_bumps=draw(st.integers(0, 2)))
-    m = draw(st.integers(1, 8))
-    positions = np.array([[draw(st.sampled_from([lo, hi, c] + EDGE_VALUES) | st.floats(-2e3, 2e3))
-                           for lo, hi, c in zip(bank.lower, bank.upper, bank.center)]
-                          for _ in range(m)])
+    m = draw(st.integers(1, 8) | st.integers(9, 300))
+    # Each coordinate is a box edge, the center, an edge value or a free float.
+    special = np.column_stack([bank.lower, bank.upper, bank.center]
+                              + [np.full(n, e) for e in EDGE_VALUES])
+    choice = draw(arrays(np.intp, (m, n), elements=st.integers(0, special.shape[1])))
+    free = draw(arrays(np.float64, (m, n), elements=st.floats(-2e3, 2e3)))
+    positions = np.where(choice < special.shape[1],
+                         special[np.arange(n), np.minimum(choice, special.shape[1] - 1)], free)
     velocities = draw(arrays(np.float64, (m, n), elements=st.floats(-1e3, 1e3)))
     weights = draw(arrays(np.float64, m, elements=st.floats(0.0, 1e3))) + np.eye(1, m)[0]
     return bank, OccupationMeasure.from_arrays(positions, velocities, weights)
+
+
+@st.composite
+def boxes(draw):
+    """(lower, upper, degree): some sides 0 or below 2e-9, where half is floored at 1e-9."""
+    n, degree = draw(_dimension_and_degree(500))
+    lower = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    side = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1e-12, 1.5e-9])
+                       | st.floats(0.0, 1e3)))
+    return lower, lower + side, degree
 
 
 class TestPowerTable:
@@ -567,3 +589,13 @@ class TestPowerTable:
                     == _bits(closed_residual(mu, g)))
         for g in bank.functions[len(bank.exponents):]:
             assert _bits(residuals[g.name]) == _bits(closed_residual(mu, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes())
+    def test_constants_give_the_bits_of_the_per_monomial_formula(self, box):
+        lower, upper, degree = box
+        bank = TestFunctionBank.from_box(lower, upper, degree=degree, n_bumps=0)
+        assert np.all(bank.half >= 1e-9)
+        for g, alpha in zip(bank.functions, bank.exponents, strict=True):
+            reference = reference_monomial(bank.center, bank.half, alpha)
+            assert _bits(g.interpolation_constant) == _bits(reference.interpolation_constant)
