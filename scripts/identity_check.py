@@ -14,7 +14,10 @@ game that ties often, so the uniform draw over ties is compared.  Seeds of a
 config are stepped in lockstep, so several configs run a few seeds at once:
 sgd on maxsq3 from a tie with random vertices (kinks on most steps), heavy
 ball on maxsq2, and sgd on |x| where some seeds escape mid-run and the others
-complete (the script fails if that config does not show both statuses).  The
+complete (the script fails if that config does not show both statuses).
+Constant-step noisy sgd on quad1 wanders, so the box of its positions, and
+with it the test-function bank, grows after the first checkpoint (the script
+fails if its checkpoints do not span at least two boxes).  The
 heavy-ball config also runs with ``jobs=2``, each seed in a process pool,
 under its own experiment name.  Then
 it runs ``svsa diagnose`` on every checkpoint, named ``checkpoint_<N>.csv`` as
@@ -69,6 +72,7 @@ def _sgd(name: str, **extra) -> dict:
 
 
 MIXED_STATUSES = "sgd_abs_escapes_mixed"  # seeds 1 and 4 escape, 2 and 3 complete
+GROWING_BOX = "sgd_quad1_growing_box"
 SHB_SEEDS = {"name": "shb_maxsq2_seeds",
              "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
              "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
@@ -146,6 +150,9 @@ CONFIGS = [
     (_sgd(MIXED_STATUSES, schedule={"kind": "constant", "a": 0.05},
           noise={"kind": "gaussian", "sigma": 4.0}, n_steps=3000, guard_radius=2.5,
           seeds=[1, 2, 3, 4], checkpoint_base=500), None),
+    ({"name": GROWING_BOX, "problem": {"kind": "sgd", "f": "quad1", "x0": [0.0]},
+      "schedule": {"kind": "constant", "a": 0.01}, "noise": {"kind": "gaussian", "sigma": 1.0},
+      "n_steps": 4000, "seeds": [3], "checkpoint_base": 250}, None),
 ]
 WORKLOAD_SEED = 7
 RUN_WORKLOADS = ("sgd_abs_seeds", "shb_quad2_pipeline", "fp_rps_pipeline")
@@ -175,6 +182,8 @@ def produce(out: Path) -> None:
         statuses = {s["status"] for s in report.seed_summaries}
         if doc["name"] == MIXED_STATUSES and statuses != {"completed", "escaped"}:
             raise SystemExit(f"{MIXED_STATUSES}: statuses {sorted(statuses)}, not both")
+        if doc["name"] == GROWING_BOX and len(boxes := checkpoint_boxes(runs / GROWING_BOX)) < 2:
+            raise SystemExit(f"{GROWING_BOX}: the checkpoints span {len(boxes)} box, not two")
     for sidecar in sorted(runs.rglob("checkpoint_*.json")):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -183,6 +192,20 @@ def produce(out: Path) -> None:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(f"exit {code}\n{stdout.getvalue()}")
     produce_flow(out / "flow")
+
+
+def checkpoint_boxes(experiment: Path) -> set[bytes]:
+    """The distinct boxes, min and max of the positions as bits, that the prefix
+    checkpoints of each seed of an experiment span."""
+    boxes = set()
+    for trajectory in experiment.glob("*/trajectory.csv"):
+        summary = json.loads((trajectory.parent / "summary.json").read_text())
+        n = len(summary["final_state"])
+        states = np.loadtxt(trajectory, delimiter=",", skiprows=1, usecols=range(2, 2 + n),
+                            ndmin=2)
+        boxes |= {states[:i].min(axis=0).tobytes() + states[:i].max(axis=0).tobytes()
+                  for i in (c["iteration"] for c in summary["checkpoints"])}
+    return boxes
 
 
 def produce_flow(out: Path) -> None:

@@ -16,6 +16,7 @@ byte-identical summaries (no timestamps are written).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -36,13 +37,14 @@ from .maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, abs_value
                    clarke_map, half_square_norm, max_of_squares, negate,
                    select_subgradients, singleton_map)
 from .maps import clarke_subdifferential  # noqa: F401  (likewise)
-from .occupation import (OccupationMeasure, TestFunctionBank,
-                         UndefinedEstimateError, _cell_residences, accumulate,
-                         centroid_membership_gap, circulation,
+from .occupation import (OccupationMeasure, TestFunctionBank, UndefinedEstimateError,
+                         _cell_residences, _prefix_circulations,
+                         _prefix_oscillation_statistics, _prefix_velocity_moments,
+                         accumulate, centroid_membership_gap,
                          essential_accumulation_estimate, load_checkpoint,
-                         oscillation_statistic, plugin_bandwidth,
-                         save_checkpoint, trajectory_columns, velocity_moment)
-from .occupation import closed_residual  # noqa: F401  (likewise)
+                         plugin_bandwidth, save_checkpoint, trajectory_columns)
+from .occupation import (circulation, closed_residual,  # noqa: F401  (likewise)
+                         oscillation_statistic, velocity_moment)
 
 
 class ConfigError(ValueError):
@@ -462,46 +464,61 @@ def checkpoint_iterations(n_steps: int, base: int) -> list[int]:
     return its
 
 
-def _checkpoint_diagnostics(measure: OccupationMeasure, diag: dict, iteration: int,
-                            field_values=None, problem_map=None) -> dict:
-    """``field_values``: the circulation field at the measure's positions."""
-    bank = TestFunctionBank.from_positions(measure.positions,
-                                           degree=int(diag["bank_degree"]),
-                                           n_bumps=int(diag["bank_bumps"]),
-                                           seed=int(diag["bank_seed"]))
-    moment = velocity_moment(measure, float(diag["velocity_moment_order"]))
-    entry: dict = {
-        "iteration": int(iteration),
-        "n_samples": measure.n_samples,
-        "total_weight": measure.total_weight,
-        "closed_residuals": bank.closed_residuals(measure),
-        "oscillation": {},
-        "velocity_moment": {"order": diag["velocity_moment_order"], "value": moment},
-    }
-    for psi in bank.weights:
-        stat = oscillation_statistic(measure, psi)
-        entry["oscillation"][psi.name] = {"average": stat.weighted_average.tolist(),
-                                          "psi_weight": stat.psi_weight}
-    cell = float(diag["residence_cell_size"])
-    cells = _cell_residences(measure, cell)
-    listed = sorted((c for c in cells.items() if c[1] >= 1e-3),
-                    key=lambda kv: (-kv[1], kv[0]))[:1000]
-    entry["residence_grid"] = {"cell_size": cell,
-                               "cells": [{"cell": list(map(int, c)), "mass": m}
-                                         for c, m in listed]}
-    if field_values is not None:
-        entry["circulation"] = {"min_norm_subgradient":
-                                circulation(measure, lambda _: field_values)}
-    probes = diag.get("centroid_probes")
-    if probes:
-        h = plugin_bandwidth(measure)
-        try:
-            gap = (centroid_membership_gap(measure, problem_map, np.asarray(probes, float), h)
-                   if problem_map is not None else None)
-        except UndefinedEstimateError:
-            gap = None
-        entry["centroid"] = {"bandwidth": h, "probes": probes, "gap": gap}
-    return entry
+def _checkpoint_diagnostics(measures: Sequence[OccupationMeasure], iterations: Sequence[int],
+                            diag: dict, states=None, f: MaxOfSmoothFunction | None = None,
+                            problem_map=None) -> tuple[list[dict], list[dict]]:
+    """The entries and cell residences of a run's checkpoints, the measures of
+    its first ``iterations`` ``states`` unless thinned, with the circulation of
+    the objective ``f`` when given.  The field is evaluated once on the states.
+    Consecutive prefixes whose positions span the same box, bit for bit
+    (``tobytes`` tells -0.0 from 0.0), share one bank and one pass over the
+    samples of the last; a thinned checkpoint is not a prefix: it gets its own."""
+    def box(k):
+        m = measures[k]
+        return (m.positions.min(axis=0).tobytes() + m.positions.max(axis=0).tobytes()
+                if m.n_samples == iterations[k] else k)
+
+    run_field = _circulation_field(f, states) if f is not None else None
+    q, cell = float(diag["velocity_moment_order"]), float(diag["residence_cell_size"])
+    entries, residences = [], []
+    for _, run in itertools.groupby(range(len(measures)), box):
+        ks = list(run)
+        group, last, i = [measures[k] for k in ks], measures[ks[-1]], iterations[ks[-1]]
+        bank = TestFunctionBank.from_positions(last.positions, degree=int(diag["bank_degree"]),
+                                               n_bumps=int(diag["bank_bumps"]),
+                                               seed=int(diag["bank_seed"]))
+        new = [{"iteration": int(iterations[k]), "n_samples": m.n_samples,
+                "total_weight": m.total_weight, "closed_residuals": residuals, "oscillation": {},
+                "velocity_moment": {"order": diag["velocity_moment_order"], "value": moment}}
+               for k, m, residuals, moment in zip(ks, group, bank.prefix_closed_residuals(group),
+                                                  _prefix_velocity_moments(group, q))]
+        for psi in bank.weights:
+            for entry, stat in zip(new, _prefix_oscillation_statistics(group, psi)):
+                entry["oscillation"][psi.name] = {"average": stat.weighted_average.tolist(),
+                                                  "psi_weight": stat.psi_weight}
+        cells = _cell_residences(group, cell)
+        for entry, masses in zip(new, cells):
+            listed = sorted((c for c in masses.items() if c[1] >= 1e-3),
+                            key=lambda kv: (-kv[1], kv[0]))[:1000]
+            entry["residence_grid"] = {"cell_size": cell,
+                                       "cells": [{"cell": list(map(int, c)), "mass": m}
+                                                 for c, m in listed]}
+        if f is not None:
+            values = run_field[:i] if last.n_samples == i else _circulation_field(f, last.positions)
+            for entry, value in zip(new, _prefix_circulations(group, values)):
+                entry["circulation"] = {"min_norm_subgradient": value}
+        probes = diag.get("centroid_probes")
+        for entry, measure in zip(new, group if probes else ()):
+            h = plugin_bandwidth(measure)
+            try:
+                gap = (centroid_membership_gap(measure, problem_map, np.asarray(probes, float), h)
+                       if problem_map is not None else None)
+            except UndefinedEstimateError:
+                gap = None
+            entry["centroid"] = {"bandwidth": h, "probes": probes, "gap": gap}
+        entries += new
+        residences += cells
+    return entries, residences
 
 
 def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
@@ -525,17 +542,10 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
     iterations = checkpoint_iterations(traj.n_steps, config.checkpoint_base)
     measures = [accumulate(traj, upto=i) for i in iterations]
 
-    # Checkpoints are prefixes of the run, so the field is evaluated once on its
-    # states; a thinned checkpoint is not a prefix and gets its own evaluation.
     diag = config.diagnostics
-    f = prob.objective if diag["circulation"] else None
-    run_field = _circulation_field(f, traj.states[:traj.n_steps]) if f is not None else None
-    checkpoints = []
-    for m, i in zip(measures, iterations):
-        values = None
-        if f is not None:
-            values = run_field[:i] if m.n_samples == i else _circulation_field(f, m.positions)
-        checkpoints.append(_checkpoint_diagnostics(m, diag, i, values, prob.velocity_map))
+    checkpoints, residences = _checkpoint_diagnostics(
+        measures, iterations, diag, traj.states[:traj.n_steps],
+        prob.objective if diag["circulation"] else None, prob.velocity_map)
 
     summary: dict = {
         "experiment": config.name,
@@ -554,7 +564,8 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
         summary["nash_gap_inf"] = float(np.abs(traj.states[-1] - prob.equilibrium).max())
     if len(measures) >= 2:
         centers = essential_accumulation_estimate(
-            measures, float(diag["residence_cell_size"]), float(diag["essential_threshold"]))
+            measures, float(diag["residence_cell_size"]), float(diag["essential_threshold"]),
+            residences)
         summary["essential_cells"] = {
             "cell_size": diag["residence_cell_size"],
             "threshold": diag["essential_threshold"],
@@ -654,6 +665,6 @@ def diagnose_checkpoint(csv_path) -> dict:
     block = meta.get("diagnostics", {})
     _check(_problems(block, "diagnostics", _DIAGNOSTICS))
     diag = {**_diagnostics_from_doc(block, measure.dimension), "centroid_probes": None}
-    entry = _checkpoint_diagnostics(measure, diag, meta["iteration"])
+    entry = _checkpoint_diagnostics([measure], [meta["iteration"]], diag)[0][0]
     entry["sidecar"] = meta
     return finite(entry)

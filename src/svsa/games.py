@@ -121,27 +121,28 @@ def initial_profile(game: Game, xi0: Sequence | None = None) -> list[np.ndarray]
     return parts
 
 
-def best_response_indices(game: Game, i: int, opponents: Sequence) -> np.ndarray:
-    """Player i's actions within ``br_tol`` of its best payoff: the max and the
-    tie test of ``np.flatnonzero(u >= u.max() - br_tol)`` on plain floats."""
+def best_response_indices(game: Game, i: int, opponents: Sequence) -> list[int]:
+    """Player i's actions within ``br_tol`` of its best payoff, in increasing
+    order: the max and the tie test of ``np.flatnonzero(u >= u.max() - br_tol)``
+    on plain floats."""
     u = game.pure_action_payoffs(i, opponents).tolist()
     if math.isnan(sum(u)) and any(map(math.isnan, u)):  # near_max would pass over a NaN
         raise ValueError(f"player {i} has a NaN payoff")
-    return np.array(near_max([u], game.br_tol)[0], dtype=np.intp)
+    return near_max([u], game.br_tol)[0]
 
 
-def draw_best_response(idx: np.ndarray, rng: np.random.Generator) -> int:
+def draw_best_response(idx: Sequence[int], rng: np.random.Generator) -> int:
     """An entry of ``idx`` uniformly at random.  A unique best response draws
     nothing: ``rng.integers(1)`` would leave the generator unchanged anyway."""
-    return int(idx[rng.integers(len(idx))] if len(idx) > 1 else idx[0])
+    return idx[rng.integers(len(idx))] if len(idx) > 1 else idx[0]
 
 
 def best_response(game: Game, i: int, opponents: Sequence) -> Polytope:
     """Vertex generators of the best-response face of player i's simplex."""
     k = game.action_counts[i]
     idx = best_response_indices(game, i, opponents)
-    gens = np.zeros((idx.size, k))
-    gens[np.arange(idx.size), idx] = 1.0
+    gens = np.zeros((len(idx), k))
+    gens[np.arange(len(idx)), idx] = 1.0
     return Polytope(gens, copy=False)
 
 
@@ -163,7 +164,7 @@ def game_map(game: Game) -> SetValuedMap:
 
     def generators(xi):
         parts = [xi[offsets[i]:offsets[i + 1]] for i in players]
-        vertex_lists = [best_response_indices(game, i, [parts[j] for j in others[i]]).tolist()
+        vertex_lists = [best_response_indices(game, i, [parts[j] for j in others[i]])
                         for i in players]
         combos = list(itertools.product(*vertex_lists))
         gens = np.empty((len(combos), xi.shape[0]))

@@ -143,24 +143,45 @@ def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[starts], inverse
 
 
-def _cell_residences(measure: OccupationMeasure, cell_size: float) -> dict[tuple, float]:
-    cells = np.floor(measure.positions / cell_size)
+def _prefix_means(measures: Sequence[OccupationMeasure], terms: np.ndarray) -> list[float]:
+    """np.sum(w * terms) / W over the samples of each of the ``measures``, of
+    weights w and total W.  Here and in the other functions of ``measures``,
+    each is the first samples of the last (a run's prefixes are views of it):
+    each sample's term is computed once, on the last, elementwise or over its
+    own row, and a sum over a slice has the bits of a sum over a copy."""
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+        terms = measures[-1].weights * terms
+        return [float(np.sum(terms[:m.n_samples]) / m.total_weight) for m in measures]
+
+
+def _cell_residences(measures: Sequence[OccupationMeasure],
+                     cell_size: float) -> list[dict[tuple, float]]:
+    """The normalized weight of each lattice cell that a prefix visits, by cell index."""
+    cells = np.floor(measures[-1].positions / cell_size)
     if not np.all(np.abs(cells) < 2.0 ** 63):  # NaN fails too
         raise ValueError(f"a position has no int64 cell index at cell size {cell_size!r}")
     uniq, inverse = _unique_rows(cells.astype(np.int64))
-    masses = np.bincount(inverse, weights=measure.weights) / measure.total_weight
-    return dict(zip(map(tuple, uniq.tolist()), masses.tolist()))
+    keys, out = list(map(tuple, uniq.tolist())), []
+    for m in measures:
+        visits = inverse[:m.n_samples]
+        masses = (np.bincount(visits, weights=m.weights, minlength=len(keys))
+                  / m.total_weight).tolist()
+        out.append({keys[k]: masses[k]
+                    for k in np.flatnonzero(np.bincount(visits, minlength=len(keys))).tolist()})
+    return out
 
 
 def essential_accumulation_estimate(checkpoints: Sequence[OccupationMeasure],
-                                    cell_size: float, threshold: float) -> np.ndarray:
+                                    cell_size: float, threshold: float,
+                                    residences: Sequence[dict] | None = None) -> np.ndarray:
     """Cells (by center) that retain at least ``threshold`` residence time in
     one of the last half of the checkpoints.
 
     The lattice is axis-aligned with pitch ``cell_size`` anchored at the
     origin.  This is a finite-horizon proxy: a cell qualifying in some late
     checkpoint stands in for a neighborhood with non-vanishing limsup
-    residence time.
+    residence time.  ``residences``, when given, holds the ``_cell_residences``
+    of each checkpoint at ``cell_size``, which are then not recomputed.
     """
     if len(checkpoints) == 0:
         raise ValueError("no checkpoints given")
@@ -175,10 +196,11 @@ def essential_accumulation_estimate(checkpoints: Sequence[OccupationMeasure],
     if threshold <= 0.0 or cell_size <= 0.0:
         raise ValueError("cell_size and threshold must be positive")
 
-    tail = checkpoints[-math.ceil(len(checkpoints) / 2):]
     qualifying: set[tuple] = set()
-    for cp in tail:
-        for cell, mass in _cell_residences(cp, cell_size).items():
+    for k in range(len(checkpoints) // 2, len(checkpoints)):  # the last half
+        cells = (residences[k] if residences is not None
+                 else _cell_residences([checkpoints[k]], cell_size)[0])
+        for cell, mass in cells.items():
             if mass >= threshold:
                 qualifying.add(cell)
     if not qualifying:
@@ -194,10 +216,12 @@ def circulation(measure: OccupationMeasure, field: Callable[[np.ndarray], np.nda
 
     ``field`` must accept the full (M, n) position array and return (M, n).
     """
-    values = np.asarray(field(measure.positions), dtype=float)
-    dots = np.einsum("ij,ij->i", values, measure.velocities)
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
-        return float(np.sum(measure.weights * dots) / measure.total_weight)
+    return _prefix_circulations([measure], np.asarray(field(measure.positions), dtype=float))[0]
+
+
+def _prefix_circulations(measures: Sequence[OccupationMeasure], values: np.ndarray) -> list[float]:
+    """``circulation`` of each prefix, ``values`` the field at the last one's positions."""
+    return _prefix_means(measures, np.einsum("ij,ij->i", values, measures[-1].velocities))
 
 
 def closed_residual(measure: OccupationMeasure, g: "SmoothTestFunction") -> float:
@@ -230,11 +254,18 @@ def interpolation_bound(trajectory: Trajectory, grad_constant: float) -> float:
 
 def velocity_moment(measure: OccupationMeasure, q: float) -> float:
     """Normalized weighted q-th moment of the velocity norms (q > 1)."""
+    return _prefix_velocity_moments([measure], q)[0]
+
+
+def _prefix_velocity_moments(measures: Sequence[OccupationMeasure], q: float) -> list[float]:
     if q <= 1.0:
         raise ValueError("moment order must exceed 1")
-    with np.errstate(over="ignore"):  # a square or a moment too large for a float is inf
-        speeds = np.linalg.norm(measure.velocities, axis=1)
-        return float(np.sum(measure.weights * speeds ** q) / measure.total_weight)
+    v = measures[-1].velocities
+    with np.errstate(over="ignore"):  # a moment too large for a float is inf
+        speeds = np.linalg.norm(v, axis=1)
+        for j in np.flatnonzero(speeds == math.inf).tolist():  # the square overflowed
+            speeds[j] = math.hypot(*v[j].tolist())
+        return _prefix_means(measures, speeds ** q)
 
 
 class OscillationStatistic(NamedTuple):
@@ -246,10 +277,16 @@ def oscillation_statistic(measure: OccupationMeasure, psi) -> OscillationStatist
     """Step-weighted, psi-localized velocity average, plus the localized mass
     so callers can form the conditional average and check that the localized
     fraction stays bounded away from zero."""
+    return _prefix_oscillation_statistics([measure], psi)[0]
+
+
+def _prefix_oscillation_statistics(measures: Sequence[OccupationMeasure],
+                                   psi) -> list[OscillationStatistic]:
     fn = psi.value if isinstance(psi, WeightFunction) else psi
-    pw = measure.weights * np.asarray(fn(measure.positions), dtype=float)
-    avg = (pw @ measure.velocities) / measure.total_weight
-    return OscillationStatistic(np.asarray(avg, dtype=float), float(pw.sum()))
+    pw = measures[-1].weights * np.asarray(fn(measures[-1].positions), dtype=float)
+    return [OscillationStatistic(np.asarray((pw[:m.n_samples] @ m.velocities) / m.total_weight,
+                                            dtype=float), float(pw[:m.n_samples].sum()))
+            for m in measures]
 
 
 # Centroid field ----------------------------------------------------------------
@@ -584,19 +621,29 @@ class TestFunctionBank:
                                          n_bumps=n_bumps, seed=seed)
 
     def closed_residuals(self, measure: OccupationMeasure) -> dict[str, float]:
-        """``closed_residual`` of every function, by name: the monomials' gradients
-        from one table of the powers of the measure's positions that they read,
-        into one reused buffer."""
-        return self._monomial_residuals(measure) | {
-            g.name: closed_residual(measure, g) for g in self.functions[len(self.exponents):]}
+        """``closed_residual`` of every function, by name."""
+        return self.prefix_closed_residuals([measure])[0]
 
-    def _monomial_residuals(self, measure: OccupationMeasure) -> dict[str, float]:
-        # The table is freed on return, before the bumps make their own temporaries.
-        U = measure.positions - self.center
+    def prefix_closed_residuals(self, measures: Sequence[OccupationMeasure]) -> list[dict]:
+        """``closed_residuals`` of each prefix, one function at a time."""
+        out: list[dict[str, float]] = [{} for _ in measures]
+        for g, values in zip(self.functions, self._gradients(measures[-1].positions)):
+            for residuals, r in zip(out, _prefix_circulations(measures, values)):
+                residuals[g.name] = r
+        return out
+
+    def _gradients(self, X: np.ndarray):
+        """Each function's gradient at the (M, n) positions X in turn: the
+        monomials' from one table of the powers of u that they read, into one
+        reused buffer, which is freed before the bumps make their own."""
+        U = X - self.center
         U /= self.half
         rows, G = _power_rows(U, int(self.exponents.sum(axis=1).max(initial=0))), np.empty_like(U)
-        return {g.name: circulation(measure, lambda _: _monomial_gradient(rows, self.half, a, G))
-                for g, a in zip(self.functions, self.exponents)}
+        for a in self.exponents:
+            yield _monomial_gradient(rows, self.half, a, G)
+        del U, rows, G
+        for g in self.functions[len(self.exponents):]:
+            yield g.gradient(X)
 
     def validate_gradients(self, rng: np.random.Generator, n_points: int = 10,
                            step: float = 1e-6, tol: float = 1e-4) -> float:

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 
 from svsa.engine import Trajectory
+from svsa.experiments import _circulation_field
 from svsa.maps import _select_from
-from svsa.occupation import SmoothTestFunction
+from svsa.occupation import (DEFAULT_MAX_SAMPLES, SmoothTestFunction, TestFunctionBank,
+                             accumulate)
 
 
 # A 2x3x2 integer-payoff game in which every player ties now and then, up to
@@ -202,3 +205,47 @@ def reference_displacements(game, xi) -> np.ndarray:
             seg[:] = -parts[i]
             seg[a] += 1.0
     return gens
+
+
+def reference_checkpoint_entry(trajectory, upto: int, diag: dict,
+                               max_samples: int = DEFAULT_MAX_SAMPLES, f=None) -> dict:
+    """The diagnostics entry of the checkpoint of the first ``upto`` steps (no
+    centroid probes) from its own fresh measure, one formula per diagnostic on
+    that measure's samples alone, with the circulation of the objective ``f``
+    when given."""
+    m = accumulate(trajectory, upto=upto, max_samples=max_samples)
+    X, V, w, W = m.positions, m.velocities, m.weights, m.total_weight
+    bank = TestFunctionBank.from_positions(X, degree=diag["bank_degree"],
+                                           n_bumps=diag["bank_bumps"], seed=diag["bank_seed"])
+
+    def mean(terms):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(w * terms) / W)
+
+    def circulation(values):
+        return mean(np.einsum("ij,ij->i", values, V))
+
+    with np.errstate(over="ignore"):
+        speeds = np.linalg.norm(V, axis=1)
+    speeds = np.array([math.hypot(*v) if s == math.inf else s  # the square overflowed
+                       for s, v in zip(speeds.tolist(), V.tolist())])
+    with np.errstate(over="ignore"):
+        moment = mean(speeds ** diag["velocity_moment_order"])
+    oscillation = {}
+    for psi in bank.weights:
+        pw = w * psi.value(X)
+        oscillation[psi.name] = {"average": ((pw @ V) / W).tolist(), "psi_weight": float(pw.sum())}
+    cell = diag["residence_cell_size"]
+    uniq, inverse = np.unique(np.floor(X / cell).astype(np.int64), axis=0, return_inverse=True)
+    masses = (np.bincount(inverse.ravel(), weights=w) / W).tolist()
+    listed = sorted((kv for kv in zip(map(tuple, uniq.tolist()), masses) if kv[1] >= 1e-3),
+                    key=lambda kv: (-kv[1], kv[0]))[:1000]
+    entry = {"iteration": upto, "n_samples": m.n_samples, "total_weight": W,
+             "closed_residuals": {g.name: circulation(g.gradient(X)) for g in bank.functions},
+             "oscillation": oscillation,
+             "velocity_moment": {"order": diag["velocity_moment_order"], "value": moment},
+             "residence_grid": {"cell_size": cell,
+                                "cells": [{"cell": list(c), "mass": mass} for c, mass in listed]}}
+    if f is not None:
+        entry["circulation"] = {"min_norm_subgradient": circulation(_circulation_field(f, X))}
+    return entry

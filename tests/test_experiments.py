@@ -17,12 +17,18 @@ from hypothesis import example, given, settings, strategies as st
 
 import svsa.engine as engine
 import svsa.experiments as experiments
+from hypothesis.extra.numpy import arrays
 from svsa.cli import main
-from svsa.experiments import (ConfigError, ExperimentConfig, checkpoint_iterations,
+from svsa.engine import Trajectory
+from svsa.experiments import (DEFAULT_DIAGNOSTICS, ConfigError, ExperimentConfig,
+                              _checkpoint_diagnostics, checkpoint_iterations,
                               diagnose_checkpoint, named_function, named_map,
                               run_experiment, validate_config)
-from svsa.maps import _select_from, clarke_subdifferential
-from svsa.occupation import accumulate, circulation, save_checkpoint
+from svsa.maps import _select_from, clarke_subdifferential, half_square_norm
+from svsa.occupation import (accumulate, circulation, essential_accumulation_estimate,
+                             save_checkpoint)
+
+from helpers import reference_checkpoint_entry
 
 
 def sgd_doc(n_steps=4000, seeds=(1, 2), base=1000):
@@ -314,6 +320,63 @@ class TestThinnedCheckpoints:
         sidecar.write_text(json.dumps(meta))
         (seed_dir / "checkpoint_1000.csv").unlink()
         assert _diagnose(seed_dir / "checkpoint_1000.csv")[0] == 3
+
+
+# Coordinates that tie the box or sit on its edges: 0.0 and -0.0 compare equal
+# but span boxes of different bits.
+POOL_VALUES = [0.0, -0.0, 1.0, -1.0, 5e-324, 0.5, 2.0, -3.0]
+
+
+@st.composite
+def runs_and_checkpoints(draw):
+    """A run of 1-300 steps in 1-6 dimensions, nested checkpoints that include
+    1 and the run's length, its diagnostics block, and a thinning size (or None)."""
+    n, degree = draw(st.tuples(st.integers(1, 6), st.integers(0, 6)).filter(
+        lambda nd: math.comb(nd[0] + nd[1], nd[0]) - 1 <= 210))
+    m = draw(st.integers(1, 8) | st.integers(9, 300))
+    if draw(st.booleans()):  # coordinates from a few values, so the box may stop growing
+        pool = draw(st.lists(st.sampled_from(POOL_VALUES), min_size=1, max_size=4))
+        states = np.array(draw(st.lists(st.sampled_from(pool), min_size=(m + 1) * n,
+                                        max_size=(m + 1) * n))).reshape(m + 1, n)
+        if draw(st.booleans()):  # the box of every prefix past 1 is the box of the run
+            states[:2] = [[min(pool)] * n, [max(pool)] * n]
+    else:  # a random walk, whose box grows now and then
+        steps = draw(arrays(np.float64, (m + 1, n), elements=st.floats(-1.0, 1.0)))
+        states = np.cumsum(steps, axis=0)
+    velocities = draw(arrays(np.float64, (m, n), elements=st.floats(-1e3, 1e3)
+                             | st.sampled_from([1e200, -1e200])))
+    weights = draw(arrays(np.float64, m, elements=st.floats(1e-3, 1.0)))
+    traj = Trajectory(states=states, velocities=velocities, steps=weights,
+                      deltas=np.zeros(m), noises=np.zeros((m, n)),
+                      clock=np.concatenate([[0.0], np.cumsum(weights)]))
+    inner = draw(st.lists(st.integers(1, m), max_size=6))
+    iterations = sorted({1, m, *inner})
+    diag = {**DEFAULT_DIAGNOSTICS, "bank_degree": degree, "bank_bumps": draw(st.integers(0, 4)),
+            "velocity_moment_order": draw(st.sampled_from([1.5, 2.0, 3.0])),
+            "residence_cell_size": draw(st.sampled_from([0.02, 0.3, 1.0]))}
+    thin = draw(st.none() | st.integers(1, m))
+    return traj, iterations, diag, thin
+
+
+class TestSharedPrefixPass:
+    @settings(max_examples=150, deadline=None)
+    @given(runs_and_checkpoints(), st.booleans())
+    def test_each_entry_has_the_bits_of_its_own_measure(self, case, with_field):
+        traj, iterations, diag, thin = case
+        limit = {} if thin is None else {"max_samples": thin}
+        measures = [accumulate(traj, upto=i, **limit) for i in iterations]
+        f = half_square_norm(traj.dimension) if with_field else None
+        entries, residences = _checkpoint_diagnostics(measures, iterations, diag,
+                                                      traj.states[:traj.n_steps], f)
+        assert len(entries) == len(residences) == len(iterations)
+        for entry, i in zip(entries, iterations):
+            want = reference_checkpoint_entry(traj, i, diag, f=f, **limit)
+            assert json.dumps(entry, sort_keys=True) == json.dumps(want, sort_keys=True)
+        if len(measures) >= 2:
+            cell, threshold = diag["residence_cell_size"], 0.05
+            assert np.array_equal(
+                essential_accumulation_estimate(measures, cell, threshold, residences),
+                essential_accumulation_estimate(measures, cell, threshold))
 
 
 class TestDiagnose:

@@ -344,6 +344,20 @@ class TestVelocityMoment:
         with pytest.raises(ValueError):
             velocity_moment(mu, 1.0)
 
+    def test_a_norm_whose_square_overflows_is_taken_by_hypot(self):
+        # ||v||^2 passes the float range from about 1.3e154; the norm of
+        # (3e200, 4e200) is 5e200, so its 1.5th moment, about 1.1e301, is finite.
+        velocities = [[3e200, 4e200], [1.0, 2.0], [-6e200, 8e200]]
+        mu = OccupationMeasure.from_arrays(np.zeros((3, 2)), velocities, [0.5, 0.25, 0.25])
+        speeds = np.array([math.hypot(3e200, 4e200), np.linalg.norm([1.0, 2.0]),
+                           math.hypot(-6e200, 8e200)])
+        assert velocity_moment(mu, 1.5) == float(np.sum(mu.weights * speeds ** 1.5) / 1.0)
+        assert math.isfinite(velocity_moment(mu, 1.5))
+        assert velocity_moment(mu, 2.0) == math.inf  # the moment itself overflows
+        # Rows whose square does not overflow keep the bits of np.linalg.norm.
+        small = OccupationMeasure.from_arrays(np.zeros((1, 2)), [[1.0, 2.0]], [1.0])
+        assert velocity_moment(small, 1.5) == float(np.linalg.norm([1.0, 2.0]) ** 1.5)
+
 
 class TestCheckpointIO:
     def test_round_trip_is_exact(self, tmp_path):
