@@ -15,6 +15,9 @@ config are stepped in lockstep, so several configs run a few seeds at once:
 sgd on maxsq3 from a tie with random vertices (kinks on most steps), heavy
 ball on maxsq2, and sgd on |x| where some seeds escape mid-run and the others
 complete (the script fails if that config does not show both statuses).
+A constant-step doubling map overflows at its second step, so its
+trajectory.csv holds an ``inf`` velocity, written by both checkouts (the
+script fails if no ``inf`` or ``-inf`` entry is in it).
 Constant-step noisy sgd on quad1 wanders, so the box of its positions, and
 with it the test-function bank, grows after the first checkpoint (the script
 fails if its checkpoints do not span at least two boxes).  The
@@ -73,6 +76,7 @@ def _sgd(name: str, **extra) -> dict:
 
 MIXED_STATUSES = "sgd_abs_escapes_mixed"  # seeds 1 and 4 escape, 2 and 3 complete
 GROWING_BOX = "sgd_quad1_growing_box"
+OVERFLOW = "doubling_overflow"  # x_2 = inf, so the velocity v_1 is inf
 SHB_SEEDS = {"name": "shb_maxsq2_seeds",
              "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
              "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
@@ -153,6 +157,11 @@ CONFIGS = [
     ({"name": GROWING_BOX, "problem": {"kind": "sgd", "f": "quad1", "x0": [0.0]},
       "schedule": {"kind": "constant", "a": 0.01}, "noise": {"kind": "gaussian", "sigma": 1.0},
       "n_steps": 4000, "seeds": [3], "checkpoint_base": 250}, None),
+    ({"name": OVERFLOW,
+      "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
+      "schedule": {"kind": "constant", "a": 1e300}, "n_steps": 50, "guard_radius": 1e308,
+      "seeds": [0], "checkpoint_base": 10, "diagnostics": {"residence_cell_size": 1e290}},
+     None),
 ]
 WORKLOAD_SEED = 7
 RUN_WORKLOADS = ("sgd_abs_seeds", "shb_quad2_pipeline", "fp_rps_pipeline")
@@ -184,6 +193,10 @@ def produce(out: Path) -> None:
             raise SystemExit(f"{MIXED_STATUSES}: statuses {sorted(statuses)}, not both")
         if doc["name"] == GROWING_BOX and len(boxes := checkpoint_boxes(runs / GROWING_BOX)) < 2:
             raise SystemExit(f"{GROWING_BOX}: the checkpoints span {len(boxes)} box, not two")
+        if doc["name"] == OVERFLOW and not {"inf", "-inf"} & set(
+                (runs / OVERFLOW / "0" / "trajectory.csv").read_text().replace("\n", ",")
+                .split(",")):
+            raise SystemExit(f"{OVERFLOW}: no inf entry in its trajectory.csv")
     for sidecar in sorted(runs.rglob("checkpoint_*.json")):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):

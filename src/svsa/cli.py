@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 invalid config, 2 a run escaped under strict mode,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from .artifacts import json_text
 from .experiments import (ConfigError, ExperimentConfig, diagnose_checkpoint,
                           run_experiment, validate_config)
 
@@ -81,8 +81,7 @@ def _cmd_diagnose(args) -> int:
         return _fail(f"cannot read checkpoint: {exc}", EXIT_IO)
     except ValueError as exc:
         return _fail(f"bad checkpoint: {exc}", EXIT_CONFIG)
-    json.dump(entry, sys.stdout, sort_keys=True, indent=2)
-    print()
+    sys.stdout.writelines(json_text(entry))
     return EXIT_OK
 
 

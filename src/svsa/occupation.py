@@ -148,10 +148,16 @@ def _prefix_means(measures: Sequence[OccupationMeasure], terms: np.ndarray) -> l
     weights w and total W.  Here and in the other functions of ``measures``,
     each is the first samples of the last (a run's prefixes are views of it):
     each sample's term is computed once, on the last, elementwise or over its
-    own row, and a sum over a slice has the bits of a sum over a copy."""
+    own row, and a sum over a slice has the bits of a sum over a copy.  A mean
+    that is not finite while W is (a product overflowed) is retaken as
+    np.sum((w / W) * terms); with W infinite, w / W is 0, so it is kept."""
+    w = measures[-1].weights
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
-        terms = measures[-1].weights * terms
-        return [float(np.sum(terms[:m.n_samples]) / m.total_weight) for m in measures]
+        products = w * terms
+        means = [float(np.sum(products[:m.n_samples]) / m.total_weight) for m in measures]
+        return [mean if math.isfinite(mean) or not math.isfinite(m.total_weight) else
+                float(np.sum((w[:m.n_samples] / m.total_weight) * terms[:m.n_samples]))
+                for m, mean in zip(measures, means)]
 
 
 def _cell_residences(measures: Sequence[OccupationMeasure],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -249,3 +250,25 @@ def reference_checkpoint_entry(trajectory, upto: int, diag: dict,
     if f is not None:
         entry["circulation"] = {"min_norm_subgradient": circulation(_circulation_field(f, X))}
     return entry
+
+
+def reference_csv(path, columns, data) -> None:
+    """The table as ``np.savetxt`` writes it, row by row: 17 significant
+    digits, commas and CRLF line ends under the ``columns`` header."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(columns), comments="")
+
+
+def reference_json(doc) -> str:
+    """The text ``json.dump`` writes for ``doc`` with sorted keys, a 2-space
+    indent and no NaN or Infinity, and a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def reference_prefix_means(measures, terms) -> list[float]:
+    """np.sum(w * terms) / W over each measure's samples, the products taken
+    before the sum (inf or nan once a product overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(np.sum(m.weights * terms[:m.n_samples]) / m.total_weight)
+                for m in measures]

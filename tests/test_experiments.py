@@ -756,8 +756,9 @@ class TestCli:
 
     def test_finite_state_with_an_overflowing_norm_escapes(self, tmp_path):
         # x_1 = [1.3e308, 1.3e308] has finite coordinates and an infinite
-        # norm: it escapes, with the norm and the residuals that overflow null
-        # and the ones that do not as numbers.
+        # norm: it escapes, with the norm null and the residuals as numbers;
+        # u0^1, whose products w_j <f, v> overflow, is retaken as the sum of
+        # (w_j / W) <f, v>, which fits a float.
         def strict(text):
             return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
 
@@ -778,8 +779,26 @@ class TestCli:
         assert summary["escape"] == {"index": 1, "norm": None}
         assert summary["final_state"] == [1.3e308, 1.3e308]
         residuals = summary["checkpoints"][0]["closed_residuals"]
-        assert residuals["u0^1"] is None and residuals["u0^2"] == 0.0
+        assert residuals["u0^1"] == 999999972.7707809 and residuals["u0^2"] == 0.0
         assert code == 0 and strict(out)["closed_residuals"] == residuals
+
+    @pytest.mark.parametrize("doc", [
+        {**sgd_doc(n_steps=2000, seeds=(1,), base=500),
+         "diagnostics": {"bank_degree": 2, "bank_bumps": 1, "residence_cell_size": 0.05}},
+        _escaping_doc("sgd_quad1", {"kind": "sgd", "f": "quad1", "x0": [1.0]}, 1e300, 1e300),
+    ], ids=["sgd_abs", "escaping_with_nulls"])
+    def test_diagnose_prints_the_json_dumps_bytes_of_its_entry(self, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            sidecars = sorted((tmp_path / "out" / doc["name"]).rglob("checkpoint_*.json"))
+            assert sidecars
+            for sidecar in sidecars:
+                code, out = _diagnose(sidecar.with_suffix(".csv"))
+                entry = diagnose_checkpoint(sidecar.with_suffix(".csv"))
+                assert code == 0 and out == json.dumps(entry, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("doc, nulls", [
         (_escaping_doc("sgd_quad1", {"kind": "sgd", "f": "quad1", "x0": [1.0]}, 1e300, 1e300),

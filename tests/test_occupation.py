@@ -13,7 +13,7 @@ from svsa.engine import NoiseModel, StepSchedule, run_sgd
 from svsa.maps import abs_value, clarke_map, negate, singleton_map
 from svsa.occupation import (Ball, Box, OccupationMeasure, SmoothTestFunction,
                              TestFunctionBank, UndefinedEstimateError, _exponents,
-                             _unique_rows,
+                             _prefix_means, _unique_rows,
                              accumulate, bump_on_ball, centroid_field_estimate,
                              centroid_membership_gap, circulation,
                              closed_residual, constant_one,
@@ -23,7 +23,7 @@ from svsa.occupation import (Ball, Box, OccupationMeasure, SmoothTestFunction,
                              plugin_bandwidth, residence_time, save_checkpoint,
                              velocity_moment)
 
-from helpers import make_trajectory, reference_monomial
+from helpers import make_trajectory, reference_monomial, reference_prefix_means
 
 
 def linear_g(a):
@@ -540,6 +540,38 @@ class TestProperties:
         assert np.shares_memory(mu.positions, traj.states)
         assert np.shares_memory(mu.velocities, traj.velocities)
         assert np.shares_memory(mu.weights, traj.steps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda m: st.tuples(
+        arrays(np.float64, m, elements=st.floats(0.0, 1.7e308)
+               | st.sampled_from([0.0, 1.0, 1e308, 1.7e308])),
+        arrays(np.float64, m, elements=st.floats() | st.sampled_from([2.0, -1e308, 1e300])))),
+        st.data())
+    def test_prefix_means_keep_every_finite_mean(self, weights_and_terms, data):
+        # Large weights and terms, so products overflow and W is finite or not.
+        w, terms = weights_and_terms
+        m = w.shape[0]
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, m), max_size=3))) | {m})
+        X = np.zeros((m, 1))
+        with np.errstate(over="ignore"):  # W past the float range
+            measures = [OccupationMeasure.from_arrays(X[:i], X[:i], w[:i]) for i in cuts]
+        old = reference_prefix_means(measures, terms)
+        new = _prefix_means(measures, terms)
+        for before, after, mu in zip(old, new, measures):
+            if math.isfinite(before):
+                assert _bits(after) == _bits(before)
+            elif not math.isfinite(mu.total_weight):
+                assert not math.isfinite(after)  # w / W would read 0: it stays null
+
+    def test_an_overflowing_product_is_retaken_unless_w_is_infinite(self):
+        def means(w, terms):
+            X = np.zeros((len(w), 1))
+            with np.errstate(over="ignore"):
+                mu = OccupationMeasure.from_arrays(X, X, w)
+            return _prefix_means([mu], np.array(terms))[0]
+
+        assert means([1.3e308], [2.0]) == 2.0  # w * term overflows, W does not
+        assert math.isnan(means([1e308, 1e308], [1.0, 1.0]))  # inf / inf, not 0
 
 
 # Coordinates the power table must get right besides ordinary ones.
