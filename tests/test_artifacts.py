@@ -38,9 +38,16 @@ def _reference(node):
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
                      st.floats(), st.floats().map(np.float64),
                      st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0]))
-DOCUMENTS = st.recursive(_SCALARS, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)),
-    max_leaves=30)
+
+
+def _containers(inner):
+    return st.one_of(st.lists(inner, max_size=4),
+                     st.dictionaries(st.text(max_size=3), inner, max_size=4))
+
+
+# Named functions, not lambdas over several lines: hypothesis reads a lambda's
+# source to check that it recurses, and sometimes warns when it cannot.
+DOCUMENTS = st.recursive(_SCALARS, _containers, max_leaves=30)
 
 
 class TestFinite:
@@ -114,9 +121,14 @@ _JSON_SCALARS = st.one_of(
     st.integers(-2 ** 80, -2 ** 64), st.floats(allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]), _STRINGS)
-JSON_DOCUMENTS = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-    st.dictionaries(_STRINGS, inner, max_size=4)), max_leaves=40)
+
+
+def _json_containers(inner):
+    return st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                     st.dictionaries(_STRINGS, inner, max_size=4))
+
+
+JSON_DOCUMENTS = st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40)
 # Where a value is put into a document: a dict key (beside the document) or a list.
 _PATHS = st.lists(st.tuples(st.booleans(), _STRINGS), max_size=4)
 
