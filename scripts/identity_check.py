@@ -21,8 +21,11 @@ script fails if no ``inf`` or ``-inf`` entry is in it).
 Constant-step noisy sgd on quad1 wanders, so the box of its positions, and
 with it the test-function bank, grows after the first checkpoint (the script
 fails if its checkpoints do not span at least two boxes).  The
-heavy-ball config also runs with ``jobs=2``, each seed in a process pool,
-under its own experiment name.  Then
+heavy-ball seeds config and the mixed-status config also run with ``jobs=2``,
+under ``pooled/``: two workers, each stepping a chunk of consecutive seeds in
+lockstep (the mixed config's chunks [1, 2] and [3, 4] each hold one escape);
+the script fails unless each pooled config writes the same bytes, manifest
+included, as its ``jobs=1`` run in the same checkout.  Then
 it runs ``svsa diagnose`` on every checkpoint, named ``checkpoint_<N>.csv`` as
 on the command line.  Last it runs the six operations of the
 ``flow_certificates`` workload at seed 7, writes every Euler curve they
@@ -81,7 +84,7 @@ SHB_SEEDS = {"name": "shb_maxsq2_seeds",
              "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
              "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
              "n_steps": 1000, "seeds": [1, 2, 3], "checkpoint_base": 250}
-POOLED = "shb_maxsq2_seeds_jobs2"  # the same config, run with jobs=2 (a process pool)
+POOLED = (SHB_SEEDS["name"], MIXED_STATUSES)  # rerun with jobs=2 (two workers) under pooled/
 
 # (config, max_samples or None): a run with max_samples thins its checkpoints.
 CONFIGS = [
@@ -150,7 +153,6 @@ CONFIGS = [
       "schedule": {"kind": "constant", "a": 0.1}, "selection_rule": "random_vertex",
       "n_steps": 600, "seeds": [1, 2, 3, 4], "checkpoint_base": 200}, None),
     (SHB_SEEDS, None),
-    ({**SHB_SEEDS, "name": POOLED}, None),
     (_sgd(MIXED_STATUSES, schedule={"kind": "constant", "a": 0.05},
           noise={"kind": "gaussian", "sigma": 4.0}, n_steps=3000, guard_radius=2.5,
           seeds=[1, 2, 3, 4], checkpoint_base=500), None),
@@ -184,8 +186,7 @@ def produce(out: Path) -> None:
         experiments.accumulate = (accumulate if max_samples is None else
                                   functools.partial(accumulate, max_samples=max_samples))
         try:
-            report = experiments.run_experiment(doc, out_dir=runs,
-                                                jobs=2 if doc["name"] == POOLED else 1)
+            report = experiments.run_experiment(doc, out_dir=runs)
         finally:
             experiments.accumulate = accumulate
         statuses = {s["status"] for s in report.seed_summaries}
@@ -197,6 +198,14 @@ def produce(out: Path) -> None:
                 (runs / OVERFLOW / "0" / "trajectory.csv").read_text().replace("\n", ",")
                 .split(",")):
             raise SystemExit(f"{OVERFLOW}: no inf entry in its trajectory.csv")
+        if doc["name"] in POOLED:
+            experiments.run_experiment(doc, out_dir=out / "pooled", jobs=2)
+            serial, pooled = (file_bytes(root / doc["name"]) for root in (runs, out / "pooled"))
+            differ = sorted(rel for rel in serial.keys() | pooled.keys()
+                            if serial.get(rel) != pooled.get(rel))
+            if differ:
+                raise SystemExit(f"{doc['name']}: jobs=2 wrote other bytes than jobs=1: "
+                                 f"{', '.join(differ)}")
     for sidecar in sorted(runs.rglob("checkpoint_*.json")):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -205,6 +214,12 @@ def produce(out: Path) -> None:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(f"exit {code}\n{stdout.getvalue()}")
     produce_flow(out / "flow")
+
+
+def file_bytes(directory: Path) -> dict[str, bytes]:
+    """Relative path -> bytes of every file under ``directory``."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in directory.rglob("*") if p.is_file()}
 
 
 def checkpoint_boxes(experiment: Path) -> set[bytes]:

@@ -4,8 +4,8 @@
     svsa validate <config.json>
     svsa diagnose <checkpoint.csv>
 
-Exit codes: 0 success, 1 invalid config, 2 a run escaped under strict mode,
-3 I/O failure.
+Exit codes: 0 success, 1 invalid config or usage, 2 a run escaped under strict
+mode, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -85,6 +85,12 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _workers(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"a positive integer required, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="svsa",
                                      description="set-valued stochastic approximation runner")
@@ -94,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--out", default="runs", help="artifact root directory")
     p_run.add_argument("--seeds", default=None, help="comma-separated seed override")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+    p_run.add_argument("--jobs", type=_workers, default=1, metavar="K", help="cores to use: "
+                       "min(K, seeds) processes, each stepping consecutive seeds in lockstep")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check schedule/noise assumptions")
@@ -108,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means an escape here
+        raise SystemExit(EXIT_CONFIG if exc.code == 2 else exc.code) from None
     return args.func(args)
 
 

@@ -268,30 +268,21 @@ def _resolve_problem(doc: dict, beta: StepSchedule | None, guard_radius: float) 
     return Problem(kind, tuple(start), objective=f, velocity_map=H, alpha=alpha, extras=extras)
 
 
-DEFAULT_DIAGNOSTICS = {
-    "bank_degree": 3,
-    "bank_bumps": 4,
-    "bank_seed": 7,
-    "velocity_moment_order": 2.0,
-    "residence_cell_size": 0.02,
-    "essential_threshold": 0.05,
-    "centroid_probes": None,
-    "circulation": True,
-}
-
-
 # The largest bank: the degree bounds its power table, (degree - 1) floats per
 # coordinate of a sample, and the count its work, 0.14 ms per sample and
 # checkpoint for the 3002 monomials of the 6-D degree-8 bank (measured).
 MAX_BANK_DEGREE = 8
 MAX_BANK_MONOMIALS = math.comb(MAX_BANK_DEGREE + 6, 6) - 1
 
-_DIAGNOSTICS = {
-    "bank_degree": _COUNT, "bank_bumps": _COUNT, "bank_seed": _COUNT,
-    "velocity_moment_order": (lambda v: _is_number(v) and v > 1.0, "a number above 1"),
-    "residence_cell_size": _POSITIVE, "essential_threshold": _POSITIVE,
-    "centroid_probes": _POINTS, "circulation": _BOOL,
+# The diagnostics block: key -> (default, test).
+_DIAGNOSTIC_KEYS = {
+    "bank_degree": (3, _COUNT), "bank_bumps": (4, _COUNT), "bank_seed": (7, _COUNT),
+    "velocity_moment_order": (2.0, (lambda v: _is_number(v) and v > 1.0, "a number above 1")),
+    "residence_cell_size": (0.02, _POSITIVE), "essential_threshold": (0.05, _POSITIVE),
+    "centroid_probes": (None, _POINTS), "circulation": (True, _BOOL),
 }
+DEFAULT_DIAGNOSTICS = {key: default for key, (default, _) in _DIAGNOSTIC_KEYS.items()}
+_DIAGNOSTICS = {key: test for key, (_, test) in _DIAGNOSTIC_KEYS.items()}
 
 
 def _diagnostics_from_doc(block: dict, dimension: int) -> dict:
@@ -528,16 +519,20 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     write_csv(path, trajectory_columns(traj.dimension), data)
 
 
-def run_seed(doc: dict, seed: int, out_dir: str | None) -> dict:
-    """Run one seed of an experiment document; writes per-seed artifacts when
-    ``out_dir`` is given and returns the summary dictionary."""
-    config = ExperimentConfig.from_doc(doc)
-    return _seed_results(config, next(_build_runs(config, [seed])), seed, out_dir)
+def run_seed(config: ExperimentConfig, seeds: Sequence[int], root: Path | None) -> list[dict]:
+    """The summaries of ``seeds``, run in lockstep, with their artifacts under
+    ``root``/<seed> when given: what each worker of ``run_experiment`` runs."""
+    return [_seed_results(config, traj, s, root)
+            for traj, s in zip(_build_runs(config, seeds), seeds)]
+
+
+def _run_chunk(doc: dict, seeds: Sequence[int], root: Path | None) -> list[dict]:
+    return run_seed(ExperimentConfig.from_doc(doc), seeds, root)  # a config does not pickle
 
 
 def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
-                  out_dir: str | None) -> dict:
-    """The diagnostics, summary and artifacts of one seed's run."""
+                  root: Path | None) -> dict:
+    """The diagnostics, summary and artifacts (under ``root``/<seed>) of one seed's run."""
     prob = config.problem
     iterations = checkpoint_iterations(traj.n_steps, config.checkpoint_base)
     measures = [accumulate(traj, upto=i) for i in iterations]
@@ -573,8 +568,8 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
         }
     summary = finite(summary)
 
-    if out_dir is not None:
-        seed_dir = Path(out_dir)
+    if root is not None:
+        seed_dir = root / str(seed)
         seed_dir.mkdir(parents=True, exist_ok=True)
         # Checkpoint files of an earlier run into this directory would be
         # diagnosed from their old samples or against this run's trajectory.
@@ -608,36 +603,37 @@ class ExperimentReport:
 def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
                    seeds: Sequence[int] | None = None, jobs: int = 1) -> ExperimentReport:
     """Run every seed, write artifacts under ``out_dir``/<name>/<seed>/, and
-    assemble the cross-seed report.  With ``jobs=1`` the seeds are simulated
-    in lockstep, then summarized and written one by one in seed order; with
-    more jobs each seed runs on its own in a process pool."""
+    assemble the cross-seed report.  ``run_seed`` runs min(``jobs``, seeds)
+    consecutive chunks of the seeds, whose sizes differ by at most one: one
+    chunk in this process, more in a pool of one worker each."""
     if isinstance(config, dict):
         config = ExperimentConfig.from_doc(config)
     seed_list = list(seeds) if seeds is not None else list(config.seeds)
     _check(_problems({"seeds": seed_list}, "", _TOP))  # the config's seeds rule
+    if not _is_count(jobs, 1):
+        raise ValueError(f"jobs: a positive integer required, not {jobs!r}")
 
     root = None
     if out_dir is not None:
         root = Path(out_dir) / config.name
         root.mkdir(parents=True, exist_ok=True)
 
-    def seed_out(s: int) -> str | None:
-        return None if root is None else str(root / str(s))
-
-    if jobs > 1 and len(seed_list) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: it slows every start
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_seed, config.raw, s, seed_out(s)) for s in seed_list]
-            summaries = [f.result() for f in futures]
+    workers = min(jobs, len(seed_list))
+    if workers == 1:
+        summaries = run_seed(config, seed_list, root)
     else:
-        summaries = [_seed_results(config, traj, s, seed_out(s))
-                     for traj, s in zip(_build_runs(config, seed_list), seed_list)]
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it slows every start
+        cuts = [k * len(seed_list) // workers for k in range(workers + 1)]  # sizes within one
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_chunk, config.raw, seed_list[a:b], root)
+                       for a, b in zip(cuts, cuts[1:])]
+            summaries = [s for f in futures for s in f.result()]
 
     bounded = sum(1 for s in summaries if s["status"] == "completed") / len(summaries)
     files: list[str] = []
-    if root is not None:
-        files = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()
-                       and p.name != "manifest.json")
+    if root is not None:  # this run's seeds only; another seed's directory is left as it is
+        files = sorted(str(p.relative_to(root)) for s in seed_list
+                       for p in (root / str(s)).rglob("*") if p.is_file())
         write_json(root / "manifest.json", finite({
             "experiment": config.name,
             "config_hash": config.config_hash(),

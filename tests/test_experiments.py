@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import functools
 import importlib.util
@@ -48,6 +49,47 @@ SHB_PROBLEM = {"kind": "shb", "f": "quad1", "q0": [1.0]}
 FP_PROBLEM = {"kind": "fictitious_play", "game": "matching_pennies"}
 INLINE_PENNIES = {"players": 2, "action_counts": [2, 2],
                   "payoff_tensors": [[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]}
+
+
+def mixed_status_doc():
+    """Constant-step sgd on |x| with loud noise: seeds 1 and 4 leave the guard
+    ball mid-run, seeds 2, 3 and 5 complete."""
+    return {"name": "mixed", "problem": {"kind": "sgd", "f": "abs", "x0": [1.0]},
+            "schedule": {"kind": "constant", "a": 0.05},
+            "noise": {"kind": "gaussian", "sigma": 4.0}, "n_steps": 1000,
+            "guard_radius": 2.5, "seeds": [1, 2, 3, 4, 5], "checkpoint_base": 250}
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in: it records its size and the seed
+    chunks submitted to it, and runs each submit at once in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers, self.chunks = max_workers, []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, doc, seeds, root):
+        self.chunks.append(list(seeds))
+        future = concurrent.futures.Future()
+        future.set_result(fn(doc, seeds, root))
+        return future
+
+
+def _inline_pools(monkeypatch) -> list[_InlinePool]:
+    """Make every process pool an _InlinePool; the list collects them."""
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: pools.append(_InlinePool(max_workers)) or pools[-1])
+    return pools
 
 
 def escape_doc():
@@ -189,10 +231,62 @@ class TestRunExperiment:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     def test_parallel_seeds_match_serial(self, tmp_path):
-        doc = sgd_doc(n_steps=2000, base=1000)
-        serial = run_experiment(doc, out_dir=None, jobs=1)
-        parallel = run_experiment(doc, out_dir=None, jobs=2)
-        assert serial.seed_summaries == parallel.seed_summaries
+        # Seeds 1 and 4 escape mid-run; the pools cut the seeds into the
+        # chunks [1, 2], [3, 4, 5] and [1], [2, 3], [4, 5].
+        doc = mixed_status_doc()
+        serial = run_experiment(doc, out_dir=tmp_path / "jobs1", jobs=1)
+        assert [s["status"] for s in serial.seed_summaries] == [
+            "escaped", "completed", "completed", "escaped", "completed"]
+        files = _files(tmp_path / "jobs1")
+        assert {"mixed/manifest.json", "mixed/4/summary.json", "mixed/4/trajectory.csv",
+                "mixed/4/checkpoint_250.json"} <= set(files)
+        for jobs in (2, 3):
+            parallel = run_experiment(doc, out_dir=tmp_path / f"jobs{jobs}", jobs=jobs)
+            assert parallel.seed_summaries == serial.seed_summaries
+            assert parallel.files == serial.files
+            assert _files(tmp_path / f"jobs{jobs}") == files
+
+    @pytest.mark.parametrize("seeds, jobs", [
+        ([5, 3, 9, 1, 7], 2), ([5, 3, 9, 1, 7], 3), ([5, 3, 9, 1, 7], 5), ([5, 3, 9, 1, 7], 6),
+        ([4, 8, 2, 6, 0, 10, 12], 4), ([2, 0, 1], 10_000)],
+        ids=["5_seeds_2_jobs", "5_seeds_3_jobs", "5_seeds_5_jobs", "5_seeds_6_jobs",
+             "7_seeds_4_jobs", "3_seeds_10000_jobs"])
+    def test_pool_runs_consecutive_chunks_in_seed_order(self, monkeypatch, seeds, jobs):
+        pools = _inline_pools(monkeypatch)
+        doc = sgd_doc(n_steps=200, seeds=seeds, base=100)
+        serial = run_experiment(doc, jobs=1)
+        assert pools == []
+        report = run_experiment(doc, jobs=jobs)
+        [pool] = pools
+        assert pool.max_workers == len(pool.chunks) == min(jobs, len(seeds))
+        assert [s for chunk in pool.chunks for s in chunk] == seeds
+        sizes = [len(chunk) for chunk in pool.chunks]
+        assert max(sizes) - min(sizes) <= 1
+        assert report.seed_summaries == serial.seed_summaries
+
+    def test_one_seed_starts_no_pool(self, monkeypatch):
+        pools = _inline_pools(monkeypatch)
+        run_experiment(sgd_doc(n_steps=200, seeds=(3,), base=100), jobs=4)
+        assert pools == []
+
+    @pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, monkeypatch, jobs):
+        pools = _inline_pools(monkeypatch)
+        with pytest.raises(ValueError, match="jobs: a positive integer required"):
+            run_experiment(sgd_doc(n_steps=200, base=100), out_dir=tmp_path, jobs=jobs)
+        assert pools == [] and not list(tmp_path.iterdir())
+
+    def test_manifest_lists_only_this_runs_seeds(self, tmp_path):
+        doc = sgd_doc(n_steps=1000, seeds=(1, 2), base=500)
+        run_experiment(doc, out_dir=tmp_path)
+        root = tmp_path / "sgd_abs_small"
+        report = run_experiment({**doc, "seeds": [1]}, out_dir=tmp_path)
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert manifest["config"]["seeds"] == [1]
+        assert manifest["files"] == report.files == [
+            "1/checkpoint_1000.json", "1/checkpoint_500.json", "1/summary.json",
+            "1/trajectory.csv"]
+        assert (root / "2" / "summary.json").exists()  # another run's seed is left as it is
 
     @pytest.mark.parametrize("problem", [None, SHB_PROBLEM], ids=["sgd", "shb"])
     def test_lockstep_batches_write_the_same_files(self, tmp_path, monkeypatch, problem):
@@ -923,6 +1017,34 @@ class TestCli:
         assert main(["diagnose", str(seed_dir / "checkpoint_1000.csv")]) == code
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "the following arguments are required: config"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["run", "cfg.json", "--jobs", "x"], "argument --jobs: a positive integer required"),
+        (["run", "cfg.json", "--jobs", "0"], "argument --jobs: a positive integer required"),
+    ], ids=["no_config", "unknown_command", "jobs_not_a_number", "zero_jobs"])
+    def test_usage_error_is_code_1(self, capsys, argv, message):
+        # 2 is a strict-mode escape, so a typo must not exit with it.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svsa") and f"error: {message}" in err
+
+    def test_help_is_code_0(self, capsys):
+        for argv in (["--help"], ["run", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+        assert "--jobs K" in capsys.readouterr().out
+
+    def test_jobs_beyond_the_seeds_starts_one_worker_per_seed(self, tmp_path, monkeypatch):
+        pools = _inline_pools(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(sgd_doc(n_steps=200, base=100)))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "500"]) == 0
+        assert [(pool.max_workers, pool.chunks) for pool in pools] == [(2, [[1], [2]])]
 
     def test_strict_escape_is_code_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
