@@ -27,8 +27,11 @@ lockstep (the mixed config's chunks [1, 2] and [3, 4] each hold one escape);
 the script fails unless each pooled config writes the same bytes, manifest
 included, as its ``jobs=1`` run in the same checkout.  Then
 it runs ``svsa diagnose`` on every checkpoint, named ``checkpoint_<N>.csv`` as
-on the command line.  Last it runs the six operations of the
-``flow_certificates`` workload at seed 7, writes every Euler curve they
+on the command line, and loads it with ``occupation.load_checkpoint``: the
+SHA-256 of the bytes of the measure's positions, velocities and weights go to
+``measures/<seed dir>/checkpoint_<N>.txt``, so a measure that differs shows
+even where the diagnose output would not.  Last it runs the six operations of
+the ``flow_certificates`` workload at seed 7, writes every Euler curve they
 integrate with ``Curve.save_csv`` (``flow/curve_<k>.csv``, in the order they
 were integrated) and their results as JSON (``flow/results.json``: the
 certificate booleans, the enlargement slacks, the hull distances and
@@ -36,8 +39,8 @@ projections).
 
 It compares byte for byte: every summary.json, trajectory.csv and checkpoint
 sidecar, every checkpoint CSV that both checkouts wrote, manifest.json
-without its ``files`` list, every diagnose exit code and standard output, and
-the flow curves and results.
+without its ``files`` list, every diagnose exit code and standard output,
+every checkpoint's measure digests, and the flow curves and results.
 A sidecar marked ``standalone`` (a thinned checkpoint, whose samples are only
 in its CSV) is compared as the bytes it would have without that key.
 A checkpoint CSV that only one checkout writes is listed, not counted as a
@@ -54,6 +57,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -210,10 +214,24 @@ def produce(out: Path) -> None:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = svsa.cli.main(["diagnose", str(sidecar.with_suffix(".csv"))])
-        target = out / "diagnose" / sidecar.relative_to(runs).with_suffix(".txt")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(f"exit {code}\n{stdout.getvalue()}")
+        rel = sidecar.relative_to(runs).with_suffix(".txt")
+        for kind, text in (("diagnose", f"exit {code}\n{stdout.getvalue()}"),
+                           ("measures", measure_digests(sidecar.with_suffix(".csv")))):
+            (out / kind / rel).parent.mkdir(parents=True, exist_ok=True)
+            (out / kind / rel).write_text(text)
     produce_flow(out / "flow")
+
+
+def measure_digests(csv_path: Path) -> str:
+    """The SHA-256 of the bytes of the positions, velocities and weights that
+    ``load_checkpoint`` reads for a checkpoint, with their shapes, one line each."""
+    from svsa.occupation import load_checkpoint
+
+    measure, _ = load_checkpoint(csv_path)
+    return "".join(f"{name} {array.shape} {hashlib.sha256(array.tobytes()).hexdigest()}\n"
+                   for name, array in (("positions", measure.positions),
+                                       ("velocities", measure.velocities),
+                                       ("weights", measure.weights)))
 
 
 def file_bytes(directory: Path) -> dict[str, bytes]:
@@ -370,7 +388,8 @@ def main(argv=None) -> int:
             print(f"NOT JSON: {rel}")
         compared = len(before.keys() & after.keys())
         print(f"{compared - len(differ)} of {compared} files identical "
-              f"({sum(rel.startswith('diagnose') for rel in after)} diagnose outputs)")
+              f"({sum(rel.startswith('diagnose') for rel in after)} diagnose outputs, "
+              f"{sum(rel.startswith('measures') for rel in after)} measure digests)")
     return 1 if differ or bad else 0
 
 

@@ -42,8 +42,9 @@ def _fail(message: str, code: int) -> int:
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     seeds = None
-    if args.seeds:  # ASCII digits only (int() also reads "1_0", "+1" and " 1"); a string fails
-        seeds = [int(s) if s.isascii() and s.isdigit() else s for s in args.seeds.split(",") if s]
+    if args.seeds is not None:  # ASCII digits only (int() also reads "1_0", "+1" and " 1");
+        # a string fails, the empty entries of "", "1," and "1,,2" too
+        seeds = [int(s) if s.isascii() and s.isdigit() else s for s in args.seeds.split(",")]
     try:
         report = run_experiment(config, out_dir=args.out, seeds=seeds, jobs=args.jobs)
     except ConfigError:  # the config is checked, so only the seeds can be wrong

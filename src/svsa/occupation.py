@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -387,18 +388,43 @@ def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
 
 
 def _trajectory_prefix(path: Path, n: int, rows: int) -> tuple[np.ndarray, ...]:
-    """Positions, velocities and steps of the first ``rows`` rows of a trajectory.csv."""
+    """Positions, velocities and steps of the first ``rows`` rows of a trajectory.csv.
+
+    Only the ``x*`` and ``eps`` fields are parsed, of ``rows`` + 1 rows: the
+    velocities are v_{j+1} = (x_{j+1} - x_j)/eps_j, the engine's own operation
+    on the same bits, so they are the ones written.  The file holds no x_m, so
+    when the prefix ends at its last row, that row's ``v*`` are read as written
+    (an escaped run's overflowing last velocity among them)."""
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
-        want = trajectory_columns(n)
-        if header != want:
+        if len(header) != 3 * n + 4 or header != trajectory_columns(n):
             raise ValueError(f"{path.name} has {len(header)} columns, expected "
-                             f"{len(want)} for dimension {n}")
-        data = np.loadtxt(fh, delimiter=",", usecols=range(2, 2 * n + 3), max_rows=rows,
-                          ndmin=2)
+                             f"{3 * n + 4} for dimension {n}")
+        # a row is 3n + 4 fields of a character or more, 3n + 3 commas and a
+        # line end (but the last), so no more rows fit in the file
+        size = os.fstat(fh.fileno()).st_size
+        if rows > (size + 1) // (6 * n + 8):
+            raise ValueError(f"{path.name} is {size} bytes, too short for the {rows} rows "
+                             "the checkpoint needs")
+        last = "\n"
+
+        def lines():  # the file's lines, noting its last one that is not empty
+            nonlocal last
+            for line in fh:
+                if line != "\n":
+                    last = line
+                yield line
+
+        data = np.loadtxt(lines(), delimiter=",", usecols=[*range(2, n + 2), 2 * n + 2],
+                          max_rows=rows + 1, ndmin=2)
     if data.shape[0] < rows:
         raise ValueError(f"{path.name} has {data.shape[0]} rows, the checkpoint needs {rows}")
-    return data[:, :n], data[:, n:2 * n], data[:, 2 * n]
+    X, eps = data[:, :n], data[:rows, n]
+    V = np.diff(X, axis=0) / eps[:len(X) - 1, None]
+    if len(X) == rows:  # the prefix ends the file
+        V = np.concatenate([V, np.loadtxt([last], delimiter=",",
+                                          usecols=range(n + 2, 2 * n + 2), ndmin=2)])
+    return X[:rows], V, eps
 
 
 def load_checkpoint(csv_path) -> tuple[OccupationMeasure, dict]:

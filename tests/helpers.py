@@ -18,7 +18,7 @@ from svsa.engine import Trajectory
 from svsa.experiments import _circulation_field
 from svsa.maps import _select_from
 from svsa.occupation import (DEFAULT_MAX_SAMPLES, SmoothTestFunction, TestFunctionBank,
-                             accumulate)
+                             accumulate, trajectory_columns)
 
 
 # A 2x3x2 integer-payoff game in which every player ties now and then, up to
@@ -258,6 +258,17 @@ def reference_csv(path, columns, data) -> None:
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\r\n",
                    header=",".join(columns), comments="")
+
+
+def reference_trajectory_prefix(path, n: int, rows: int) -> tuple[np.ndarray, ...]:
+    """Positions, velocities and steps of the first ``rows`` rows of a
+    trajectory.csv, every one of the ``x*``, ``v*`` and ``eps`` fields parsed."""
+    with open(path) as fh:
+        assert fh.readline().rstrip("\r\n").split(",") == trajectory_columns(n)
+        data = np.loadtxt(fh, delimiter=",", usecols=range(2, 2 * n + 3), max_rows=rows,
+                          ndmin=2)
+    assert data.shape[0] == rows
+    return data[:, :n], data[:, n:2 * n], data[:, 2 * n]
 
 
 def reference_json(doc) -> str:

@@ -26,10 +26,10 @@ from svsa.experiments import (DEFAULT_DIAGNOSTICS, ConfigError, ExperimentConfig
                               diagnose_checkpoint, named_function, named_map,
                               run_experiment, validate_config)
 from svsa.maps import _select_from, clarke_subdifferential, half_square_norm
-from svsa.occupation import (accumulate, circulation, essential_accumulation_estimate,
-                             save_checkpoint)
+from svsa.occupation import (OccupationMeasure, accumulate, circulation,
+                             essential_accumulation_estimate, load_checkpoint, save_checkpoint)
 
-from helpers import reference_checkpoint_entry
+from helpers import reference_checkpoint_entry, reference_trajectory_prefix
 
 
 def sgd_doc(n_steps=4000, seeds=(1, 2), base=1000):
@@ -587,6 +587,63 @@ class TestCheckpointLayout:
             assert recomputed == {k: entry[k] for k in recomputed}
 
 
+READER_PROBLEMS = {
+    **LAYOUT_PROBLEMS,
+    "custom_map_delta": {"problem": {"kind": "custom_map", "map": "sign_descent", "dim": 1,
+                                     "x0": [0.7]},
+                         "schedule": {"kind": "logarithmic", "a": 0.3},
+                         "delta": {"kind": "power", "a": 0.2, "rho": 0.3},
+                         "noise": {"kind": "uniform_ball", "radius": 0.1}},
+    # loud noise in a small ball: some seeds escape at a finite state
+    "sgd_escapes": {"problem": {"kind": "sgd", "f": "abs", "x0": [1.0]},
+                    "schedule": {"kind": "constant", "a": 0.05},
+                    "noise": {"kind": "gaussian", "sigma": 4.0}, "guard_radius": 2.5},
+    # x_2 = inf: the last velocity overflows
+    "overflow": {"problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
+                 "schedule": {"kind": "constant", "a": 1e300}, "guard_radius": 1e308,
+                 "diagnostics": {"residence_cell_size": 1e290}},
+}
+
+
+class TestPrefixReader:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(READER_PROBLEMS)), st.integers(1, 3) | st.integers(4, 300),
+           st.data())
+    def test_prefix_checkpoints_load_the_bits_of_the_run(self, kind, n_steps, data):
+        # Velocities come from positions and steps; each prefix measure has the
+        # bits of the run's and of the reader that parses every field.
+        base = data.draw(st.integers(1, n_steps))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        doc = {"name": "reader", "n_steps": n_steps, "seeds": [seed],
+               "checkpoint_base": base, **READER_PROBLEMS[kind]}
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_experiment(doc, out_dir=tmp)
+            traj = next(experiments._build_runs(ExperimentConfig.from_doc(doc), [seed]))
+            seed_dir = Path(tmp) / "reader" / str(seed)
+            iterations = sorted(int(p.stem.split("_")[1])
+                                for p in seed_dir.glob("checkpoint_*.json"))
+            assert traj.n_steps in iterations
+            for i in iterations:
+                loaded, _ = load_checkpoint(seed_dir / f"checkpoint_{i}.csv")
+                run = accumulate(traj, upto=i)
+                parsed = OccupationMeasure.from_arrays(*reference_trajectory_prefix(
+                    seed_dir / "trajectory.csv", traj.dimension, i))
+                for want in (run, parsed):
+                    for name in ("positions", "velocities", "weights"):
+                        assert getattr(loaded, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_row_after_the_prefix_is_parsed(self, tmp_path):
+        # v_500 is taken from x_500, the first field read of row 501.
+        run_experiment(sgd_doc(n_steps=1000, seeds=(1,), base=500), out_dir=tmp_path)
+        seed_dir = tmp_path / "sgd_abs_small" / "1"
+        path = seed_dir / "trajectory.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        j, t, x, rest = lines[501].split(b",", 3)
+        path.write_bytes(b"".join(lines[:501] + [b",".join([j, t, b"x", rest])] + lines[502:]))
+        assert _diagnose(seed_dir / "checkpoint_500.csv")[0] == 1
+
+
 def _truncate_trajectory(seed_dir):
     path = seed_dir / "trajectory.csv"
     path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:1000]))
@@ -957,7 +1014,7 @@ class TestCli:
     def test_empty_seeds_override_is_code_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(sgd_doc(n_steps=1000, base=500)))
-        for seeds in (",", "-1", "1_0", "+1", "1,1"):
+        for seeds in (",", "-1", "1_0", "+1", "1,1", "1,,2", "1,", ""):
             assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--seeds", seeds]) == 1
             assert "--seeds expects" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -971,8 +1028,12 @@ class TestCli:
         lambda meta: meta.update(iteration=True),
         lambda meta: meta.update(iteration=-5),
         lambda meta: meta.update(iteration=0),
+        lambda meta: meta.update(iteration=2**63),
+        lambda meta: meta.update(iteration=10**30),
+        lambda meta: meta.update(dimension=2**40),
     ], ids=["no_iteration", "no_dimension", "diagnostics_not_an_object", "negative_cell_size",
-            "cell_index_beyond_int64", "iteration_a_bool", "negative_iteration", "zero_iteration"])
+            "cell_index_beyond_int64", "iteration_a_bool", "negative_iteration", "zero_iteration",
+            "iteration_2_63", "iteration_10_30", "dimension_2_40"])
     def test_bad_sidecar_is_reported(self, tmp_path, capsys, edit):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(sgd_doc(n_steps=1000, seeds=(1,), base=500)))
