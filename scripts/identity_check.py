@@ -7,10 +7,10 @@ checkout (this one and ``--baseline``, say the parent commit made with
 ``git archive`` or ``git clone``): small sgd, heavy-ball, fictitious-play and
 custom-map runs, runs whose test-function banks have degree 0 (1-D), 1 (3-D)
 and 5 (4-D), an escaping run, the three run workloads of
-``bench/workloads.py`` at seed 7, a heavy-ball run whose checkpoints are
-thinned to 700 samples, and fictitious play with centroid probes, from the
-uniform start (both players tie at step 0) and on an integer-payoff 3-player
-game that ties often, so the uniform draw over ties is compared.  Seeds of a
+``bench/workloads.py`` at seed 7, a heavy-ball run with four checkpoints,
+and fictitious play with centroid probes, from the uniform start (both
+players tie at step 0) and on an integer-payoff 3-player game that ties
+often, so the uniform draw over ties is compared.  Seeds of a
 config are stepped in lockstep, so several configs run a few seeds at once:
 sgd on maxsq3 from a tie with random vertices (kinks on most steps), heavy
 ball on maxsq2, and sgd on |x| where some seeds escape mid-run and the others
@@ -38,25 +38,21 @@ certificate booleans, the enlargement slacks, the hull distances and
 projections).
 
 It compares byte for byte: every summary.json, trajectory.csv and checkpoint
-sidecar, every checkpoint CSV that both checkouts wrote, manifest.json
-without its ``files`` list, every diagnose exit code and standard output,
-every checkpoint's measure digests, and the flow curves and results.
-A sidecar marked ``standalone`` (a thinned checkpoint, whose samples are only
-in its CSV) is compared as the bytes it would have without that key.
-A checkpoint CSV that only one checkout writes is listed, not counted as a
-difference (a prefix checkpoint may be stored as its sidecar alone); any other
-file that only one writes is one.  Every JSON file and every diagnose standard
-output, on both sides, must also parse as strict JSON, with ``NaN`` and
-``Infinity`` rejected (JSON has neither); each that does not is printed as
-``NOT JSON: <file>``.  It prints each difference and exits 1 if there is a
-difference or a file that is not JSON, 0 otherwise.
+sidecar, manifest.json without its ``files`` list, every diagnose exit code
+and standard output, every checkpoint's measure digests, and the flow curves
+and results.  A run stores every checkpoint as its sidecar alone, so a file
+that only one checkout writes, a checkpoint CSV included, is a difference.
+Every JSON file and every diagnose standard output, on both sides, must also
+parse as strict JSON, with ``NaN`` and ``Infinity`` rejected (JSON has
+neither); each that does not is printed as ``NOT JSON: <file>``.  It prints
+each difference and exits 1 if there is a difference or a file that is not
+JSON, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -90,84 +86,82 @@ SHB_SEEDS = {"name": "shb_maxsq2_seeds",
              "n_steps": 1000, "seeds": [1, 2, 3], "checkpoint_base": 250}
 POOLED = (SHB_SEEDS["name"], MIXED_STATUSES)  # rerun with jobs=2 (two workers) under pooled/
 
-# (config, max_samples or None): a run with max_samples thins its checkpoints.
 CONFIGS = [
-    (_sgd("sgd_abs_small"), None),
-    (_sgd("sgd_abs_diag", diagnostics={"bank_degree": 2, "bank_bumps": 1,
-                                       "residence_cell_size": 0.05}), None),
+    _sgd("sgd_abs_small"),
+    _sgd("sgd_abs_diag", diagnostics={"bank_degree": 2, "bank_bumps": 1,
+                                      "residence_cell_size": 0.05}),
     # Banks whose monomial gradients read no power (degree 0 has no monomial,
     # degree 1 only constant columns) and up to three factors a column (5, 4-D).
-    (_sgd("sgd_abs_bank0", diagnostics={"bank_degree": 0, "bank_bumps": 1}), None),
-    ({"name": "sgd_maxsq3_bank1",
-      "problem": {"kind": "sgd", "f": "maxsq3", "x0": [1.0, -0.5, 0.25]},
-      "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
-      "n_steps": 600, "guard_radius": 50.0, "seeds": [2], "checkpoint_base": 200,
-      "diagnostics": {"bank_degree": 1}}, None),
-    ({"name": "shb_maxsq2_bank5",
-      "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
-      "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
-      "n_steps": 1000, "seeds": [5], "checkpoint_base": 250,
-      "diagnostics": {"bank_degree": 5, "bank_bumps": 0}}, None),
-    ({"name": "runaway",
-      "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
-      "schedule": {"kind": "constant", "a": 1.0}, "n_steps": 50, "guard_radius": 5.0,
-      "seeds": [0], "checkpoint_base": 10}, None),
-    ({"name": "fp_mp",
-      "problem": {"kind": "fictitious_play", "game": "matching_pennies",
-                  "xi0": [[1.0, 0.0], [1.0, 0.0]]},
-      "n_steps": 4000, "seeds": [1], "checkpoint_base": 1000,
-      "diagnostics": {"centroid_probes": [[0.5, 0.5, 0.5, 0.5], [0.9, 0.1, 0.2, 0.8]]}}, None),
-    ({"name": "sgd_maxsq2",
-      "problem": {"kind": "sgd", "f": "maxsq2", "x0": [1.0, -0.5]},
-      "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
-      "n_steps": 600, "guard_radius": 50.0, "seeds": [1], "checkpoint_base": 200,
-      "diagnostics": {"bank_degree": 2, "centroid_probes": [[0.0, 0.0]]}}, None),
-    ({"name": "shb_quad1",
-      "problem": {"kind": "shb", "f": "quad1", "c": 1.5, "q0": [1.0], "p0": [0.2],
-                  "alpha_schedule": {"kind": "power", "a": 0.4, "rho": 0.6}},
-      "schedule": SCHEDULE, "noise": {"kind": "student_t", "df": 4.0, "scale": 0.2},
-      "n_steps": 600, "seeds": [2], "checkpoint_base": 200}, None),
-    ({"name": "sign_descent",
-      "problem": {"kind": "custom_map", "map": "sign_descent", "dim": 1, "x0": [0.7]},
-      "schedule": {"kind": "logarithmic", "a": 0.3},
-      "delta": {"kind": "power", "a": 0.2, "rho": 0.3},
-      "noise": {"kind": "uniform_ball", "radius": 0.1},
-      "n_steps": 600, "seeds": [4], "checkpoint_base": 200,
-      "diagnostics": {"residence_cell_size": 0.05, "essential_threshold": 0.1,
-                      "velocity_moment_order": 3, "bank_bumps": 2, "bank_seed": 5,
-                      "centroid_probes": [[0.0], [0.5]]}}, None),
-    ({"name": "shb_thinned",
-      "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, 0.5]},
-      "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
-      "n_steps": 2000, "seeds": [1], "checkpoint_base": 250}, 700),
-    ({"name": "fp_mp_uniform",
-      "problem": {"kind": "fictitious_play", "game": "matching_pennies"},
-      "n_steps": 2000, "seeds": [1, 2], "checkpoint_base": 500}, None),
-    ({"name": "fp_three_player_ties",
-      "problem": {"kind": "fictitious_play", "game": {
-          "name": "three_player_ties", "players": 3, "action_counts": [2, 3, 2],
-          "payoff_tensors": [[[[1, 0], [0, -1], [1, 0]], [[0, -1], [1, 0], [0, -1]]],
-                             [[[0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]],
-                             [[[1, 0], [1, 0], [0, -1]], [[0, 1], [0, 1], [-1, 0]]]]}},
-      "n_steps": 2000, "seeds": [3], "checkpoint_base": 500,
-      "diagnostics": {"centroid_probes": [[0.5, 0.5, 1 / 3, 1 / 3, 1 / 3, 0.5, 0.5],
-                                          [1.0, 0.0, 0.0, 1.0, 0.0, 0.5, 0.5]]}}, None),
-    ({"name": "sgd_maxsq3_tie_seeds",
-      "problem": {"kind": "sgd", "f": "maxsq3", "x0": [1.0, -1.0, 1.0]},
-      "schedule": {"kind": "constant", "a": 0.1}, "selection_rule": "random_vertex",
-      "n_steps": 600, "seeds": [1, 2, 3, 4], "checkpoint_base": 200}, None),
-    (SHB_SEEDS, None),
-    (_sgd(MIXED_STATUSES, schedule={"kind": "constant", "a": 0.05},
-          noise={"kind": "gaussian", "sigma": 4.0}, n_steps=3000, guard_radius=2.5,
-          seeds=[1, 2, 3, 4], checkpoint_base=500), None),
-    ({"name": GROWING_BOX, "problem": {"kind": "sgd", "f": "quad1", "x0": [0.0]},
-      "schedule": {"kind": "constant", "a": 0.01}, "noise": {"kind": "gaussian", "sigma": 1.0},
-      "n_steps": 4000, "seeds": [3], "checkpoint_base": 250}, None),
-    ({"name": OVERFLOW,
-      "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
-      "schedule": {"kind": "constant", "a": 1e300}, "n_steps": 50, "guard_radius": 1e308,
-      "seeds": [0], "checkpoint_base": 10, "diagnostics": {"residence_cell_size": 1e290}},
-     None),
+    _sgd("sgd_abs_bank0", diagnostics={"bank_degree": 0, "bank_bumps": 1}),
+    {"name": "sgd_maxsq3_bank1",
+     "problem": {"kind": "sgd", "f": "maxsq3", "x0": [1.0, -0.5, 0.25]},
+     "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
+     "n_steps": 600, "guard_radius": 50.0, "seeds": [2], "checkpoint_base": 200,
+     "diagnostics": {"bank_degree": 1}},
+    {"name": "shb_maxsq2_bank5",
+     "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, -1.0]},
+     "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
+     "n_steps": 1000, "seeds": [5], "checkpoint_base": 250,
+     "diagnostics": {"bank_degree": 5, "bank_bumps": 0}},
+    {"name": "runaway",
+     "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
+     "schedule": {"kind": "constant", "a": 1.0}, "n_steps": 50, "guard_radius": 5.0,
+     "seeds": [0], "checkpoint_base": 10},
+    {"name": "fp_mp",
+     "problem": {"kind": "fictitious_play", "game": "matching_pennies",
+                 "xi0": [[1.0, 0.0], [1.0, 0.0]]},
+     "n_steps": 4000, "seeds": [1], "checkpoint_base": 1000,
+     "diagnostics": {"centroid_probes": [[0.5, 0.5, 0.5, 0.5], [0.9, 0.1, 0.2, 0.8]]}},
+    {"name": "sgd_maxsq2",
+     "problem": {"kind": "sgd", "f": "maxsq2", "x0": [1.0, -0.5]},
+     "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
+     "n_steps": 600, "guard_radius": 50.0, "seeds": [1], "checkpoint_base": 200,
+     "diagnostics": {"bank_degree": 2, "centroid_probes": [[0.0, 0.0]]}},
+    {"name": "shb_quad1",
+     "problem": {"kind": "shb", "f": "quad1", "c": 1.5, "q0": [1.0], "p0": [0.2],
+                 "alpha_schedule": {"kind": "power", "a": 0.4, "rho": 0.6}},
+     "schedule": SCHEDULE, "noise": {"kind": "student_t", "df": 4.0, "scale": 0.2},
+     "n_steps": 600, "seeds": [2], "checkpoint_base": 200},
+    {"name": "sign_descent",
+     "problem": {"kind": "custom_map", "map": "sign_descent", "dim": 1, "x0": [0.7]},
+     "schedule": {"kind": "logarithmic", "a": 0.3},
+     "delta": {"kind": "power", "a": 0.2, "rho": 0.3},
+     "noise": {"kind": "uniform_ball", "radius": 0.1},
+     "n_steps": 600, "seeds": [4], "checkpoint_base": 200,
+     "diagnostics": {"residence_cell_size": 0.05, "essential_threshold": 0.1,
+                     "velocity_moment_order": 3, "bank_bumps": 2, "bank_seed": 5,
+                     "centroid_probes": [[0.0], [0.5]]}},
+    {"name": "shb_maxsq2_base250",
+     "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, 0.5]},
+     "schedule": SCHEDULE, "noise": {"kind": "gaussian", "sigma": 0.3},
+     "n_steps": 2000, "seeds": [1], "checkpoint_base": 250},
+    {"name": "fp_mp_uniform",
+     "problem": {"kind": "fictitious_play", "game": "matching_pennies"},
+     "n_steps": 2000, "seeds": [1, 2], "checkpoint_base": 500},
+    {"name": "fp_three_player_ties",
+     "problem": {"kind": "fictitious_play", "game": {
+         "name": "three_player_ties", "players": 3, "action_counts": [2, 3, 2],
+         "payoff_tensors": [[[[1, 0], [0, -1], [1, 0]], [[0, -1], [1, 0], [0, -1]]],
+                            [[[0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]],
+                            [[[1, 0], [1, 0], [0, -1]], [[0, 1], [0, 1], [-1, 0]]]]}},
+     "n_steps": 2000, "seeds": [3], "checkpoint_base": 500,
+     "diagnostics": {"centroid_probes": [[0.5, 0.5, 1 / 3, 1 / 3, 1 / 3, 0.5, 0.5],
+                                         [1.0, 0.0, 0.0, 1.0, 0.0, 0.5, 0.5]]}},
+    {"name": "sgd_maxsq3_tie_seeds",
+     "problem": {"kind": "sgd", "f": "maxsq3", "x0": [1.0, -1.0, 1.0]},
+     "schedule": {"kind": "constant", "a": 0.1}, "selection_rule": "random_vertex",
+     "n_steps": 600, "seeds": [1, 2, 3, 4], "checkpoint_base": 200},
+    SHB_SEEDS,
+    _sgd(MIXED_STATUSES, schedule={"kind": "constant", "a": 0.05},
+         noise={"kind": "gaussian", "sigma": 4.0}, n_steps=3000, guard_radius=2.5,
+         seeds=[1, 2, 3, 4], checkpoint_base=500),
+    {"name": GROWING_BOX, "problem": {"kind": "sgd", "f": "quad1", "x0": [0.0]},
+     "schedule": {"kind": "constant", "a": 0.01}, "noise": {"kind": "gaussian", "sigma": 1.0},
+     "n_steps": 4000, "seeds": [3], "checkpoint_base": 250},
+    {"name": OVERFLOW,
+     "problem": {"kind": "custom_map", "map": "doubling", "dim": 1, "x0": [1.0]},
+     "schedule": {"kind": "constant", "a": 1e300}, "n_steps": 50, "guard_radius": 1e308,
+     "seeds": [0], "checkpoint_base": 10, "diagnostics": {"residence_cell_size": 1e290}},
 ]
 WORKLOAD_SEED = 7
 RUN_WORKLOADS = ("sgd_abs_seeds", "shb_quad2_pipeline", "fp_rps_pipeline")
@@ -181,18 +175,11 @@ def produce(out: Path) -> None:
     import svsa.experiments as experiments
     import workloads
 
-    configs = list(CONFIGS)
-    for name in RUN_WORKLOADS:
-        configs.append((workloads.WORKLOADS[name](WORKLOAD_SEED, out, False).doc, None))
+    configs = CONFIGS + [workloads.WORKLOADS[name](WORKLOAD_SEED, out, False).doc
+                         for name in RUN_WORKLOADS]
     runs = out / "runs"
-    accumulate = experiments.accumulate
-    for doc, max_samples in configs:
-        experiments.accumulate = (accumulate if max_samples is None else
-                                  functools.partial(accumulate, max_samples=max_samples))
-        try:
-            report = experiments.run_experiment(doc, out_dir=runs)
-        finally:
-            experiments.accumulate = accumulate
+    for doc in configs:
+        report = experiments.run_experiment(doc, out_dir=runs)
         statuses = {s["status"] for s in report.seed_summaries}
         if doc["name"] == MIXED_STATUSES and statuses != {"completed", "escaped"}:
             raise SystemExit(f"{MIXED_STATUSES}: statuses {sorted(statuses)}, not both")
@@ -298,8 +285,7 @@ def _plain(value):
 
 
 def compared_files(out: Path) -> dict[str, bytes]:
-    """Relative path -> the bytes compared; manifest.json without its file list,
-    a standalone sidecar without its mark."""
+    """Relative path -> the bytes compared; manifest.json without its file list."""
     files = {}
     for path in sorted(out.rglob("*")):
         rel = str(path.relative_to(out))
@@ -309,10 +295,6 @@ def compared_files(out: Path) -> dict[str, bytes]:
             manifest = json.loads(path.read_bytes())
             manifest.pop("files", None)
             files[rel] = json.dumps(manifest, sort_keys=True).encode()
-        elif path.match("checkpoint_*.json") and "standalone" in (
-                meta := json.loads(path.read_bytes())):
-            del meta["standalone"]
-            files[rel] = (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()
         else:
             files[rel] = path.read_bytes()
     return files
@@ -373,20 +355,13 @@ def main(argv=None) -> int:
         before, bad = run_side(args.baseline, work / "before")
         after, bad_after = run_side(ROOT, work / "after")
         bad += bad_after
-        differ = sorted(rel for rel in before.keys() & after.keys()
-                        if before[rel] != after[rel])
-        for label, only in (("baseline", before.keys() - after.keys()),
-                            ("this checkout", after.keys() - before.keys())):
-            samples = {rel for rel in only if Path(rel).match("checkpoint_*.csv")}
-            if samples:
-                print(f"{len(samples)} checkpoint CSVs written only by {label}, "
-                      f"e.g. {sorted(samples)[0]}")
-            differ += sorted(only - samples)
+        differ = sorted(rel for rel in before.keys() | after.keys()
+                        if before.get(rel) != after.get(rel))
         for rel in differ:
             print(f"DIFFERS: {rel}")
         for rel in bad:
             print(f"NOT JSON: {rel}")
-        compared = len(before.keys() & after.keys())
+        compared = len(before.keys() | after.keys())
         print(f"{compared - len(differ)} of {compared} files identical "
               f"({sum(rel.startswith('diagnose') for rel in after)} diagnose outputs, "
               f"{sum(rel.startswith('measures') for rel in after)} measure digests)")

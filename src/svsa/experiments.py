@@ -6,7 +6,6 @@ Output layout, per experiment root:
     <seed>/trajectory.csv              j, t, x*, v*, eps, delta, eta*
     <seed>/checkpoint_<N>.json         occupation-measure snapshot: a sidecar whose
                                        samples are the first N trajectory rows
-    <seed>/checkpoint_<N>.csv          the samples of a thinned snapshot only
     <seed>/summary.json                per-checkpoint diagnostics
 
 The pipeline is a pure function of (config, seeds): reruns produce
@@ -459,15 +458,13 @@ def _checkpoint_diagnostics(measures: Sequence[OccupationMeasure], iterations: S
                             diag: dict, states=None, f: MaxOfSmoothFunction | None = None,
                             problem_map=None) -> tuple[list[dict], list[dict]]:
     """The entries and cell residences of a run's checkpoints, the measures of
-    its first ``iterations`` ``states`` unless thinned, with the circulation of
-    the objective ``f`` when given.  The field is evaluated once on the states.
-    Consecutive prefixes whose positions span the same box, bit for bit
-    (``tobytes`` tells -0.0 from 0.0), share one bank and one pass over the
-    samples of the last; a thinned checkpoint is not a prefix: it gets its own."""
+    its first ``iterations`` ``states``, with the circulation of the objective
+    ``f`` when given.  The field is evaluated once on the states.  Consecutive
+    prefixes whose positions span the same box, bit for bit (``tobytes`` tells
+    -0.0 from 0.0), share one bank and one pass over the samples of the last."""
     def box(k):
         m = measures[k]
-        return (m.positions.min(axis=0).tobytes() + m.positions.max(axis=0).tobytes()
-                if m.n_samples == iterations[k] else k)
+        return m.positions.min(axis=0).tobytes() + m.positions.max(axis=0).tobytes()
 
     run_field = _circulation_field(f, states) if f is not None else None
     q, cell = float(diag["velocity_moment_order"]), float(diag["residence_cell_size"])
@@ -495,8 +492,7 @@ def _checkpoint_diagnostics(measures: Sequence[OccupationMeasure], iterations: S
                                        "cells": [{"cell": list(map(int, c)), "mass": m}
                                                  for c, m in listed]}
         if f is not None:
-            values = run_field[:i] if last.n_samples == i else _circulation_field(f, last.positions)
-            for entry, value in zip(new, _prefix_circulations(group, values)):
+            for entry, value in zip(new, _prefix_circulations(group, run_field[:i])):
                 entry["circulation"] = {"min_norm_subgradient": value}
         probes = diag.get("centroid_probes")
         for entry, measure in zip(new, group if probes else ()):
@@ -577,11 +573,11 @@ def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
             if stale.suffix in (".csv", ".json"):
                 stale.unlink()
         _write_trajectory_csv(traj, seed_dir / "trajectory.csv")
-        # A prefix checkpoint's samples are rows of trajectory.csv: only its
-        # sidecar is written.
+        # A checkpoint's samples are rows of trajectory.csv: only its sidecar
+        # is written.
         for m, i in zip(measures, iterations):
             save_checkpoint(m, seed_dir / f"checkpoint_{i}.csv", iteration=i, seed=seed,
-                            diagnostics=diag, prefix=m.n_samples == i)
+                            diagnostics=diag, prefix=True)
         write_json(seed_dir / "summary.json", summary)
     return summary
 

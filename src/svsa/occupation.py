@@ -3,9 +3,8 @@ measure-level diagnostics built on them.
 
 A measure holds samples (x_j, v_{j+1}) with weights eps_j; every query
 normalizes by the total weight, so the measure has unit mass.  The measure of
-a trajectory prefix is a view of the run, two measures merge by
-concatenation, and a weight-proportional thinning at construction keeps the
-sample count bounded for very long runs.
+a trajectory prefix is a view of the run, and two measures merge by
+concatenation.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .engine import Trajectory
 from .geometry import distance_to_hull
 from .maps import SetValuedMap, check_gradients
 
-DEFAULT_MAX_SAMPLES = 1_000_000
-
 # Probes farther than this many bandwidths from every sample are undefined.
 KERNEL_REACH = 5.0
 
@@ -38,35 +35,24 @@ class OccupationMeasure:
     """The step-weighted empirical measure of samples (x_j, v_{j+1}) with
     weights eps_j, built once by ``from_arrays`` and never changed after."""
 
-    __slots__ = ("max_samples", "positions", "velocities", "weights", "total_weight")
+    __slots__ = ("positions", "velocities", "weights", "total_weight")
 
-    def __init__(self, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray,
-                 max_samples: int):
+    def __init__(self, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray):
         self.positions, self.velocities, self.weights = positions, velocities, weights
-        self.max_samples = max_samples
         self.total_weight = float(weights.sum())
 
     @classmethod
-    def from_arrays(cls, positions, velocities, weights,
-                    max_samples: int = DEFAULT_MAX_SAMPLES) -> "OccupationMeasure":
+    def from_arrays(cls, positions, velocities, weights) -> "OccupationMeasure":
         """Measure of the given samples.  C-contiguous float64 arrays are kept as
-        given, so the measure of a trajectory prefix is a view of the run.  Past
-        ``max_samples`` the samples are thinned once, weight-proportionally,
-        to ``max_samples`` equal weights of the same total."""
+        given, so the measure of a trajectory prefix is a view of the run."""
         x = np.ascontiguousarray(np.atleast_2d(positions), dtype=float)
         v = np.ascontiguousarray(np.atleast_2d(velocities), dtype=float)
         w = np.ascontiguousarray(np.atleast_1d(weights), dtype=float)
         if x.shape != v.shape or w.shape != x.shape[:1]:
             raise ValueError("positions, velocities and weights do not line up")
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):  # NaN fails too
             raise ValueError("weights must be non-negative")
-        if w.shape[0] > max_samples:
-            total = float(w.sum())
-            idx = np.random.default_rng([0, 0]).choice(w.shape[0], size=max_samples,
-                                                       replace=True, p=w / total)
-            idx.sort()
-            x, v, w = x[idx], v[idx], np.full(max_samples, total / max_samples)
-        return cls(x, v, w, max_samples)
+        return cls(x, v, w)
 
     @property
     def dimension(self) -> int:
@@ -77,28 +63,25 @@ class OccupationMeasure:
         return self.weights.shape[0]
 
     def merge(self, other: "OccupationMeasure") -> "OccupationMeasure":
-        """Measure of the concatenated samples (associative, commutative in law)."""
+        """Measure of the samples of both, concatenated: every sample is kept, so
+        merging is exact and associative."""
         if other.dimension != self.dimension:
             raise ValueError("cannot merge measures of different dimensions")
         return OccupationMeasure.from_arrays(
             np.concatenate([self.positions, other.positions]),
             np.concatenate([self.velocities, other.velocities]),
-            np.concatenate([self.weights, other.weights]),
-            max_samples=max(self.max_samples, other.max_samples))
+            np.concatenate([self.weights, other.weights]))
 
 
-def accumulate(trajectory: Trajectory, upto: int | None = None,
-               max_samples: int = DEFAULT_MAX_SAMPLES) -> OccupationMeasure:
+def accumulate(trajectory: Trajectory, upto: int | None = None) -> OccupationMeasure:
     """Occupation measure of a trajectory prefix: samples (x_j, v_{j+1}, eps_j)
-    for j < upto (defaults to the full run), a view of the run's arrays unless
-    it is thinned."""
+    for j < upto (defaults to the full run), a view of the run's arrays."""
     m = trajectory.n_steps if upto is None else min(int(upto), trajectory.n_steps)
     if m < 1:
         raise ValueError("trajectory must contain at least one step")
     return OccupationMeasure.from_arrays(trajectory.states[:m],
                                          trajectory.velocities[:m],
-                                         trajectory.steps[:m],
-                                         max_samples=max_samples)
+                                         trajectory.steps[:m])
 
 
 # Regions ---------------------------------------------------------------------
@@ -194,12 +177,8 @@ def essential_accumulation_estimate(checkpoints: Sequence[OccupationMeasure],
         raise ValueError("no checkpoints given")
     if len(checkpoints) < 2:
         raise ValueError("need at least two checkpoints at increasing iteration counts")
-    # A thinned checkpoint holds max_samples samples, so past that only the
-    # total weight grows.
-    if any(b.n_samples <= a.n_samples and b.total_weight <= a.total_weight
-           for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("each checkpoint must hold more samples or more total weight "
-                         "than the one before")
+    if any(b.n_samples <= a.n_samples for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("each checkpoint must hold more samples than the one before")
     if threshold <= 0.0 or cell_size <= 0.0:
         raise ValueError("cell_size and threshold must be positive")
 
@@ -356,19 +335,17 @@ def trajectory_columns(n: int) -> list[str]:
 
 def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
                     seed: int | None, diagnostics: dict | None = None,
-                    prefix: bool | None = None) -> tuple[Path, ...]:
+                    prefix: bool = False) -> tuple[Path, ...]:
     """Write a JSON sidecar with dimension, total weight, iteration and seed,
     and the run's diagnostics block when one is given; return the paths
     written.
 
-    By default the sample table goes first to ``csv_path`` as CSV (header
-    row, 17 significant digits).  A run says whether the measure is a
-    ``prefix`` of the trajectory.csv beside ``csv_path``: if so only the
-    sidecar is written, and ``load_checkpoint`` reads the first
-    ``iteration`` rows of the trajectory unless a file is at ``csv_path``.
-    If not (a thinned measure), the CSV is written and the sidecar is marked
-    ``standalone``, so that its samples are never taken from the
-    trajectory."""
+    A run's checkpoint is a ``prefix`` of the trajectory.csv beside
+    ``csv_path``: only the sidecar is written, and ``load_checkpoint`` reads
+    the first ``iteration`` rows of the trajectory.  Any other measure (a
+    ``merge``, say) has its sample table written first to ``csv_path`` as CSV
+    (header row, 17 significant digits), which ``load_checkpoint`` reads
+    instead."""
     csv_path = Path(csv_path)
     n = measure.dimension
     if not prefix:
@@ -379,8 +356,6 @@ def save_checkpoint(measure: OccupationMeasure, csv_path, iteration: int,
     sidecar = checkpoint_sidecar_path(csv_path)
     meta = {"dimension": n, "total_weight": measure.total_weight,
             "iteration": int(iteration), "seed": seed}
-    if prefix is False:
-        meta["standalone"] = True
     if diagnostics is not None:
         meta["diagnostics"] = diagnostics
     write_json(sidecar, finite(meta))
@@ -429,10 +404,10 @@ def _trajectory_prefix(path: Path, n: int, rows: int) -> tuple[np.ndarray, ...]:
 
 def load_checkpoint(csv_path) -> tuple[OccupationMeasure, dict]:
     """The measure and sidecar of a checkpoint: its samples from ``csv_path``
-    when that file exists or the sidecar marks it ``standalone``, else the
-    sidecar's ``iteration`` first rows of the trajectory.csv beside it.  The
-    returned sidecar leaves out the ``standalone`` mark, which only says where
-    the samples are."""
+    when that file exists or the sidecar marks it ``standalone`` (as older
+    versions did for a thinned measure), else the sidecar's ``iteration``
+    first rows of the trajectory.csv beside it.  The returned sidecar leaves
+    out the ``standalone`` mark, which only says where the samples are."""
     csv_path = Path(csv_path)
     sidecar = checkpoint_sidecar_path(csv_path)
     with open(sidecar) as fh:

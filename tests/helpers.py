@@ -17,8 +17,8 @@ import numpy as np
 from svsa.engine import Trajectory
 from svsa.experiments import _circulation_field
 from svsa.maps import _select_from
-from svsa.occupation import (DEFAULT_MAX_SAMPLES, SmoothTestFunction, TestFunctionBank,
-                             accumulate, trajectory_columns)
+from svsa.occupation import (SmoothTestFunction, TestFunctionBank, accumulate,
+                             trajectory_columns)
 
 
 # A 2x3x2 integer-payoff game in which every player ties now and then, up to
@@ -208,13 +208,12 @@ def reference_displacements(game, xi) -> np.ndarray:
     return gens
 
 
-def reference_checkpoint_entry(trajectory, upto: int, diag: dict,
-                               max_samples: int = DEFAULT_MAX_SAMPLES, f=None) -> dict:
+def reference_checkpoint_entry(trajectory, upto: int, diag: dict, f=None) -> dict:
     """The diagnostics entry of the checkpoint of the first ``upto`` steps (no
     centroid probes) from its own fresh measure, one formula per diagnostic on
     that measure's samples alone, with the circulation of the objective ``f``
     when given."""
-    m = accumulate(trajectory, upto=upto, max_samples=max_samples)
+    m = accumulate(trajectory, upto=upto)
     X, V, w, W = m.positions, m.velocities, m.weights, m.total_weight
     bank = TestFunctionBank.from_positions(X, degree=diag["bank_degree"],
                                            n_bumps=diag["bank_bumps"], seed=diag["bank_seed"])

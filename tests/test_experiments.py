@@ -25,9 +25,9 @@ from svsa.experiments import (DEFAULT_DIAGNOSTICS, ConfigError, ExperimentConfig
                               _checkpoint_diagnostics, checkpoint_iterations,
                               diagnose_checkpoint, named_function, named_map,
                               run_experiment, validate_config)
-from svsa.maps import _select_from, clarke_subdifferential, half_square_norm
-from svsa.occupation import (OccupationMeasure, accumulate, circulation,
-                             essential_accumulation_estimate, load_checkpoint, save_checkpoint)
+from svsa.maps import half_square_norm
+from svsa.occupation import (OccupationMeasure, accumulate, essential_accumulation_estimate,
+                             load_checkpoint, save_checkpoint)
 
 from helpers import reference_checkpoint_entry, reference_trajectory_prefix
 
@@ -364,58 +364,6 @@ class TestRunExperiment:
         assert np.abs(centers).max() <= 0.2
 
 
-class TestThinnedCheckpoints:
-    def test_run_past_max_samples(self, monkeypatch, tmp_path):
-        # Checkpoints 1000 and 2000 hold 700 thinned samples each: they are
-        # not prefixes of the run, so their circulation uses their own samples.
-        monkeypatch.setattr(experiments, "accumulate",
-                            functools.partial(accumulate, max_samples=700))
-        doc = {"name": "shb_thinned",
-               "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, 0.5]},
-               "schedule": {"kind": "power", "a": 0.5, "rho": 0.6},
-               "noise": {"kind": "gaussian", "sigma": 0.3},
-               "n_steps": 2000, "seeds": [1], "checkpoint_base": 250}
-        summary = run_experiment(doc, out_dir=tmp_path).seed_summaries[0]
-        assert summary["status"] == "completed" and "essential_cells" in summary
-        # Only the thinned checkpoints keep a sample CSV.
-        seed_dir = tmp_path / "shb_thinned" / "1"
-        assert sorted(p.name for p in seed_dir.glob("checkpoint_*.csv")) == [
-            "checkpoint_1000.csv", "checkpoint_2000.csv"]
-
-        config = ExperimentConfig.from_doc(doc)
-        traj = next(experiments._build_runs(config, [1]))
-        f = config.problem.objective
-
-        def field(X):
-            out = np.zeros_like(X)
-            out[:, :2] = [_select_from(clarke_subdifferential(f, q), "min_norm", None)
-                          for q in X[:, :2]]
-            return out
-
-        for entry in summary["checkpoints"]:
-            m = accumulate(traj, upto=entry["iteration"], max_samples=700)
-            assert entry["n_samples"] == m.n_samples == min(entry["iteration"], 700)
-            assert entry["circulation"]["min_norm_subgradient"] == circulation(m, field)
-        for entry in summary["checkpoints"]:
-            recomputed = diagnose_checkpoint(seed_dir / f"checkpoint_{entry['iteration']}.csv")
-            assert recomputed["n_samples"] == entry["n_samples"]
-            assert recomputed["closed_residuals"] == entry["closed_residuals"]
-
-        # A thinned sidecar is marked, so its samples never come from the
-        # trajectory: without its CSV it is unreadable, and a total weight
-        # that differs from the CSV's is rejected.
-        sidecar = seed_dir / "checkpoint_1000.json"
-        meta = json.loads(sidecar.read_text())
-        assert meta["standalone"] is True
-        assert "standalone" not in json.loads(_diagnose(seed_dir / "checkpoint_1000.csv")[1])[
-            "sidecar"]
-        _tamper_total_weight(seed_dir)
-        assert _diagnose(seed_dir / "checkpoint_1000.csv")[0] == 1
-        sidecar.write_text(json.dumps(meta))
-        (seed_dir / "checkpoint_1000.csv").unlink()
-        assert _diagnose(seed_dir / "checkpoint_1000.csv")[0] == 3
-
-
 # Coordinates that tie the box or sit on its edges: 0.0 and -0.0 compare equal
 # but span boxes of different bits.
 POOL_VALUES = [0.0, -0.0, 1.0, -1.0, 5e-324, 0.5, 2.0, -3.0]
@@ -424,7 +372,7 @@ POOL_VALUES = [0.0, -0.0, 1.0, -1.0, 5e-324, 0.5, 2.0, -3.0]
 @st.composite
 def runs_and_checkpoints(draw):
     """A run of 1-300 steps in 1-6 dimensions, nested checkpoints that include
-    1 and the run's length, its diagnostics block, and a thinning size (or None)."""
+    1 and the run's length, and its diagnostics block."""
     n, degree = draw(st.tuples(st.integers(1, 6), st.integers(0, 6)).filter(
         lambda nd: math.comb(nd[0] + nd[1], nd[0]) - 1 <= 210))
     m = draw(st.integers(1, 8) | st.integers(9, 300))
@@ -448,23 +396,21 @@ def runs_and_checkpoints(draw):
     diag = {**DEFAULT_DIAGNOSTICS, "bank_degree": degree, "bank_bumps": draw(st.integers(0, 4)),
             "velocity_moment_order": draw(st.sampled_from([1.5, 2.0, 3.0])),
             "residence_cell_size": draw(st.sampled_from([0.02, 0.3, 1.0]))}
-    thin = draw(st.none() | st.integers(1, m))
-    return traj, iterations, diag, thin
+    return traj, iterations, diag
 
 
 class TestSharedPrefixPass:
     @settings(max_examples=150, deadline=None)
     @given(runs_and_checkpoints(), st.booleans())
     def test_each_entry_has_the_bits_of_its_own_measure(self, case, with_field):
-        traj, iterations, diag, thin = case
-        limit = {} if thin is None else {"max_samples": thin}
-        measures = [accumulate(traj, upto=i, **limit) for i in iterations]
+        traj, iterations, diag = case
+        measures = [accumulate(traj, upto=i) for i in iterations]
         f = half_square_norm(traj.dimension) if with_field else None
         entries, residences = _checkpoint_diagnostics(measures, iterations, diag,
                                                       traj.states[:traj.n_steps], f)
         assert len(entries) == len(residences) == len(iterations)
         for entry, i in zip(entries, iterations):
-            want = reference_checkpoint_entry(traj, i, diag, f=f, **limit)
+            want = reference_checkpoint_entry(traj, i, diag, f=f)
             assert json.dumps(entry, sort_keys=True) == json.dumps(want, sort_keys=True)
         if len(measures) >= 2:
             cell, threshold = diag["residence_cell_size"], 0.05
@@ -517,7 +463,7 @@ def _write_sample_csvs(doc, seed, iterations, directory):
     traj = next(experiments._build_runs(config, [seed]))
     for i in iterations:
         save_checkpoint(accumulate(traj, upto=i), Path(directory) / f"checkpoint_{i}.csv",
-                        iteration=i, seed=seed, diagnostics=config.diagnostics)
+                        iteration=i, seed=seed, diagnostics=config.diagnostics, prefix=False)
 
 
 LAYOUT_PROBLEMS = {
@@ -563,19 +509,18 @@ class TestCheckpointLayout:
         assert all(code == 0 for code, _ in new)
 
 
-    def test_rerun_into_the_same_directory_reports_the_new_run(self, monkeypatch, tmp_path):
-        # The first run's checkpoints are thinned to sample CSVs and it runs
-        # longer; the second, edited under the same name, stores sidecars only.
+    def test_rerun_into_the_same_directory_reports_the_new_run(self, tmp_path):
+        # The first run runs longer and its checkpoints are stored in the old
+        # layout, with sample CSVs; the second, edited under the same name,
+        # stores sidecars only.
         first = {"name": "rerun", "problem": {"kind": "shb", "f": "maxsq2", "q0": [1.0, 0.5]},
                  "schedule": {"kind": "power", "a": 0.5, "rho": 0.6},
                  "noise": {"kind": "gaussian", "sigma": 0.3},
                  "n_steps": 4000, "seeds": [1], "checkpoint_base": 250}
-        with monkeypatch.context() as patch:
-            patch.setattr(experiments, "accumulate",
-                          functools.partial(accumulate, max_samples=700))
-            run_experiment(first, out_dir=tmp_path)
+        run_experiment(first, out_dir=tmp_path)
         seed_dir = tmp_path / "rerun" / "1"
-        assert (seed_dir / "checkpoint_1000.csv").exists()
+        _write_sample_csvs(first, 1, [250, 500, 1000, 2000, 4000], seed_dir)
+        assert len(list(seed_dir.glob("checkpoint_*.csv"))) == 5
         second = {**first, "noise": {"kind": "gaussian", "sigma": 0.6}, "n_steps": 2000}
         run_experiment(second, out_dir=tmp_path)
         summary = json.loads((seed_dir / "summary.json").read_text())
@@ -653,6 +598,15 @@ def _drop_last_trajectory_column(seed_dir):
     path = seed_dir / "trajectory.csv"
     lines = path.read_bytes().splitlines()
     path.write_bytes(b"".join(line.rsplit(b",", 1)[0] + b"\r\n" for line in lines))
+
+
+def _nan_step(seed_dir):
+    # data row j = 500, inside the prefix of checkpoint_1000; eps is field 4 in 1-D
+    path = seed_dir / "trajectory.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    fields = lines[501].split(b",")
+    fields[4] = b"nan"
+    path.write_bytes(b"".join(lines[:501] + [b",".join(fields)] + lines[502:]))
 
 
 def _tamper_total_weight(seed_dir):
@@ -1060,13 +1014,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("bad checkpoint:") and "Traceback" not in err
 
+    def test_sample_csv_with_a_nan_weight_is_reported(self, tmp_path, capsys):
+        # Its total weight is NaN, which the sidecar writes as null: the weight
+        # check alone would let it through.
+        (tmp_path / "checkpoint_2.csv").write_text("j,x0,v0,weight\r\n0,1,0,0.5\r\n"
+                                                   "1,2,0,nan\r\n")
+        (tmp_path / "checkpoint_2.json").write_text(json.dumps(
+            {"dimension": 1, "total_weight": None, "iteration": 2, "seed": None}))
+        assert main(["diagnose", str(tmp_path / "checkpoint_2.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad checkpoint: weights must be non-negative")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("edit, code, message", [
         (_truncate_trajectory, 1, "bad checkpoint: trajectory.csv has 999 rows"),
         (_drop_last_trajectory_column, 1, "bad checkpoint: trajectory.csv has 6 columns, expected 7"),
         (_tamper_total_weight, 1, "bad checkpoint: trajectory.csv rows weigh"),
+        (_nan_step, 1, "bad checkpoint: weights must be non-negative"),
         (lambda seed_dir: (seed_dir / "trajectory.csv").unlink(), 3, "cannot read checkpoint"),
     ], ids=["truncated_trajectory", "trajectory_column_missing", "tampered_total_weight",
-            "missing_trajectory"])
+            "nan_step", "missing_trajectory"])
     def test_bad_trajectory_rows_are_reported(self, tmp_path, capsys, edit, code, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(sgd_doc(n_steps=1000, seeds=(1,), base=500)))
@@ -1315,7 +1282,8 @@ class TestCommittedConfigs:
 
     def test_identity_check_configs(self, monkeypatch):
         script = _module(REPO / "scripts" / "identity_check.py", monkeypatch)
-        for doc in [doc for doc, _ in script.CONFIGS] + [script.SHB_SEEDS]:
+        assert script.SHB_SEEDS in script.CONFIGS
+        for doc in script.CONFIGS:
             ExperimentConfig.from_doc(doc)
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])

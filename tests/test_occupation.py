@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svsa.engine import NoiseModel, StepSchedule, run_sgd
+from svsa.engine import NoiseModel, StepSchedule, Trajectory, run_sgd
 from svsa.maps import abs_value, clarke_map, negate, singleton_map
 from svsa.occupation import (Ball, Box, OccupationMeasure, SmoothTestFunction,
                              TestFunctionBank, UndefinedEstimateError, _exponents,
@@ -85,12 +85,21 @@ class TestOccupationMeasure:
             mu = part if mu is None else mu.merge(part)
         assert abs(mu.total_weight - mu.weights.sum()) <= 1e-12 * mu.total_weight
 
-    def test_thinning_caps_samples_and_preserves_mass(self):
-        rng = np.random.default_rng(1)
-        mu = OccupationMeasure.from_arrays(rng.normal(size=(400, 1)), rng.normal(size=(400, 1)),
-                                           rng.uniform(0.1, 1.0, 400), max_samples=100)
-        assert mu.n_samples == 100
-        assert abs(mu.total_weight - mu.weights.sum()) <= 1e-12 * mu.total_weight
+    def test_a_long_run_keeps_every_sample_as_a_view(self):
+        # 1,000,001 steps: past the 1M samples that older versions thinned to
+        m = 1_000_001
+        traj = Trajectory(states=np.arange(m + 1, dtype=float)[:, None],
+                          velocities=np.ones((m, 1)), steps=np.ones(m), deltas=np.zeros(m),
+                          noises=np.zeros((m, 1)), clock=np.arange(m + 1, dtype=float))
+        mu = accumulate(traj)
+        assert mu.n_samples == m and mu.total_weight == m
+        assert np.shares_memory(mu.positions, traj.states)
+        assert np.shares_memory(mu.weights, traj.steps)
+
+    @pytest.mark.parametrize("weights", [[0.5, -0.25], [0.5, np.nan]], ids=["negative", "nan"])
+    def test_weights_must_be_non_negative(self, weights):
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            OccupationMeasure.from_arrays([[0.0], [1.0]], [[0.0], [0.0]], weights)
 
     def test_shape_mismatch_rejected(self):
         mu = OccupationMeasure.from_arrays(np.zeros((1, 2)), np.zeros((1, 2)), [1.0])
@@ -152,18 +161,10 @@ class TestEssentialAccumulation:
             essential_accumulation_estimate([mu], 0.1, 0.1)
         with pytest.raises(ValueError):
             essential_accumulation_estimate([mu, mu], 0.1, 0.1)
-
-    def test_thinned_checkpoints_grow_by_weight(self):
-        # Past max_samples every checkpoint holds max_samples samples; a
-        # later one still carries more total weight.
-        X = np.zeros((40, 1))
-        early, late = (OccupationMeasure.from_arrays(X[:m], X[:m], np.ones(m), max_samples=10)
-                       for m in (20, 40))
-        assert early.n_samples == late.n_samples == 10
-        cells = essential_accumulation_estimate([early, late], 1.0, 0.5)
-        np.testing.assert_allclose(cells, [[0.5]])
-        with pytest.raises(ValueError, match="more samples or more total weight"):
-            essential_accumulation_estimate([late, early], 1.0, 0.5)
+        # more weight is not enough: every checkpoint is a prefix of the run
+        heavier = OccupationMeasure.from_arrays([[0.0]], [[0.0]], [2.0])
+        with pytest.raises(ValueError, match="more samples than the one before"):
+            essential_accumulation_estimate([mu, heavier], 0.1, 0.1)
 
     @pytest.mark.parametrize("position, cell_size", [(np.nan, 1.0), (np.inf, 1.0),
                                                      (1.0, 1e-300), (-2.0 ** 64, 1.0)])
@@ -390,11 +391,23 @@ class TestCheckpointIO:
         assert meta["iteration"] == 0
         np.testing.assert_array_equal(loaded.weights, mu.weights)
 
-    def test_thinned_checkpoint_is_marked_standalone(self, tmp_path):
+    def test_prefix_writes_the_sidecar_only(self, tmp_path):
         mu = OccupationMeasure.from_arrays([[1.0]], [[2.0]], [0.5])
+        assert save_checkpoint(mu, tmp_path / "checkpoint_1.csv", iteration=1, seed=None,
+                               prefix=True) == (tmp_path / "checkpoint_1.json",)
         csv_path, sidecar = save_checkpoint(mu, tmp_path / "checkpoint_9.csv", iteration=9,
                                             seed=None, prefix=False)
-        assert '"standalone": true' in sidecar.read_text()
+        assert [p.name for p in sorted(tmp_path.iterdir())] == [
+            "checkpoint_1.json", "checkpoint_9.csv", "checkpoint_9.json"]
+        assert "standalone" not in sidecar.read_text()
+
+    def test_standalone_mark_of_an_older_version_is_honoured(self, tmp_path):
+        # Older versions marked a thinned checkpoint's sidecar standalone: its
+        # samples are in its CSV alone, never in a trajectory.csv.
+        mu = OccupationMeasure.from_arrays([[1.0]], [[2.0]], [0.5])
+        csv_path, sidecar = save_checkpoint(mu, tmp_path / "checkpoint_9.csv", iteration=9,
+                                            seed=None)
+        sidecar.write_text(sidecar.read_text().replace('"seed"', '"standalone": true, "seed"'))
         loaded, meta = load_checkpoint(csv_path)
         assert "standalone" not in meta and loaded.total_weight == 0.5
         csv_path.unlink()
@@ -504,17 +517,6 @@ class TestProperties:
                                           np.concatenate([a[k], b[k]]))
         total = first.total_weight + second.total_weight
         assert abs(merged.total_weight - total) <= 1e-12 * total
-
-    @settings(max_examples=150, deadline=None)
-    @given(samples(min_rows=2, max_rows=60, weights=st.floats(1e-6, 1e6)),
-           st.integers(1, 59))
-    def test_thinning_caps_samples_and_keeps_weight(self, data, max_samples):
-        x, v, w = data
-        mu = OccupationMeasure.from_arrays(x, v, w, max_samples=max_samples)
-        assert mu.n_samples == min(max_samples, w.shape[0])
-        assert abs(mu.total_weight - w.sum()) <= 1e-12 * w.sum()
-        if w.shape[0] > max_samples:
-            assert np.all(mu.weights == mu.weights[0])
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.integers(1, 40), st.integers(1, 4)).flatmap(
