@@ -161,10 +161,21 @@ class TestEssentialAccumulation:
             essential_accumulation_estimate([mu], 0.1, 0.1)
         with pytest.raises(ValueError):
             essential_accumulation_estimate([mu, mu], 0.1, 0.1)
-        # more weight is not enough: every checkpoint is a prefix of the run
-        heavier = OccupationMeasure.from_arrays([[0.0]], [[0.0]], [2.0])
+
+    def test_thinned_checkpoints_grow_by_weight(self):
+        # Older versions thinned long runs, so later checkpoints grew by total
+        # weight at a fixed sample count.  Every checkpoint is now a prefix of
+        # the run: it must grow by samples, and more weight is not enough.
+        X = np.zeros((40, 1))
+        early, late = (OccupationMeasure.from_arrays(X[:m], X[:m], np.ones(m)) for m in (20, 40))
+        cells = essential_accumulation_estimate([early, late], 1.0, 0.5)
+        np.testing.assert_allclose(cells, [[0.5]])
         with pytest.raises(ValueError, match="more samples than the one before"):
-            essential_accumulation_estimate([mu, heavier], 0.1, 0.1)
+            essential_accumulation_estimate([late, early], 1.0, 0.5)
+        heavier = OccupationMeasure.from_arrays(X[:20], X[:20], np.full(20, 2.0))
+        assert heavier.n_samples == early.n_samples
+        with pytest.raises(ValueError, match="more samples than the one before"):
+            essential_accumulation_estimate([early, heavier], 1.0, 0.5)
 
     @pytest.mark.parametrize("position, cell_size", [(np.nan, 1.0), (np.inf, 1.0),
                                                      (1.0, 1e-300), (-2.0 ** 64, 1.0)])
