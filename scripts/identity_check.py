@@ -33,14 +33,16 @@ SHA-256 of the bytes of the measure's positions, velocities and weights go to
 even where the diagnose output would not.  Last it runs the six operations of
 the ``flow_certificates`` workload at seed 7, writes every Euler curve they
 integrate with ``Curve.save_csv`` (``flow/curve_<k>.csv``, in the order they
-were integrated) and their results as JSON (``flow/results.json``: the
-certificate booleans, the enlargement slacks, the hull distances and
-projections).
+were integrated), the state of the generator each curve drew from, taken
+right after it (``flow/curve_<k>.rng.json``, ``null`` for a curve without
+one), so a skipped or added draw shows, and their results as JSON
+(``flow/results.json``: the certificate booleans, the enlargement slacks, the
+hull distances and projections).
 
 It compares byte for byte: every summary.json, trajectory.csv and checkpoint
 sidecar, manifest.json without its ``files`` list, every diagnose exit code
-and standard output, every checkpoint's measure digests, and the flow curves
-and results.  A run stores every checkpoint as its sidecar alone, so a file
+and standard output, every checkpoint's measure digests, and the flow curves,
+generator states and results.  A run stores every checkpoint as its sidecar alone, so a file
 that only one checkout writes, a checkpoint CSV included, is a difference.
 Every JSON file and every diagnose standard output, on both sides, must also
 parse as strict JSON, with ``NaN`` and ``Infinity`` rejected (JSON has
@@ -243,15 +245,17 @@ def checkpoint_boxes(experiment: Path) -> set[bytes]:
 
 def produce_flow(out: Path) -> None:
     """Run the flow_certificates operations at WORKLOAD_SEED; write every Euler
-    curve they integrate and their results."""
+    curve they integrate, the state of its generator after it (null without
+    one) and their results."""
     import svsa.flow as flow
     import workloads
 
     curves, euler_di = [], flow.euler_di
 
-    def recorded(*args, **kwargs):
-        curves.append(euler_di(*args, **kwargs))
-        return curves[-1]
+    def recorded(H, x0, dt, T, rule="min_norm", rng=None):
+        curve = euler_di(H, x0, dt, T, rule=rule, rng=rng)
+        curves.append((curve, None if rng is None else rng.bit_generator.state))
+        return curve
 
     flow.euler_di = recorded  # recurrence_proxy and stable_zero_check look it up here
     try:
@@ -260,8 +264,9 @@ def produce_flow(out: Path) -> None:
     finally:
         flow.euler_di = euler_di
     out.mkdir(parents=True)
-    for k, curve in enumerate(curves):
+    for k, (curve, state) in enumerate(curves):
         curve.save_csv(out / f"curve_{k:02d}.csv")
+        (out / f"curve_{k:02d}.rng.json").write_text(json.dumps(state, sort_keys=True) + "\n")
     (out / "results.json").write_text(json.dumps(_plain(results), indent=1) + "\n")
 
 

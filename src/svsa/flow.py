@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .geometry import distance_to_hull
-from .maps import SELECTION_RULES, SetValuedMap
+from .maps import SELECTION_RULES, SetValuedMap, check_rule
 from .maps import _select_from  # noqa: F401  (bench/tracing.py wraps it at this name)
 
 STABLE_ZERO_TOL = 1e-9
@@ -44,26 +44,57 @@ class Curve:
                   np.column_stack([self.times, self.points]))
 
 
+def _start(H: SetValuedMap, x0) -> np.ndarray:
+    """x0 as a new float vector, which must be a finite point of R^dimension."""
+    x = np.array(x0, dtype=float)
+    if x.shape != (H.dimension,):
+        raise ValueError(f"start of shape {x.shape} for a map on R^{H.dimension}")
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"start {x.tolist()} is not finite")
+    return x
+
+
 def euler_di(H: SetValuedMap, x0, dt: float, T: float, rule: str = "min_norm",
              rng: np.random.Generator | None = None) -> Curve:
-    """gamma(s_{k+1}) = gamma(s_k) + dt * H.select(gamma(s_k)); deterministic
-    for the min-norm rule, whose curve stays at a state a step leaves bitwise
-    unchanged (-0.0 -> 0.0 is a change): H is pure, so each later step would too."""
+    """gamma(s_{k+1}) = gamma(s_k) + dt * H.select(gamma(s_k), rule, rng).
+
+    The start must be a finite point of R^dimension (ValueError), and the
+    curve raises RuntimeError at its first non-finite state, before selecting
+    there.  A step is draw-free when the rule is min-norm or the value has one
+    row: it takes nothing from ``rng``, and since H is pure its result depends
+    on the state alone.  So once a draw-free step leaves its state bitwise
+    unchanged (-0.0 -> 0.0 is a change), or two draw-free steps in a row come
+    back bitwise to the state they left, every later step would repeat that
+    fixed point or 2-cycle, and the curve is filled with it: the points and
+    the generator state after the call are those of the plain loop."""
     if dt <= 0.0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
+    check_rule(rule)
+    x = _start(H, x0)
     n_steps = int(round(T / dt))
-    x = np.asarray(x0, dtype=float).copy()
     points = np.empty((n_steps + 1, x.shape[0]))
     points[0] = x
+    every_step_draw_free = rule == "min_norm"
+    here, back = x.tobytes(), None  # x, and the state one draw-free step before it
     for k in range(n_steps):
-        y = x + dt * H.select(x, rule, rng)
+        rows = H.generators(x)
+        y = x + dt * H.select_row(rows, rule, rng)
         if not all(map(math.isfinite, y.tolist())):
             raise RuntimeError(f"integration produced a non-finite state at step {k + 1}")
         points[k + 1] = y
-        if rule == "min_norm" and y.tobytes() == x.tobytes():
-            points[k + 2:] = y
-            break
-        x = y
+        there = y.tobytes()
+        if every_step_draw_free or len(rows) == 1:
+            if there == here:
+                points[k + 2:] = y
+                break
+            if there == back:
+                points[k + 2::2] = x
+                points[k + 3::2] = y
+                break
+            back = here
+        else:
+            back = None
+        x, here = y, there
     times = dt * np.arange(n_steps + 1)
     return Curve(times=times, points=points, dt=dt, rule=rule)
 
@@ -80,14 +111,19 @@ def limit_set_estimate(curve: Curve, tail_fraction: float) -> np.ndarray:
 def recurrence_proxy(H: SetValuedMap, x, T: float, dt: float, eps_return: float,
                      tau_min: float, rules: Sequence[str] = SELECTION_RULES,
                      rng: np.random.Generator | None = None, restarts: int = 3) -> bool:
-    """True iff some integrated curve from x returns within ``eps_return`` of x
-    at a time >= tau_min.  One-sided: False only means no witness was found
-    under the given selection rules and random restarts."""
+    """True iff some integrated curve from x returns within ``eps_return``
+    (>= 0) of x at a time >= tau_min.  One-sided: False only means no witness
+    was found under the given selection rules, one curve for min-norm and
+    ``restarts`` (>= 1) for each random rule."""
     if tau_min >= T:
         raise ValueError("tau_min must be smaller than the horizon T")
-    x = np.asarray(x, dtype=float)
+    if not eps_return >= 0.0:
+        raise ValueError("eps_return must be >= 0")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    x = _start(H, x)
     for rule in rules:
-        reps = 1 if rule == "min_norm" else max(1, restarts)
+        reps = 1 if rule == "min_norm" else restarts
         for _ in range(reps):
             try:
                 curve = euler_di(H, x, dt, T, rule=rule, rng=rng)
@@ -130,7 +166,7 @@ def stable_zero_check(H: SetValuedMap, x, T: float, dt: float, trials: int,
     ``trials`` randomized selections) to stay within 10*dt*(1 + ||x||) of x."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    x = np.asarray(x, dtype=float)
+    x = _start(H, x)
     if distance_to_hull(np.zeros(x.shape[0]), H.evaluate(x)) > STABLE_ZERO_TOL:
         return False
     # First-order wobble allowance: one Euler step moves at most dt*C(1+||x||).

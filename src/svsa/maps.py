@@ -51,7 +51,11 @@ class SetValuedMap:
         ``_select_from(self.evaluate(x), rule, rng)`` bit for bit and draw for
         draw, with no polytope for one row (``1.0 * g`` is a copy of g)."""
         check_rule(rule)
-        rows = self.generators(np.asarray(x, dtype=float))
+        return self.select_row(self.generators(np.asarray(x, dtype=float)), rule, rng)
+
+    def select_row(self, rows, rule: str, rng: np.random.Generator | None) -> np.ndarray:
+        """``select`` on the rows ``generators(x)`` returned, for a rule already
+        checked: a lone row is taken as is, with no draw."""
         if len(rows) == 1:
             return self.sign * rows[0]
         return _select_from(self._hull(rows), rule, rng)

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svsa.engine import shb_flow_map
 from svsa.flow import (Curve, euler_di, limit_set_estimate, lyapunov_check,
@@ -87,6 +89,23 @@ class TestEulerDi:
             euler_di(watched, x0, dt, 10 * dt)
         assert len(seen) == step and np.isfinite(seen).all()
 
+    @pytest.mark.parametrize("make, x0", [
+        (lambda: negate(clarke_map(abs_value())), [0.5, 0.5]),
+        (lambda: shb_flow_map(half_square_norm(2), 1.0), [1.0, 1.0, 0.0]),
+        (lambda: game_map(matching_pennies()), [0.5] * 5),
+        (lambda: attract_origin(), 0.5),
+    ], ids=["sign_2d", "heavy_ball_3d", "pennies_5d", "scalar"])
+    def test_start_of_the_wrong_dimension_rejected(self, make, x0):
+        with pytest.raises(ValueError, match="start of shape"):
+            euler_di(make(), x0, 0.1, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_start_rejected_before_selecting(self, bad):
+        H, calls = _counting(lambda x: -x, 2)
+        with pytest.raises(ValueError, match="is not finite"):
+            euler_di(H, [0.0, bad], 0.1, 1.0)
+        assert calls == []
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             euler_di(attract_origin(), [1.0], 0.0, 1.0)
@@ -128,10 +147,70 @@ class TestFixedPointStop:
 
     @pytest.mark.parametrize("rule", ["random_vertex", "random_hull"])
     def test_random_rules_never_stop_early(self, rule):
-        H, calls = _counting(lambda x: np.zeros(1), 1)
-        curve = euler_di(H, [0.3], 0.1, 2.0, rule=rule, rng=np.random.default_rng(0))
+        # Two equal zero rows: every random step draws, so the bitwise repeat
+        # of the state proves nothing and all 20 steps are taken.
+        calls = []
+
+        def generators(x):
+            calls.append(x.copy())
+            return np.zeros((2, 1))
+        H = SetValuedMap(1, generators)
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        curve = euler_di(H, [0.3], 0.1, 2.0, rule=rule, rng=rng)
         assert len(calls) == 20
         assert np.all(curve.points == 0.3)
+        assert curve.points.tobytes() == reference_euler(H, [0.3], 0.1, 2.0, rule,
+                                                         ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("rule", ["random_vertex", "random_hull"])
+    def test_random_rules_stop_at_a_single_row_fixed_point(self, rule):
+        # A lone row is selected with no draw, so the first step that leaves
+        # the state as it is proves every later one would too.
+        H, calls = _counting(lambda x: np.zeros(1), 1)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        curve = euler_di(H, [0.3], 0.1, 2.0, rule=rule, rng=rng)
+        assert len(calls) == 1 and curve.n_points == 21
+        assert np.all(curve.points == 0.3)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    def test_sign_descent_stops_once_it_chatters(self, rule):
+        # 0.625 -> 0.375 -> 0.125 -> -0.125 -> 0.125 (exact in binary): off the
+        # kink every value is one row, and the fourth step returns to the state
+        # two steps back, so the other 4 of the 8 steps alternate the last two.
+        base = clarke_map(abs_value())
+        calls = []
+
+        def generators(x):
+            calls.append(x.copy())
+            return base.generators(x)
+        H = negate(SetValuedMap(1, generators))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        curve = euler_di(H, [0.625], 0.25, 2.0, rule=rule, rng=rng)
+        assert len(calls) == 4
+        assert curve.points[:, 0].tolist() == [0.625, 0.375, 0.125] + [-0.125, 0.125] * 3
+        assert rng.bit_generator.state == before
+        assert curve.points.tobytes() == reference_euler(H, [0.625], 0.25, 2.0, rule,
+                                                         rng).tobytes()
+
+    def test_a_draw_between_draw_free_steps_breaks_the_cycle_test(self):
+        # 1 -> 0 is draw-free, 0 draws 1 or 2, and 2 -> 1 is draw-free again:
+        # 1 is the state two steps back, but the next step goes on to 0, not 2.
+        calls = []
+
+        def generators(x):
+            calls.append(x.copy())
+            return np.array([[1.0], [2.0]]) if x[0] == 0.0 else np.array([[-1.0]])
+        H = SetValuedMap(1, generators)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        curve = euler_di(H, [1.0], 1.0, 30.0, rule="random_vertex", rng=rng)
+        assert len(calls) == 30 and 2.0 in curve.points
+        assert curve.points.tobytes() == reference_euler(H, [1.0], 1.0, 30.0, "random_vertex",
+                                                         ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("rule", SELECTION_RULES)
     @pytest.mark.parametrize("name", ["pennies_equilibrium", "rps_equilibrium",
@@ -213,6 +292,19 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             recurrence_proxy(attract_origin(), [1.0], 1.0, 0.1, 0.1, 2.0)
 
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -5},
+                                        {"eps_return": -1e-3}, {"eps_return": math.nan}])
+    def test_arguments_validated(self, kwargs):
+        args = {"eps_return": 0.1, **kwargs}
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            recurrence_proxy(attract_origin(), [1.0], 1.0, 0.1, tau_min=0.5,
+                             rng=np.random.default_rng(0), **args)
+
+    def test_infinite_start_is_an_error_not_a_missing_witness(self):
+        with pytest.raises(ValueError, match="is not finite"):
+            recurrence_proxy(attract_origin(), [math.inf], 1.0, 0.1, 0.1, 0.5,
+                             rng=np.random.default_rng(0))
+
 
 class TestLyapunov:
     def test_gradient_flow_of_abs_decreases(self):
@@ -275,6 +367,11 @@ class TestStableZero:
         H = singleton_map(1, lambda x: np.array([1.0]))
         assert not stable_zero_check(H, [0.0], 1.0, 1e-3, trials=3,
                                      rng=np.random.default_rng(2))
+
+    def test_start_of_the_wrong_dimension_is_no_certificate(self):
+        # At [0, 0] the 1-D sign map's value holds 0, but the point is not in R^1.
+        with pytest.raises(ValueError, match="start of shape"):
+            stable_zero_check(negate(clarke_map(abs_value())), [0.0, 0.0], 0.3, 1e-3, 1)
 
     def test_zero_that_leaks_is_rejected(self):
         # 0 belongs to the value at the origin, but selections can run away.
@@ -366,3 +463,32 @@ def test_euler_curves_match_frozen_reference(name, rule):
     # Every Euler point and the generator state after the run are pinned bit
     # for bit; any change to a selection or its draws shows here.
     assert _frozen_curve(name, rule) == FROZEN_EULER[name, rule]
+
+
+@st.composite
+def _euler_problems(draw):
+    """An EULER_CASES map with a start drawn from its case: the case's own
+    (kinks and equilibria among them), shifted off it, or shifted by a whole
+    number of steps plus a fraction of one, where sign descent chatters."""
+    name = draw(st.sampled_from(sorted(EULER_CASES)))
+    make, x0, _, _, _ = EULER_CASES[name]
+    dt = draw(st.sampled_from([1e-2, 5e-2, 0.1, 0.25]))
+    x0 = np.array(x0, dtype=float)
+    start = draw(st.sampled_from(["case", "shifted", "chatter"]))
+    if start != "case":
+        unit = 1.0 if start == "shifted" else dt
+        x0 = x0 + unit * np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=x0.shape[0],
+                                                 max_size=x0.shape[0])))
+    n_steps = draw(st.integers(1, 60))
+    return make(), x0, dt, n_steps * dt, draw(st.sampled_from(SELECTION_RULES)), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_euler_problems())
+def test_euler_curves_are_the_plain_loop_from_drawn_starts(problem):
+    H, x0, dt, T, rule, seed = problem
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    curve = euler_di(H, x0, dt, T, rule=rule, rng=rng)
+    assert curve.points.tobytes() == reference_euler(H, x0, dt, T, rule, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
