@@ -42,8 +42,9 @@ hull distances and projections).
 It compares byte for byte: every summary.json, trajectory.csv and checkpoint
 sidecar, manifest.json without its ``files`` list, every diagnose exit code
 and standard output, every checkpoint's measure digests, and the flow curves,
-generator states and results.  A run stores every checkpoint as its sidecar alone, so a file
-that only one checkout writes, a checkpoint CSV included, is a difference.
+generator states and results.  A run stores every checkpoint as its sidecar
+alone, so a file that only one checkout writes, a checkpoint CSV included, is
+a difference.
 Every JSON file and every diagnose standard output, on both sides, must also
 parse as strict JSON, with ``NaN`` and ``Infinity`` rejected (JSON has
 neither); each that does not is printed as ``NOT JSON: <file>``.  It prints
