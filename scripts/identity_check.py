@@ -47,9 +47,13 @@ alone, so a file that only one checkout writes, a checkpoint CSV included, is
 a difference.
 Every JSON file and every diagnose standard output, on both sides, must also
 parse as strict JSON, with ``NaN`` and ``Infinity`` rejected (JSON has
-neither); each that does not is printed as ``NOT JSON: <file>``.  It prints
-each difference and exits 1 if there is a difference or a file that is not
-JSON, 0 otherwise.
+neither); each that does not is printed as ``NOT JSON: <file>``.  Within each
+side, every diagnose must also exit 0 and print its seed's summary.json entry
+for that checkpoint on every key, with ``sidecar`` the checkpoint's sidecar,
+since ``run`` and ``diagnose`` make an entry by the same call; each that does
+not is printed as ``NOT THE SUMMARY: <file>``.  It prints each difference and
+exits 1 if there is a difference, a file that is not JSON or a diagnose that
+is not the summary, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -331,7 +335,29 @@ def not_json(out: Path) -> list[str]:
     return bad
 
 
-def run_side(checkout: Path, out: Path) -> tuple[dict[str, bytes], list[str]]:
+def not_the_summary(out: Path) -> list[str]:
+    """The diagnose outputs under ``out`` that failed or differ on some key from
+    the summary entry of their checkpoint, ``sidecar`` from its sidecar file."""
+    def canonical(doc) -> str:
+        return json.dumps(doc, sort_keys=True)
+
+    bad = []
+    for path in sorted((out / "diagnose").rglob("*.txt")):
+        rel = path.relative_to(out / "diagnose")
+        status, _, text = path.read_text().partition("\n")
+        summary = json.loads((out / "runs" / rel.parent / "summary.json").read_text())
+        iteration = int(rel.stem.split("_")[1])
+        want = [c for c in summary["checkpoints"] if c["iteration"] == iteration]
+        sidecar = json.loads((out / "runs" / rel.with_suffix(".json")).read_text())
+        entry = json.loads(text) if status == "exit 0" else {}  # a failure prints nothing
+        printed_sidecar = entry.pop("sidecar", None)
+        if ([canonical(entry)] != [canonical(c) for c in want]
+                or canonical(printed_sidecar) != canonical(sidecar)):
+            bad.append(f"{out.name}/diagnose/{rel}")
+    return bad
+
+
+def run_side(checkout: Path, out: Path) -> tuple[dict[str, bytes], list[str], list[str]]:
     shutil.rmtree(out, ignore_errors=True)  # a rerun in the same --work starts afresh
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
@@ -340,7 +366,7 @@ def run_side(checkout: Path, out: Path) -> tuple[dict[str, bytes], list[str]]:
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: producing the runs failed ({proc.returncode}):\n"
                          f"{proc.stderr[-3000:]}")
-    return compared_files(out), not_json(out)
+    return compared_files(out), not_json(out), not_the_summary(out)
 
 
 def main(argv=None) -> int:
@@ -358,20 +384,23 @@ def main(argv=None) -> int:
 
     with contextlib.ExitStack() as stack:
         work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        before, bad = run_side(args.baseline, work / "before")
-        after, bad_after = run_side(ROOT, work / "after")
+        before, bad, unlike = run_side(args.baseline, work / "before")
+        after, bad_after, unlike_after = run_side(ROOT, work / "after")
         bad += bad_after
+        unlike += unlike_after
         differ = sorted(rel for rel in before.keys() | after.keys()
                         if before.get(rel) != after.get(rel))
         for rel in differ:
             print(f"DIFFERS: {rel}")
         for rel in bad:
             print(f"NOT JSON: {rel}")
+        for rel in unlike:
+            print(f"NOT THE SUMMARY: {rel}")
         compared = len(before.keys() | after.keys())
         print(f"{compared - len(differ)} of {compared} files identical "
               f"({sum(rel.startswith('diagnose') for rel in after)} diagnose outputs, "
               f"{sum(rel.startswith('measures') for rel in after)} measure digests)")
-    return 1 if differ or bad else 0
+    return 1 if differ or bad or unlike else 0
 
 
 if __name__ == "__main__":

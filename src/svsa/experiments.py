@@ -455,18 +455,20 @@ def checkpoint_iterations(n_steps: int, base: int) -> list[int]:
 
 
 def _checkpoint_diagnostics(measures: Sequence[OccupationMeasure], iterations: Sequence[int],
-                            diag: dict, states=None, f: MaxOfSmoothFunction | None = None,
-                            problem_map=None) -> tuple[list[dict], list[dict]]:
-    """The entries and cell residences of a run's checkpoints, the measures of
-    its first ``iterations`` ``states``, with the circulation of the objective
-    ``f`` when given.  The field is evaluated once on the states.  Consecutive
-    prefixes whose positions span the same box, bit for bit (``tobytes`` tells
-    -0.0 from 0.0), share one bank and one pass over the samples of the last."""
+                            diag: dict, problem: Problem | None) -> tuple[list[dict], list[dict]]:
+    """The entries and cell residences of the checkpoints at ``iterations``,
+    each measure a prefix of the last, for ``run`` and ``diagnose`` alike.  The
+    ``problem`` adds its objective's circulation (the field evaluated once, on
+    the last positions) and centroid gaps; a loose measure has none.  Prefixes
+    whose positions span the same box, bit for bit (``tobytes`` tells -0.0 from
+    0.0), share one bank and one pass over the samples of the last."""
     def box(k):
         m = measures[k]
         return m.positions.min(axis=0).tobytes() + m.positions.max(axis=0).tobytes()
 
-    run_field = _circulation_field(f, states) if f is not None else None
+    f = problem.objective if problem is not None and diag["circulation"] else None
+    run_field = _circulation_field(f, measures[-1].positions) if f is not None else None
+    probes = diag["centroid_probes"] if problem is not None else None
     q, cell = float(diag["velocity_moment_order"]), float(diag["residence_cell_size"])
     entries, residences = [], []
     for _, run in itertools.groupby(range(len(measures)), box):
@@ -494,12 +496,12 @@ def _checkpoint_diagnostics(measures: Sequence[OccupationMeasure], iterations: S
         if f is not None:
             for entry, value in zip(new, _prefix_circulations(group, run_field[:i])):
                 entry["circulation"] = {"min_norm_subgradient": value}
-        probes = diag.get("centroid_probes")
         for entry, measure in zip(new, group if probes else ()):
             h = plugin_bandwidth(measure)
             try:
-                gap = (centroid_membership_gap(measure, problem_map, np.asarray(probes, float), h)
-                       if problem_map is not None else None)
+                gap = (centroid_membership_gap(measure, problem.velocity_map,
+                                               np.asarray(probes, float), h)
+                       if problem.velocity_map is not None else None)
             except UndefinedEstimateError:
                 gap = None
             entry["centroid"] = {"bandwidth": h, "probes": probes, "gap": gap}
@@ -529,14 +531,10 @@ def _run_chunk(doc: dict, seeds: Sequence[int], root: Path | None) -> list[dict]
 def _seed_results(config: ExperimentConfig, traj: Trajectory, seed: int,
                   root: Path | None) -> dict:
     """The diagnostics, summary and artifacts (under ``root``/<seed>) of one seed's run."""
-    prob = config.problem
+    prob, diag = config.problem, config.diagnostics
     iterations = checkpoint_iterations(traj.n_steps, config.checkpoint_base)
     measures = [accumulate(traj, upto=i) for i in iterations]
-
-    diag = config.diagnostics
-    checkpoints, residences = _checkpoint_diagnostics(
-        measures, iterations, diag, traj.states[:traj.n_steps],
-        prob.objective if diag["circulation"] else None, prob.velocity_map)
+    checkpoints, residences = _checkpoint_diagnostics(measures, iterations, diag, prob)
 
     summary: dict = {
         "experiment": config.name,
@@ -613,6 +611,8 @@ def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
     if out_dir is not None:
         root = Path(out_dir) / config.name
         root.mkdir(parents=True, exist_ok=True)
+        # diagnose would read an earlier run's config for this run's checkpoints
+        (root / "manifest.json").unlink(missing_ok=True)
 
     workers = min(jobs, len(seed_list))
     if workers == 1:
@@ -643,20 +643,30 @@ def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
 
 
 def diagnose_checkpoint(csv_path) -> dict:
-    """Recompute the measure-level diagnostics of a serialized checkpoint.
-
-    Uses the run's diagnostics block from the sidecar (defaults for a sidecar
-    without one), checked by the same rules as a config's, and the same bank
-    construction as the pipeline (box from the stored samples, fixed bump
-    seed), so values match the original report exactly.  Circulation and
-    centroid probes need the problem, so they are left out.
-    """
+    """A checkpoint's entry, recomputed by ``run``'s own call with the sidecar's
+    diagnostics block (checked by a config's rules).  The problem comes from
+    the ``manifest.json`` two directories up when its ``files`` list this
+    sidecar, so the entry equals the summary's on every key; any other
+    checkpoint (a loose measure, a seed directory an earlier run left under
+    the same name) has no ``circulation`` or ``centroid``."""
     measure, meta = load_checkpoint(csv_path)
     if not _is_count(meta.get("iteration"), 1):
         raise ValueError("checkpoint sidecar: a positive integer iteration required")
     block = meta.get("diagnostics", {})
     _check(_problems(block, "diagnostics", _DIAGNOSTICS))
-    diag = {**_diagnostics_from_doc(block, measure.dimension), "centroid_probes": None}
-    entry = _checkpoint_diagnostics([measure], [meta["iteration"]], diag)[0][0]
+    diag, problem = _diagnostics_from_doc(block, measure.dimension), None
+    seed_dir = Path(csv_path).absolute().parent  # a relative path has its directories too
+    manifest = seed_dir.parent / "manifest.json"
+    if manifest.exists():
+        try:
+            run = json.loads(manifest.read_text())
+            files = run.get("files") if isinstance(run, dict) else None
+            if isinstance(files, list) and f"{seed_dir.name}/{Path(csv_path).stem}.json" in files:
+                problem = ExperimentConfig.from_doc(run.get("config")).problem
+                if sum(map(len, problem.start)) != measure.dimension:
+                    raise ValueError("its config's state is not the checkpoint's dimension")
+        except ValueError as exc:  # not JSON, or a config that no longer builds
+            raise ValueError(f"{manifest.name}: {exc}") from exc
+    entry = _checkpoint_diagnostics([measure], [meta["iteration"]], diag, problem)[0][0]
     entry["sidecar"] = meta
     return finite(entry)

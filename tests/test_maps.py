@@ -136,6 +136,27 @@ class TestSelectSubgradient:
             assert (sign * g).tobytes() == ref.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["abs", "quad", "maxsq"]), st.integers(1, 4), st.booleans(),
+           st.data())
+    def test_min_norm_rows_do_not_depend_on_their_stack(self, family, n, wide, data):
+        # A checkpoint's circulation field is the run's field cut at its prefix:
+        # each row's min-norm selection reads that row alone, so the selections
+        # on any split of a stack into runs of rows are the same runs of the
+        # selection on the whole, kinks included.  With ``wide`` the stack is
+        # the left columns of a wider array, as a heavy-ball state's q part is.
+        f = {"abs": lambda k: abs_value(), "quad": half_square_norm,
+             "maxsq": max_of_squares}[family](n)
+        n = f.dimension
+        X = np.array(data.draw(st.lists(tied_points(n), min_size=1, max_size=40)))
+        if wide:
+            X = np.hstack([X, np.ones((len(X), 2))])[:, :n]
+        whole = select_subgradients(f, X, "min_norm", None)
+        cuts = sorted({0, len(X), *data.draw(st.lists(st.integers(0, len(X)), max_size=6))})
+        for a, b in zip(cuts, cuts[1:]):
+            assert select_subgradients(f, X[a:b], "min_norm", None).tobytes() == \
+                whole[a:b].tobytes()
+
     def test_kink_goes_through_the_rule(self):
         rng = np.random.default_rng(0)
         assert select_subgradients(abs_value(), np.zeros((1, 1)), "min_norm", None)[0, 0] == 0.0
