@@ -445,8 +445,9 @@ def shb_single_variable_coefficients(alphas, betas) -> tuple[np.ndarray, np.ndar
 
 
 def shb_flow_map(f: MaxOfSmoothFunction, c: float) -> SetValuedMap:
-    """The continuous-time companion of the heavy-ball recursion:
-    H(q, p) = {-c p} x (subdiff(f)(q) - p)."""
+    """H(q, p) = {-c p} x (subdiff(f)(q) - p): the heavy-ball flow in the
+    coordinates (q, -p).  The recursion's recorded (q, p) velocities follow its
+    reflection by p -> -p, {c p} x (-subdiff(f)(q) - p)."""
     m_dim = f.dimension
 
     def generators(x):  # a list of rows: off the kinks select takes its one row as is

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 import svsa.engine as engine_mod
 from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
                          run_fictitious_play_seeds, run_sa, run_sa_seeds, run_sgd,
-                         run_sgd_seeds, run_shb, run_shb_seeds, sa_step,
+                         run_sgd_seeds, run_shb, run_shb_seeds, sa_step, shb_flow_map,
                          shb_single_variable_coefficients)
 from svsa.games import Game, game_from_json, generalized_rps, matching_pennies
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
@@ -286,6 +286,20 @@ class TestRunShb:
         np.testing.assert_array_equal(traj.steps, [0.2, 0.2, 0.2])
         recomputed = (traj.states[1:] - traj.states[:-1]) / traj.steps[:, None]
         np.testing.assert_array_equal(recomputed, traj.velocities)
+
+    @pytest.mark.parametrize("beta", [1e-4, 1e-3])
+    def test_recorded_velocities_follow_the_reflected_flow_map(self, beta):
+        # v_{j+1} = (c p_{j+1}, -q_j - p_j) is {c p} x (-grad f(q) - p) at x_j up
+        # to c (p_{j+1} - p_j) = O(beta): shb_flow_map reflected by p -> -p.
+        c, flip = 1.5, np.array([1.0, -1.0])
+        traj = run_shb(half_square_norm(1), StepSchedule.constant(c * beta),
+                       StepSchedule.constant(beta), NoiseModel.none(), 2000, 100.0, 0, [1.0])
+        H = shb_flow_map(half_square_norm(1), c)
+        X = traj.states[:-1]
+        reflected = np.array([flip * H.select(flip * x, "min_norm", None) for x in X])
+        as_is = np.array([H.select(x, "min_norm", None) for x in X])
+        assert np.abs(traj.velocities - reflected).max() < 3 * beta
+        assert np.abs(traj.velocities - as_is).max() > 1.0
 
 
 class TestFictitiousPlay:

@@ -448,12 +448,13 @@ def _diagnose(path) -> tuple[int, str]:
 
 def _write_sample_csvs(doc, seed, iterations, directory):
     """The checkpoint CSVs and sidecars that save_checkpoint writes for a run's
-    prefix measures, as every checkpoint was stored before sidecar-only ones."""
-    config = ExperimentConfig.from_doc(doc)
-    traj = next(experiments._build_runs(config, [seed]))
+    prefix measures, as every checkpoint was stored before sidecar-only ones,
+    with the diagnostics block that the run writes."""
+    traj = next(experiments._build_runs(ExperimentConfig.from_doc(doc), [seed]))
     for i in iterations:
         save_checkpoint(accumulate(traj, upto=i), Path(directory) / f"checkpoint_{i}.csv",
-                        iteration=i, seed=seed, diagnostics=config.diagnostics, prefix=False)
+                        iteration=i, seed=seed, diagnostics=doc.get("diagnostics", {}),
+                        prefix=False)
 
 
 LAYOUT_PROBLEMS = {
@@ -696,6 +697,66 @@ class TestDiagnoseManifest:
         assert "circulation" in diagnosed and _dumps(diagnosed) == _dumps(entry)
 
 
+# The diagnostics block of a sidecar written before sidecars kept the config's
+# own: the config's block merged over every default of the time.
+MERGED_DEFAULTS = {"bank_degree": 3, "bank_bumps": 4, "bank_seed": 7,
+                   "velocity_moment_order": 2.0, "residence_cell_size": 0.02,
+                   "essential_threshold": 0.05, "centroid_probes": None, "circulation": True}
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestSidecarDiagnosticsBlock:
+    @pytest.mark.parametrize("block", [None, {"residence_cell_size": 0.05, "bank_degree": 2}],
+                             ids=["no_block", "block"])
+    @pytest.mark.parametrize("kind", sorted(ONE_PATH_PROBLEMS))
+    def test_a_new_default_writes_no_bytes(self, tmp_path, monkeypatch, kind, block):
+        # An opt-in diagnostic adds its key with a default, as below; a config
+        # that does not set it writes and diagnoses the bytes it did before.
+        doc = {"name": "opt_in", "n_steps": 300, "seeds": [1, 2], "checkpoint_base": 50,
+               **ONE_PATH_PROBLEMS[kind][0], **({} if block is None else {"diagnostics": block})}
+
+        def outputs(out):
+            run_experiment(doc, out_dir=out)
+            diagnosed = {p: _diagnose(p.with_suffix(".csv"))
+                         for p in sorted(out.rglob("checkpoint_*.json"))}
+            return _files(out), {str(p.relative_to(out)): d for p, d in diagnosed.items()}
+
+        before = outputs(tmp_path / "before")
+        rule = (lambda v: v in ("cumulative", "window"), "cumulative or window")
+        monkeypatch.setitem(experiments._DIAGNOSTIC_KEYS, "extra_rule", ("cumulative", rule))
+        monkeypatch.setitem(experiments.DEFAULT_DIAGNOSTICS, "extra_rule", "cumulative")
+        monkeypatch.setitem(experiments._DIAGNOSTICS, "extra_rule", rule)
+        assert ExperimentConfig.from_doc(doc).diagnostics["extra_rule"] == "cumulative"
+        after = outputs(tmp_path / "after")
+        assert before[1] and all(code == 0 for code, _ in before[1].values())
+        assert after == before
+
+    @pytest.mark.parametrize("block", [None, {"bank_degree": 2, "centroid_probes": [[0.0]]}],
+                             ids=["no_block", "block"])
+    def test_a_sidecar_with_the_merged_block_diagnoses_alike(self, tmp_path, block):
+        # Older versions wrote the merged block; it diagnoses to the same entry,
+        # which echoes the sidecar as it is.
+        doc = {**sgd_doc(n_steps=2000, seeds=(1,), base=500),
+               **({} if block is None else {"diagnostics": block})}
+        run_experiment(doc, out_dir=tmp_path)
+        sidecars = sorted((tmp_path / "sgd_abs_small" / "1").glob("checkpoint_*.json"))
+        assert len(sidecars) == 3
+        for path in sidecars:
+            meta = json.loads(path.read_text())
+            assert meta["diagnostics"] == (block or {})
+            code, text = _diagnose(path.with_suffix(".csv"))
+            old = {**meta, "diagnostics": {**MERGED_DEFAULTS, **(block or {})}}
+            path.write_text(json.dumps(old))
+            old_code, old_text = _diagnose(path.with_suffix(".csv"))
+            entry, old_entry = json.loads(text), json.loads(old_text)
+            assert code == old_code == 0 and "circulation" in entry
+            assert entry.pop("sidecar") == meta and old_entry.pop("sidecar") == old
+            assert _dumps(old_entry) == _dumps(entry)
+
+
 class TestPrefixReader:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(READER_PROBLEMS)), st.integers(1, 3) | st.integers(4, 300),
@@ -840,6 +901,8 @@ class TestCli:
          "diagnostics.bank_degree: a non-negative integer required"),
         (lambda doc: doc.update(diagnostics={"bank_degree": 9}),
          "diagnostics.bank_degree: at most 8, and at most 3002 monomials in 1 dimensions"),
+        (lambda doc: doc.update(diagnostics={"bank_bumps": 100000000000}),
+         "diagnostics.bank_bumps: at most 3002 required"),
         (lambda doc: doc.update(problem={"kind": "custom_map", "map": "attract_origin",
                                          "dim": 7, "x0": [0.5] * 7},
                                 diagnostics={"bank_degree": 7}),
@@ -927,7 +990,7 @@ class TestCli:
             "unknown_game_argument", "heavy_ball_beta_above_1", "profile_missing_a_player",
             "unknown_game", "unknown_custom_map", "sign_descent_in_2d",
             "negative_cell_size", "zero_threshold", "moment_order_1", "fractional_bumps",
-            "negative_degree", "degree_above_8", "bank_above_3002_monomials",
+            "negative_degree", "degree_above_8", "bumps_above_3002", "bank_above_3002_monomials",
             "default_degree_in_30_dimensions", "circulation_not_a_bool", "probe_of_wrong_dimension",
             "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool",
             "step_underflow", "heavy_ball_alpha_underflow", "step_overflow", "seed_is_a_bool",
@@ -1125,6 +1188,7 @@ class TestCli:
         lambda meta: meta.update(diagnostics="x"),
         lambda meta: meta["diagnostics"].update(residence_cell_size=-1),
         lambda meta: meta["diagnostics"].update(residence_cell_size=1e-300),
+        lambda meta: meta["diagnostics"].update(bank_bumps=100000000000),
         lambda meta: meta.update(iteration=True),
         lambda meta: meta.update(iteration=-5),
         lambda meta: meta.update(iteration=0),
@@ -1132,7 +1196,7 @@ class TestCli:
         lambda meta: meta.update(iteration=10**30),
         lambda meta: meta.update(dimension=2**40),
     ], ids=["no_iteration", "no_dimension", "diagnostics_not_an_object", "negative_cell_size",
-            "cell_index_beyond_int64", "iteration_a_bool", "negative_iteration", "zero_iteration",
+            "cell_index_beyond_int64", "bumps_above_3002", "iteration_a_bool", "negative_iteration", "zero_iteration",
             "iteration_2_63", "iteration_10_30", "dimension_2_40"])
     def test_bad_sidecar_is_reported(self, tmp_path, capsys, edit):
         cfg = tmp_path / "cfg.json"
@@ -1286,9 +1350,11 @@ FUZZ_BASES = {
 }
 
 # Fields that size the work of a run, bounded so each example stays small.  The
-# bank holds C(degree + dimension, dimension) - 1 monomials; from_doc bounds its
-# degree, and one past that bound is drawn too.
-WORK_CAPS = {"n_steps": 200, "bank_degree": experiments.MAX_BANK_DEGREE + 1, "bank_bumps": 20}
+# bank holds C(degree + dimension, dimension) - 1 monomials and its bumps;
+# from_doc bounds the degree and the bump count, and one past each bound is
+# drawn too.
+WORK_CAPS = {"n_steps": 200, "bank_degree": experiments.MAX_BANK_DEGREE + 1,
+             "bank_bumps": experiments.MAX_BANK_MONOMIALS + 1}
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6)
