@@ -4,7 +4,7 @@ integration of the underlying velocity inclusion, and finite-action game
 dynamics."""
 
 from .engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
-                     run_sa, run_sgd, run_shb, sa_step, shb_flow_map,
+                     run_sa, run_sgd, run_shb, shb_flow_map,
                      shb_single_variable_coefficients)
 from .flow import (Curve, euler_di, limit_set_estimate, lyapunov_check,
                    recurrence_proxy, stable_zero_check)

@@ -4,8 +4,8 @@
     svsa validate <config.json>
     svsa diagnose <checkpoint.csv>
 
-Exit codes: 0 success, 1 invalid config or usage, 2 a run escaped under strict
-mode, 3 I/O failure.
+Exit codes: 0 success, 1 invalid config or usage, or a run too large for
+memory, 2 a run escaped under strict mode, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ def _cmd_run(args) -> int:
                      f"got {args.seeds!r}", EXIT_CONFIG)
     except OSError as exc:
         return _fail(f"i/o failure: {exc}", EXIT_IO)
+    except MemoryError as exc:  # the config is valid, but its run does not fit in memory
+        return _fail(f"run too large: {exc}", EXIT_CONFIG)
     for summary in report.seed_summaries:
         clock = summary["elapsed_clock"]  # null when the clock overflowed
         print(f"seed {summary['seed']}: {summary['status']} ({summary['n_steps']} steps, "

@@ -66,25 +66,19 @@ class StepSchedule:
     def constant(cls, a: float) -> "StepSchedule":
         return cls("constant", a)
 
-    def step(self, i: int) -> float:
-        """eps_i in Python arithmetic (``**``, ``math.log``): it may differ from
-        ``values(n)[i]`` (numpy) in the last bit, as on 10 of the first 200
-        steps of power(0.5, 0.6) and 8 of 200k logarithmic steps."""
-        if self.kind == "power":
-            return self.a / (i + 1) ** self.rho
-        if self.kind == "logarithmic":
-            return self.a / math.log(i + 2)
-        return self.a
-
-    def values(self, n: int) -> np.ndarray:
-        i = np.arange(n, dtype=float)
+    def at(self, i: np.ndarray) -> np.ndarray:
+        """eps_i at each of the float indices ``i``: the one arithmetic of a
+        step size.  Every kind is non-increasing in i."""
         # A step past the float range is inf, and (i + 1)^rho past it gives a step of 0.
         with np.errstate(over="ignore"):
             if self.kind == "power":
                 return self.a / (i + 1.0) ** self.rho
             if self.kind == "logarithmic":
                 return self.a / np.log(i + 2.0)
-        return np.full(n, self.a)
+        return np.full(i.shape, self.a)
+
+    def values(self, n: int) -> np.ndarray:
+        return self.at(np.arange(n, dtype=float))
 
     def violations(self) -> list[str]:
         """Non-empty iff the schedule breaks the vanishing/divergence requirements."""
@@ -209,34 +203,6 @@ class Trajectory:
     @property
     def elapsed(self) -> float:
         return float(self.clock[-1])
-
-
-def sa_step(x, i: int, H: SetValuedMap, schedule: StepSchedule, noise: NoiseModel,
-            delta_i: float, rng: np.random.Generator,
-            rule: str = DEFAULT_SELECTION_RULE, eta=None):
-    """One recursion step: x_next = x + eps_i * (y + eta) with y drawn from
-    the delta_i-enlargement of H at x.
-
-    Returns (x_next, v, eta) with v recomputed as (x_next - x)/eps_i so the
-    definitional velocity identity holds bit-exactly.  ``eta`` may be forced
-    for deterministic tests.  A chain of ``sa_step`` calls sharing one rng is
-    not ``run_sa`` with that seed: the noise is drawn after the selection,
-    while ``run_sa`` draws a run's noises before its first step, and eps_i is
-    ``schedule.step(i)``, which may differ from the ``schedule.values`` that
-    ``run_sa`` records in the last bit.
-    """
-    x = np.asarray(x, dtype=float)
-    eps_i = schedule.step(i)
-    if eps_i <= 0.0:
-        raise ValueError("step size must be positive")
-    y = enlargement_sample(H, x, delta_i, rng, rule)
-    if eta is None:
-        eta = noise.sample(1, H.dimension, rng)[0]
-    else:
-        eta = np.asarray(eta, dtype=float)
-    x_next = x + eps_i * (y + eta)
-    v = (x_next - x) / eps_i
-    return x_next, v, eta
 
 
 def _iterate(x0, advance, eps: np.ndarray, seeds: Iterable, guard_radius: float,

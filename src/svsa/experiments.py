@@ -256,8 +256,6 @@ def _resolve_problem(doc: dict, beta: StepSchedule | None, guard_radius: float) 
         c = float(doc.get("c", 1.0))
         if not c * beta.a > 0.0:
             raise ConfigError(["problem.c: a positive number required"])
-        if beta.step(0) > 1.0:
-            raise ConfigError(["schedule: heavy-ball beta steps must not exceed 1"])
         alpha_doc = doc.get("alpha_schedule")
         alpha = (_built(StepSchedule, alpha_doc) if alpha_doc is not None
                  else StepSchedule(beta.kind, c * beta.a, beta.rho))
@@ -349,6 +347,8 @@ class ExperimentConfig:
         n_steps, checkpoint_base = doc["n_steps"], doc.get("checkpoint_base", 1000)
         if n_steps < checkpoint_base:
             raise ConfigError(["n_steps must be at least checkpoint_base"])
+        if n_steps > sys.maxsize:
+            raise ConfigError([f"n_steps: at most {sys.maxsize}, the longest array, required"])
         schedule = _built(StepSchedule, doc["schedule"]) if kind != "fictitious_play" else None
         noise = _built(NoiseModel, doc.get("noise") or {"kind": "none"})  # null: no noise
         delta = doc.get("delta") or {"kind": "zero"}
@@ -358,12 +358,17 @@ class ExperimentConfig:
 
         guard_radius = float(doc.get("guard_radius", 1e3))
         resolved = _resolve_problem(problem, schedule, guard_radius)
-        steps = [(label, s.values(n_steps)) for label, s in
-                 (("schedule", schedule), ("alpha_schedule", resolved.alpha)) if s is not None]
+        # Every step size is non-increasing: its largest is the first and its
+        # smallest the last, so the run's two ends decide the checks of its steps.
+        ends = np.array([0, n_steps - 1], dtype=float)
+        steps = {label: s.at(ends) for label, s in
+                 (("schedule", schedule), ("alpha_schedule", resolved.alpha)) if s is not None}
+        if kind == "shb" and steps["schedule"][0] > 1.0:
+            raise ConfigError(["schedule: heavy-ball beta steps must not exceed 1"])
         _check([f"{label}: the step size reaches 0 within n_steps"
-                for label, eps in steps if not eps.min() > 0.0]
+                for label, (_, last) in steps.items() if not last > 0.0]
                + [f"{label}: the step size passes the float range within n_steps"
-                  for label, eps in steps if not eps.max() < math.inf])
+                  for label, (first, _) in steps.items() if not first < math.inf])
         diagnostics = _diagnostics_from_doc(doc.get("diagnostics", {}),
                                             sum(part.shape[0] for part in resolved.start))
         reach = 1.0 if kind == "fictitious_play" else guard_radius  # a profile is in [0, 1]^n

@@ -101,12 +101,6 @@ class Game:
             tensor = tensor @ np.asarray(strategy, dtype=float)
         return tensor
 
-    def payoff(self, i: int, profile: Sequence) -> float:
-        """Multilinear payoff of player i under a full mixed profile."""
-        own = np.asarray(profile[i], dtype=float)
-        opponents = [profile[j] for j in range(self.n_players) if j != i]
-        return float(own @ self.pure_action_payoffs(i, opponents))
-
 
 def initial_profile(game: Game, xi0: Sequence | None = None) -> list[np.ndarray]:
     """The stage-0 profile of fictitious play: uniform play, or ``xi0``

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 import svsa.engine as engine_mod
 from svsa.engine import (NoiseModel, StepSchedule, Trajectory, run_fictitious_play,
                          run_fictitious_play_seeds, run_sa, run_sa_seeds, run_sgd,
-                         run_sgd_seeds, run_shb, run_shb_seeds, sa_step, shb_flow_map,
+                         run_sgd_seeds, run_shb, run_shb_seeds, shb_flow_map,
                          shb_single_variable_coefficients)
 from svsa.games import Game, game_from_json, generalized_rps, matching_pennies
 from svsa.maps import (SELECTION_RULES, MaxOfSmoothFunction, SetValuedMap, SmoothPiece,
@@ -28,14 +28,18 @@ def attract_origin(dim=1):
 class TestStepSchedule:
     def test_power_values(self):
         s = StepSchedule.power(0.5, 0.6)
-        np.testing.assert_allclose(s.values(3), 0.5 / np.array([1.0, 2.0, 3.0]) ** 0.6)
-        assert s.step(9) == 0.5 / 10.0 ** 0.6
+        np.testing.assert_allclose(s.values(10), 0.5 / np.arange(1.0, 11.0) ** 0.6, rtol=1e-15)
+        assert s.values(10)[9] == s.at(np.array([9.0]))[0]
         assert s.violations() == []
 
     def test_logarithmic_values(self):
         s = StepSchedule.logarithmic(2.0)
-        assert s.step(0) == 2.0 / np.log(2.0)
+        assert s.values(1)[0] == 2.0 / np.log(2.0)
+        assert s.values(3).tobytes() == (2.0 / np.log([2.0, 3.0, 4.0])).tobytes()
         assert s.violations() == []
+
+    def test_constant_values(self):
+        assert StepSchedule.constant(0.1).values(4).tobytes() == np.full(4, 0.1).tobytes()
 
     def test_constant_flagged_non_conforming(self):
         assert StepSchedule.constant(0.1).violations()
@@ -120,33 +124,24 @@ class TestNoiseModel:
         assert NoiseModel.gaussian(1.0).violations() == []
 
 
-class TestSaStep:
-    def test_pull_to_origin(self):
-        x_next, v, eta = sa_step([1.0], 0, attract_origin(), StepSchedule.constant(1.0),
-                                 NoiseModel.none(), 0.0, np.random.default_rng(0))
-        assert x_next[0] == 0.0 and v[0] == -1.0 and eta[0] == 0.0
-
-    def test_forced_noise_arithmetic(self):
-        H = singleton_map(1, lambda x: np.array([-1.0]))
-        x_next, v, _ = sa_step([0.0], 0, H, StepSchedule.constant(0.1),
-                               NoiseModel.none(), 0.0, np.random.default_rng(0),
-                               eta=[0.5])
-        assert abs(x_next[0] - (-0.05)) <= 1e-16
-        assert v[0] == -0.5
-
-    def test_velocity_identity_is_bit_exact(self):
-        rng = np.random.default_rng(3)
-        H = clarke_map(abs_value())
-        x = np.array([0.7])
-        for i in range(20):
-            x_next, v, _ = sa_step(x, i, H, StepSchedule.power(0.3, 0.7),
-                                   NoiseModel.gaussian(1.0), 0.1, rng)
-            eps = StepSchedule.power(0.3, 0.7).step(i)
-            np.testing.assert_array_equal(v, (x_next - x) / eps)
-            x = x_next
-
-
 class TestRunSa:
+    def test_one_step_pulls_to_the_origin(self):
+        traj = run_sa([1.0], attract_origin(), StepSchedule.constant(1.0),
+                      NoiseModel.none(), None, 1, 10.0, 0)
+        assert traj.states[1, 0] == 0.0 and traj.velocities[0, 0] == -1.0
+        assert traj.noises[0, 0] == 0.0
+
+    def test_enlarged_velocity_identity_is_bit_exact(self):
+        # v_{i+1} = (x_{i+1} - x_i)/eps_i with delta > 0, on the recorded steps
+        # of the one arithmetic, values(n).
+        sched = StepSchedule.power(0.3, 0.7)
+        traj = run_sa([0.7], clarke_map(abs_value()), sched, NoiseModel.gaussian(1.0),
+                      StepSchedule.constant(0.1), 20, 100.0, 3)
+        assert traj.n_steps == 20 and traj.steps.tobytes() == sched.values(20).tobytes()
+        assert traj.deltas.tobytes() == np.full(20, 0.1).tobytes()
+        recomputed = (traj.states[1:] - traj.states[:-1]) / traj.steps[:, None]
+        assert recomputed.tobytes() == traj.velocities.tobytes()
+
     def test_geometric_decay(self):
         traj = run_sa([1.0], attract_origin(), StepSchedule.constant(0.5),
                       NoiseModel.none(), None, 3, 10.0, 0)
@@ -576,23 +571,6 @@ def test_direct_calls_run_in_byte_bounded_batches(monkeypatch, engine):
 
 # Frozen reference ---------------------------------------------------------------
 
-def _sa_step_run():
-    # A chain of single steps with delta > 0, laid out like a Trajectory.
-    H = negate(clarke_map(abs_value()))
-    sched, noise = StepSchedule.power(0.5, 0.6), NoiseModel.gaussian(0.3)
-    delta = StepSchedule.power(0.2, 0.5)
-    rng = np.random.default_rng(17)
-    x, states, velocities, noises = np.array([0.5]), [[0.5]], [], []
-    for i in range(200):
-        x, v, eta = sa_step(x, i, H, sched, noise, delta.step(i), rng)
-        states.append(x)
-        velocities.append(v)
-        noises.append(eta)
-    return Trajectory(states=np.array(states), velocities=np.array(velocities),
-                      steps=sched.values(200), deltas=delta.values(200),
-                      noises=np.array(noises), clock=np.zeros(201))
-
-
 FROZEN_RUNS = {
     "sgd_abs": lambda: run_sgd(abs_value(), StepSchedule.power(0.5, 0.6),
                                NoiseModel.gaussian(0.5), 400, 100.0, 1, [1.0]),
@@ -625,7 +603,6 @@ FROZEN_RUNS = {
                                                   xi0=[[0.9, 0.1], [0.3, 0.7]]),
     # Every player ties now and then, up to three ways: the uniform draw over ties.
     "fp_three_player_ties": lambda: run_fictitious_play(game_from_json(THREE_PLAYER_TIES), 400, 5),
-    "sa_step_chain": _sa_step_run,
 }
 
 FROZEN_DIGESTS = {
@@ -664,13 +641,6 @@ FROZEN_DIGESTS = {
         'deltas': 'a928f6e2e8bba452',
         'noises': '83b2e8a74bb472b4',
         'clock': '46b7e1aead74d394'},
-    'sa_step_chain': {
-        'states': '96af95481743ba53',
-        'velocities': 'c98bda1e129c290c',
-        'steps': 'a47f0cb06d40ff46',
-        'deltas': '3a1011108c0ea8b5',
-        'noises': '11d35c66dec3c428',
-        'clock': '4683ac2709594f41'},
     'sgd_abs': {
         'states': '156aa657068b5a7e',
         'velocities': '44dbeacbfc3e12b1',
@@ -721,7 +691,6 @@ FROZEN_FIELDS = {
     'fp_three_player_ties': ('completed', None, None, 5),
     'sa_doubling_escape': ('escaped', 10, 1024.0, 4),
     'sa_sign_descent_delta': ('completed', None, None, 3),
-    'sa_step_chain': ('completed', None, None, None),
     'sgd_abs': ('completed', None, None, 1),
     'sgd_maxsq3_min_norm': ('completed', None, None, 2),
     'sgd_maxsq3_random_hull': ('completed', None, None, 2),

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import svsa.engine as engine
 import svsa.experiments as experiments
 from hypothesis.extra.numpy import arrays
 from svsa.cli import main
-from svsa.engine import Trajectory
+from svsa.engine import StepSchedule, Trajectory
 from svsa.experiments import (DEFAULT_DIAGNOSTICS, ConfigError, ExperimentConfig,
                               _checkpoint_diagnostics, checkpoint_iterations,
                               diagnose_checkpoint, named_function, named_map,
@@ -205,6 +206,53 @@ class TestValidate:
         doc = sgd_doc()
         doc["noise"] = {"kind": "student_t", "df": 1.5, "scale": 1.0, "moment_order": 2.0}
         assert any("student-t" in v for v in validate_config(doc))
+
+
+@st.composite
+def step_checks(draw):
+    """A problem kind, a schedule with its numbers drawn up to the underflow and
+    overflow edges, and a run length."""
+    kind = draw(st.sampled_from(["power", "logarithmic", "constant"]))
+    a = draw(st.floats(5e-324, sys.float_info.max)
+             | st.sampled_from([5e-324, 1e-320, 2.2e-308, 1.0, 1.2e308, 1.25e308,
+                                sys.float_info.max]))
+    rho = draw(st.floats(1e-3, 1e3) | st.sampled_from([1e-3, 0.6, 1.0, 1e3, 1e300]))
+    schedule = StepSchedule(kind, a, rho if kind == "power" else 1.0)
+    return draw(st.sampled_from(["sgd", "shb"])), schedule, draw(st.integers(1, 2**16))
+
+
+def _whole_run_step_problems(problem: str, schedule: StepSchedule, n: int) -> list[str]:
+    """from_doc's step checks made on the whole step array of the run."""
+    eps = schedule.values(n)
+    if problem == "shb" and not eps.max() <= 1.0:
+        return ["schedule: heavy-ball beta steps must not exceed 1"]
+    labels = ["schedule", "alpha_schedule"] if problem == "shb" else ["schedule"]
+    return ([f"{label}: the step size reaches 0 within n_steps"
+             for label in labels if not eps.min() > 0.0]
+            + [f"{label}: the step size passes the float range within n_steps"
+               for label in labels if not eps.max() < math.inf])
+
+
+class TestStepEnds:
+    @settings(max_examples=300, deadline=None)
+    @given(step_checks())
+    def test_the_two_ends_decide_the_step_checks(self, case):
+        problem, schedule, n = case
+        eps = schedule.values(n)
+        assert schedule.at(np.array([0, n - 1], dtype=float)).tobytes() == eps[[0, -1]].tobytes()
+        assert np.all(eps[1:] <= eps[:-1])
+        doc = sgd_doc(n_steps=n, seeds=(1,), base=1)
+        doc["schedule"] = {"kind": schedule.kind, "a": schedule.a}
+        if schedule.kind == "power":
+            doc["schedule"]["rho"] = schedule.rho
+        if problem == "shb":
+            doc["problem"] = dict(SHB_PROBLEM)
+        try:
+            ExperimentConfig.from_doc(doc)
+            problems = []
+        except ConfigError as err:
+            problems = err.problems
+        assert problems == _whole_run_step_problems(problem, schedule, n)
 
 
 class TestRunExperiment:
@@ -834,6 +882,25 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 1
 
+    def test_a_run_too_large_for_memory_is_code_1(self, tmp_path, capsys):
+        # The step sizes of 10**16 steps alone take 80 PB, past any address
+        # space: validate evaluates the schedule at the run's two ends only,
+        # and run reports the failed allocation in one line.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(sgd_doc(n_steps=10**16, seeds=(1,), base=1000)))
+        tracemalloc.start()
+        try:
+            assert main(["validate", str(cfg)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run too large: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unparseable_config_is_code_1(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         for content in (b"{not json", b'{"name": "\xff"}'):
@@ -926,6 +993,10 @@ class TestCli:
         (lambda doc: doc.update(seeds=[True]), "seeds: non-empty list of non-negative integers"),
         (lambda doc: doc.update(checkpoint_base=True), "checkpoint_base: positive integer"),
         (lambda doc: doc.update(n_steps=True), "n_steps: positive integer required"),
+        (lambda doc: doc.update(n_steps=2**63),
+         f"n_steps: at most {sys.maxsize}, the longest array, required"),
+        (lambda doc: doc.update(n_steps=10**400),
+         f"n_steps: at most {sys.maxsize}, the longest array, required"),
         (lambda doc: doc.update(diagnostics={"bank_degree": True}),
          "diagnostics.bank_degree: a non-negative integer required"),
         (lambda doc: doc.update(guard_radius=True), "guard_radius: a number required"),
@@ -994,7 +1065,8 @@ class TestCli:
             "default_degree_in_30_dimensions", "circulation_not_a_bool", "probe_of_wrong_dimension",
             "negative_seed", "name_not_a_directory_name", "strict_bounded_not_a_bool",
             "step_underflow", "heavy_ball_alpha_underflow", "step_overflow", "seed_is_a_bool",
-            "checkpoint_base_is_a_bool", "n_steps_is_a_bool", "bank_degree_is_a_bool",
+            "checkpoint_base_is_a_bool", "n_steps_is_a_bool", "n_steps_2_63", "n_steps_10_400",
+            "bank_degree_is_a_bool",
             "guard_radius_is_a_bool", "nan_payoff", "infinite_payoff", "rps_with_infinite_win",
             "cell_index_beyond_int64", "profile_cell_index_beyond_int64",
             "infinite_step", "alpha_rho_is_a_bool", "infinite_sigma", "moment_order_is_a_string",
@@ -1349,12 +1421,13 @@ FUZZ_BASES = {
     },
 }
 
-# Fields that size the work of a run, bounded so each example stays small.  The
-# bank holds C(degree + dimension, dimension) - 1 monomials and its bumps;
-# from_doc bounds the degree and the bump count, and one past each bound is
-# drawn too.
-WORK_CAPS = {"n_steps": 200, "bank_degree": experiments.MAX_BANK_DEGREE + 1,
+# Fields that size the work of a run.  The bank holds C(degree + dimension,
+# dimension) - 1 monomials and its bumps; from_doc bounds the degree and the
+# bump count, and a larger draw is drawn as one past each bound.
+WORK_CAPS = {"bank_degree": experiments.MAX_BANK_DEGREE + 1,
              "bank_bumps": experiments.MAX_BANK_MONOMIALS + 1}
+# from_doc checks n_steps as drawn; an accepted run takes at most this many steps.
+RUN_STEPS = 200
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6)
@@ -1451,7 +1524,7 @@ class TestFuzzedConfigs:
                     main(["run", str(cfg), "--out", str(out)])
                 assert exc.value.code == 1 and not out.exists()
             return
-        report = run_experiment(doc, out_dir=None)
+        report = run_experiment({**doc, "n_steps": min(doc["n_steps"], RUN_STEPS)}, out_dir=None)
         assert {s["status"] for s in report.seed_summaries} <= {"completed", "escaped"}
 
     @settings(max_examples=100, deadline=None)
@@ -1506,3 +1579,14 @@ class TestCommittedConfigs:
         assert len(docs) == 3
         for doc in docs:
             ExperimentConfig.from_doc(doc)
+
+
+class TestTracerSites:
+    def test_every_traced_name_exists(self, monkeypatch):
+        # bench/tracing.py wraps each of these names under --trace 1; a name
+        # that a change deletes or renames fails here, with nothing installed.
+        tracing = _module(REPO / "bench" / "tracing.py", monkeypatch)
+        sites = tracing._sites()
+        assert sites
+        for owner, attr, *_ in sites:
+            assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
