@@ -12,9 +12,13 @@ goes first, and the file records the runs as "before" and "after".
 BENCH_<n>.json holds ``nproc``, the machine header the harness prints, what
 each side is (its commit, marked when the tree has uncommitted changes, and
 the src/svsa hash the harness prints), every run's end-to-end metrics and
-their medians per workload.  n is one more than the highest existing record,
-or that record's own number when it was made from the same source (a rerun
-before committing replaces it).  The script then prints the relative change
+their medians per workload.  Beside each run's metrics it keeps the raw
+``wall_s`` and the ``host_speed`` of the calibration kernel from the
+harness's table, and the script prints each side's median ``host_speed``: a
+``*_ref_s`` metric is a raw time divided by the kernel's, so two sides that
+ran under different calibration show it there.  n is one more than the
+highest existing record, or that record's own number when it was made from
+the same source (a rerun before committing replaces it).  The script then prints the relative change
 of the medians against the highest-numbered earlier BENCH_*.json (its
 "after" runs), and, with a baseline, after against before.
 """
@@ -32,6 +36,7 @@ from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # alternating pairs per workload: enough to claim a gain on 9 of 10
+TABLE_FIGURES = ("wall_s", "host_speed")  # raw figures of the harness table, kept per run
 
 
 def source_of(checkout: Path) -> str:
@@ -73,7 +78,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "table": table_figures(lines),
             "header": [line for line in lines if line.startswith("# ")]}
+
+
+def table_figures(lines: list[str]) -> dict[str, float]:
+    """``TABLE_FIGURES`` read from the harness's end-to-end table, whose rows
+    are ``  <name> <value> <unit>``; a figure the table lacks is an error."""
+    rows = (re.fullmatch(r"\s+(\w+)\s+(\S+) \S+", line) for line in lines)
+    found = {m.group(1): float(m.group(2)) for m in rows if m and m.group(1) in TABLE_FIGURES}
+    missing = [name for name in TABLE_FIGURES if name not in found]
+    if missing:
+        raise SystemExit(f"the harness table lacks {', '.join(missing)}")
+    return found
 
 
 def medians(runs: list[dict]) -> dict[str, float]:
@@ -116,6 +133,7 @@ def main(argv=None) -> int:
                 runs[label].setdefault(workload, []).append(run)
                 print(f"{workload} seed {seed} {label}: " + ", ".join(
                     f"{k} {v:.6g}" for k, v in run["metrics"].items())
+                    + f"; host_speed {run['table']['host_speed']:.3g}"
                     + f"; failed {run['failed']} of {run['attempted']}", flush=True)
 
     headers = {label: by_workload[names[0]][0]["header"] for label, by_workload in runs.items()}
@@ -135,6 +153,11 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{n}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out.name}")
+    print("host_speed (medians; each *_ref_s metric is a raw time times host_speed):")
+    for workload in names:
+        print(f"  {workload}: " + ", ".join(
+            f"{label} {median(r['table']['host_speed'] for r in by_workload[workload]):.3g}"
+            for label, by_workload in runs.items()))
     if "before" in record["medians"]:
         print_change("after against before (medians):", record["medians"]["before"],
                      record["medians"]["after"])

@@ -617,9 +617,8 @@ def run_experiment(config: "ExperimentConfig | dict", out_dir=None,
         raise ValueError(f"jobs: a positive integer required, not {jobs!r}")
 
     root = None
-    if out_dir is not None:
+    if out_dir is not None:  # made by the first seed that writes: a failed run leaves none
         root = Path(out_dir) / config.name
-        root.mkdir(parents=True, exist_ok=True)
         # diagnose would read an earlier run's config for this run's checkpoints
         (root / "manifest.json").unlink(missing_ok=True)
 

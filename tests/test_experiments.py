@@ -901,6 +901,17 @@ class TestCli:
         assert err.startswith("run too large: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_run_too_large_for_memory_leaves_no_directory(self, tmp_path, capsys, jobs):
+        # 10**16 steps is a size no kernel can grant (see above); the output
+        # directory is made by the first seed that writes, so none is left.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(sgd_doc(n_steps=10**16, seeds=(1, 2), base=1000)))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.startswith("run too large: ")
+        assert not out.exists()
+
     def test_unparseable_config_is_code_1(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         for content in (b"{not json", b'{"name": "\xff"}'):
@@ -1590,3 +1601,18 @@ class TestTracerSites:
         assert sites
         for owner, attr, *_ in sites:
             assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
+
+
+class TestBenchRecord:
+    def test_reads_the_raw_figures_of_the_harness_table(self, monkeypatch):
+        # bench/run.py prints each figure as f"  {name:<18} {value:.6g} {unit}".
+        record = _module(REPO / "scripts" / "bench_record.py", monkeypatch)
+        rows = [("wall_ref_s", 0.49, "s"), ("wall_s", 0.61234, "s"),
+                ("steps_per_s", 163000.0, "1/s"), ("host_speed", 0.801, "ratio")]
+        lines = ["# svsa benchmark: workload sgd_abs_seeds, seed 1, 25.0 s, trace 0",
+                 "end to end (9 untraced passes; ...):",
+                 *(f"  {name:<18} {value:.6g} {unit}" for name, value, unit in rows),
+                 "  failed ops: 0 of 30 attempted", '{"correct": true}']
+        assert record.table_figures(lines) == {"wall_s": 0.61234, "host_speed": 0.801}
+        with pytest.raises(SystemExit, match="lacks host_speed"):
+            record.table_figures(lines[:-3])

@@ -163,6 +163,96 @@ class TestSelectSubgradient:
         with pytest.raises(ValueError, match="unknown selection rule"):
             select_subgradients(abs_value(), np.zeros((1, 1)), "nope", [rng])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 4), st.sampled_from(SELECTION_RULES), st.sampled_from([1.0, -1.0]),
+           st.data())
+    def test_differentiates_only_the_pieces_its_rows_use(self, n, rule, sign, data):
+        # Each piece that some row's activity test keeps is differentiated once
+        # on the whole stack, and no other piece is.
+        calls = []
+        f = _counting_max_of_squares(n, calls)
+        X = np.array(data.draw(st.lists(tied_points(n), min_size=1, max_size=7)))
+        actives = near_max(zip(*[p.value(X).tolist() for p in f.pieces]), f.activity_tol)
+        rngs = [np.random.default_rng(r) for r in range(len(X))]
+        G = select_subgradients(f, X, rule, rngs, sign)
+        assert sorted(calls) == sorted(set().union(*actives))
+        _assert_rows_select_from_the_map(f, X, G, rule, sign, rngs)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [1, 4, 0, 3, 2, 5],
+                                       [3, 0, 5, 2, 4, 1]])
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_of_three_pieces_with_kinks_between_them(self, order, rule, sign):
+        # Rows that take piece 0, 1 or 2 alone, between kinks of pieces {0, 1},
+        # {1, 2} and {0, 1, 2}; the first row's piece (or a kink) leads.
+        rows = [[3.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, -1.0],
+                [0.0, 0.0, 5.0], [2.0, -2.0, 2.0]]
+        calls = []
+        f = _counting_max_of_squares(3, calls)
+        X = np.array(rows)[order]
+        rngs = [np.random.default_rng(r) for r in range(len(X))]
+        G = select_subgradients(f, X, rule, rngs, sign)
+        assert sorted(calls) == [0, 1, 2]
+        _assert_rows_select_from_the_map(f, X, G, rule, sign, rngs)
+
+    @pytest.mark.parametrize("name", ["abs", "maxsq3"])
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_long_stack_matches_row_by_row(self, name, rule, sign):
+        # Hundreds of rows per piece, as in a block of the circulation field,
+        # with kinks among them.
+        f = OBJECTIVES[name]
+        X = np.random.default_rng(5).normal(size=(300, f.dimension))
+        X[::7] = 0.0
+        X[3::11, 0] = X[3::11, -1]
+        rngs = [np.random.default_rng(r) for r in range(len(X))]
+        G = select_subgradients(f, X, rule, rngs, sign)
+        _assert_rows_select_from_the_map(f, X, G, rule, sign, rngs)
+
+    # A gradient that returns its input (the identity is the gradient of
+    # |x|^2 / 2) or an integer array (the gradient of x_0 + x_1)
+    _ALIASING = MaxOfSmoothFunction([SmoothPiece(lambda x: 0.5 * np.vecdot(x, x), lambda x: x),
+                                     SmoothPiece(lambda x: x.sum(axis=-1),
+                                                 lambda x: np.ones(x.shape, dtype=np.int64))], 2)
+
+    @pytest.mark.parametrize("rows", [
+        [[3.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.0]],  # piece 0 leads, then 1, two kinks
+        [[1.0, 1.0], [3.0, 0.0], [2.0, 0.0]],  # piece 1 leads
+        [[0.0, 0.0], [-4.0, 1.0], [0.5, 0.5]],  # a kink leads
+    ])
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_result_is_an_owned_float64_array(self, rows, rule, sign):
+        f = self._ALIASING
+        X = np.array(rows)
+        before = X.tobytes()
+        rngs = [np.random.default_rng(r) for r in range(len(X))]
+        G = select_subgradients(f, X, rule, rngs, sign)
+        assert G.dtype == np.float64 and not np.shares_memory(G, X)
+        assert X.tobytes() == before
+        _assert_rows_select_from_the_map(f, X, G, rule, sign, rngs)
+
+
+def _counting_max_of_squares(n, calls):
+    """max_of_squares(n) whose piece k appends k to ``calls`` when differentiated."""
+    def counted(k, gradient):
+        def grad(x):
+            calls.append(k)
+            return gradient(x)
+        return grad
+    return MaxOfSmoothFunction([SmoothPiece(p.value, counted(k, p.gradient))
+                                for k, p in enumerate(max_of_squares(n).pieces)], n)
+
+
+def _assert_rows_select_from_the_map(f, X, G, rule, sign, rngs):
+    # Row r of G is the selection from sign * subdiff(f) at row r, drawing
+    # from rngs[r] as a generator seeded r does.
+    H = clarke_map(f) if sign == 1.0 else negate(clarke_map(f))
+    for r, (x, g, rng) in enumerate(zip(X, G, rngs)):
+        ref_rng = np.random.default_rng(r)
+        assert (sign * g).tobytes() == _select_from(H.evaluate(x), rule, ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 @st.composite
 def profiles(draw, game):
