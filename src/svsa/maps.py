@@ -211,13 +211,12 @@ def select_subgradients(f: MaxOfSmoothFunction, X: np.ndarray, rule: str,
     With sign = -1 a step along ``eta - g`` is one along ``(sign * g) + eta``:
     IEEE subtraction adds the negation.
 
-    Each piece's value is evaluated once on the whole stack, and one
-    ``near_max`` call runs the activity test on plain floats, row by row, as
-    ``active_gradients`` does.  A row with one active piece takes its gradient,
-    with no polytope and no draw; a row at a kink selects from its polytope
-    alone.  A single piece is active everywhere, so it needs no activity test.
-    Only the pieces some row selects are differentiated, once each; with more
-    than one, the result is a float64 array of its own.
+    Each piece is evaluated once on the whole stack, and one ``near_max`` call
+    runs the activity test on plain floats, row by row, as ``active_gradients``
+    does.  A row with one active piece takes its gradient, with no polytope and
+    no draw; a row at a kink selects from its polytope alone.  A single piece
+    is active everywhere, so it needs no activity test.  Only pieces some row
+    selects are differentiated, once each; a mix of them gives a new float64 array.
     """
     pieces = f.pieces
     if len(pieces) == 1:
@@ -226,26 +225,18 @@ def select_subgradients(f: MaxOfSmoothFunction, X: np.ndarray, rule: str,
     first = actives[0]
     if len(first) == 1 and actives.count(first) == len(actives):  # one piece on every row
         return pieces[first[0]].gradient(X)
-    lead = first[0]
-    G = np.array(pieces[lead].gradient(X), dtype=float)
-    grads, alone = {lead: G}, {}  # G's row r is the lead's gradient until it is filled in
+    G = np.array(pieces[first[0]].gradient(X), dtype=float)
+    grads = {first[0]: G}  # G's row r is the first piece's gradient until it is set
     for r, a in enumerate(actives):
+        for k in a:
+            if k not in grads:
+                grads[k] = np.asarray(pieces[k].gradient(X), dtype=float)
         if len(a) > 1:  # a kink: its own pieces' rows, and sign * (sign * y) is y
-            for k in a:
-                if k not in grads:
-                    grads[k] = np.asarray(pieces[k].gradient(X), dtype=float)
             rows = np.array([grads[k][r] for k in a])
             G[r] = sign * _select_from(Polytope(sign * rows, copy=False), rule,
                                        None if rngs is None else rngs[r])
-        elif a[0] != lead:  # copied in below, with the other rows of its piece
-            alone.setdefault(a[0], []).append(r)
-    for k, rs in alone.items():
-        g = grads[k] if k in grads else np.asarray(pieces[k].gradient(X), dtype=float)
-        if len(rs) < 8:  # a few rows one by one beat a fancy index; a field block's do not
-            for r in rs:
-                G[r] = g[r]
-        else:
-            G[rs] = g[rs]
+        elif a[0] != first[0]:
+            G[r] = grads[a[0]][r]
     return G
 
 
